@@ -5,7 +5,9 @@ Config files are nested key/value YAML with interface units matching how the
 numbers are usually quoted: frequencies in GHz, kappas and spans in MHz,
 angles in degrees.  Everything is converted to Hz/radians internally.  Sweep
 files (CSV or JSON) print floating point with 9 significant digits and "\n"
-line endings, which makes emit -> parse -> emit byte-identical.
+line endings, which makes emit -> parse -> emit byte-identical.  Tables are
+formatted and written in fixed blocks of rows, so the memory a writer needs
+does not grow with the size of the file.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 import yaml
@@ -158,8 +160,7 @@ def bundled_config_path(name: str):
 # sweep tables
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+_BLOCK_ROWS = 1024  # rows formatted per chunk handed to the file
 
 
 @dataclass
@@ -193,20 +194,32 @@ def sweep_table(result: cmt.SweepResult) -> SweepTable:
     return SweepTable(columns, rows)
 
 
+def _table_chunks(rows: np.ndarray, row_template: str, sep: str, head: str, tail: str):
+    """Yield ``head + sep.join(row_template % row for row in rows) + tail`` in
+    blocks of ``_BLOCK_ROWS`` rows.
+
+    ``row_template`` holds one ``%.9g`` per column; for float64 ``'%.9g' % x``
+    is the same string as ``format(x, '.9g')``, including -0, +-inf and nan.
+    """
+    yield head
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        text = sep.join([row_template] * len(block)) % tuple(block.ravel().tolist())
+        yield text if start == 0 else sep + text
+    yield tail
+
+
 def write_table_csv(table: SweepTable, path: str) -> None:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    row_template = ",".join(["%.9g"] * len(table.columns)) + "\n"
+    header = ",".join(table.columns) + "\n"
+    _atomic_write(path, _table_chunks(table.rows, row_template, "", header, ""))
 
 
 def write_table_json(table: SweepTable, path: str) -> None:
     cols = json.dumps(table.columns, separators=(", ", ": "))
-    body = ",\n".join(
-        "    [" + ", ".join(_fmt(x) for x in row) + "]" for row in table.rows
-    )
-    text = '{\n  "columns": ' + cols + ',\n  "rows": [\n' + body + "\n  ]\n}\n"
-    _atomic_write(path, text)
+    row_template = "    [" + ", ".join(["%.9g"] * len(table.columns)) + "]"
+    head = '{\n  "columns": ' + cols + ',\n  "rows": [\n'
+    _atomic_write(path, _table_chunks(table.rows, row_template, ",\n", head, "\n  ]\n}\n"))
 
 
 def write_table(table: SweepTable, path: str, fmt: str) -> None:
@@ -220,7 +233,7 @@ def read_table(path: str) -> SweepTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)  # every cell is a float; keeps "-0" negative
         if not isinstance(doc, dict) or "columns" not in doc or "rows" not in doc:
             raise ConfigError(f"{path}: JSON table needs 'columns' and 'rows'")
         cols = [str(c) for c in doc["columns"]]
@@ -235,12 +248,16 @@ def read_table(path: str) -> SweepTable:
     return SweepTable(cols, rows)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
+    """Write ``text`` (a string or an iterable of string chunks) to ``path``
+    through a temporary file in the same directory, then rename it."""
+    if isinstance(text, str):
+        text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -295,8 +312,7 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
             print(f"3 dB gain bandwidth: empty band ({exc})")
     nvr0 = metrics.nvr(s0)
     print("NVR at delta=0 (dB): " + ", ".join(f"{n}: {v:.3f}" for n, v in nvr0.items()))
-    defect = max(metrics.symplectic_defect(result.matrix_at(i)) for i in range(len(result)))
-    print(f"max symplectic defect over the sweep: {defect:.3e}")
+    print(f"max symplectic defect over the sweep: {metrics.max_symplectic_defect(result):.3e}")
     if cfg.declared_pumps:
         for w in check_pump_closure(device, cfg.declared_pumps):
             print(f"warning: {w}")
@@ -343,16 +359,13 @@ def cmd_phase_sweep(args) -> int:
         print(f"error: TopologyError: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     columns = ["phi_rad", "delta_hz"] + [f"S_{o}{i}_db" for o, i in pairs]
-    rows = np.empty((len(phis) * len(cfg.delta_grid), len(columns)))
-    k = 0
+    n_phi, n_delta = len(ps.phis), len(ps.deltas)
+    rows = np.empty((n_phi * n_delta, len(columns)))  # phi-major: row r * n_delta + c
+    rows[:, 0] = np.repeat(ps.phis, n_delta)
+    rows[:, 1] = np.tile(ps.deltas, n_phi)
     with np.errstate(divide="ignore"):
-        for r, phi in enumerate(ps.phis):
-            for c, delta in enumerate(ps.deltas):
-                rows[k, 0] = phi
-                rows[k, 1] = delta
-                for n, pair in enumerate(pairs):
-                    rows[k, 2 + n] = 20.0 * np.log10(ps.magnitude(*pair)[r, c])
-                k += 1
+        for n, pair in enumerate(pairs):
+            rows[:, 2 + n] = 20.0 * np.log10(ps.magnitude(*pair).ravel())
     out_path = args.out or "phase_sweep." + (args.format or cfg.out_format)
     write_table(SweepTable(columns, rows), out_path, (args.format or cfg.out_format).lower())
     print(f"wrote {rows.shape[0]} (phi, delta) points to {out_path}")
@@ -447,7 +460,8 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, out_path: str) -
         elif key == "target_g_db":
             entry["target_g_db"] = float(metrics.to_db(cmt.gain_coefficient(coupling.rho)))
         else:
-            entry["target_c"] = float(cmt.conversion_coefficient(coupling.rho))
+            # 4 rho / (1 + rho)^2 can round one ulp above 1 near rho = 1
+            entry["target_c"] = min(float(cmt.conversion_coefficient(coupling.rho)), 1.0)
         if pair == control:
             phase = signs[control] * (target_tot - other_sum)
             entry["phase_deg"] = float(math.degrees(wrap_phase(phase)))

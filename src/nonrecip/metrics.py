@@ -202,11 +202,22 @@ def added_noise(s: ScatteringMatrix, signal_port: str, output_port: str) -> floa
     return float(0.5 * (np.sum(row) - row[sig]) / denom)
 
 
+def _flux_defect(entries: np.ndarray, signs) -> float:
+    """Largest |element| of S Sigma S^dag - Sigma over one matrix or a stack."""
+    sigma = np.diag(signs).astype(complex)
+    defect = entries @ sigma @ np.swapaxes(entries.conj(), -1, -2) - sigma
+    return float(np.max(np.abs(defect)))
+
+
 def symplectic_defect(s: ScatteringMatrix) -> float:
     """Largest |element| of S Sigma S^dag - Sigma; zero for a lossless device."""
-    sigma = np.diag(s.frame.detuning_signs).astype(complex)
-    defect = s.entries @ sigma @ s.entries.conj().T - sigma
-    return float(np.max(np.abs(defect)))
+    return _flux_defect(s.entries, s.frame.detuning_signs)
+
+
+def max_symplectic_defect(sweep: SweepResult) -> float:
+    """Largest symplectic defect over every point of a sweep, in one stacked
+    evaluation; equal to the maximum of ``symplectic_defect`` per point."""
+    return _flux_defect(sweep.entries, sweep.device.frame.detuning_signs)
 
 
 def role_map(device: ValidatedDevice, phi_tot) -> PortRole:

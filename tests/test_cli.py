@@ -147,6 +147,58 @@ class TestRoundTrip:
         assert out.read_bytes() == again.read_bytes()
 
 
+def _old_format_csv(table):
+    """CSV bytes as the per-float ``format(x, '.9g')`` writer produced them."""
+    lines = [",".join(table.columns)]
+    lines += [",".join(format(float(x), ".9g") for x in row) for row in table.rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _old_format_json(table):
+    """JSON bytes as the per-float ``format(x, '.9g')`` writer produced them."""
+    cols = json.dumps(table.columns, separators=(", ", ": "))
+    body = ",\n".join(
+        "    [" + ", ".join(format(float(x), ".9g") for x in row) + "]" for row in table.rows
+    )
+    return ('{\n  "columns": ' + cols + ',\n  "rows": [\n' + body + "\n  ]\n}\n").encode()
+
+
+SPECIAL_VALUES = [0.0, -0.0, -math.inf, math.inf, math.nan, 5e-324, -2.5e-310,
+                  2.2250738585072014e-308, 1e300, -1e-300, 1.7976931348623157e308,
+                  0.1, -123456789.123, 1e-5]
+
+
+class TestTableWriters:
+    @pytest.fixture(params=[0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+    def table(self, request):
+        n = request.param
+        rng = np.random.default_rng(n)
+        cols = ["phi_rad", "delta_hz", "S_bb_db", "S_cb_db", "S_ab_re"]
+        values = rng.standard_normal(n * len(cols)) * 10.0 ** rng.integers(-320, 300, n * len(cols))
+        values[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: len(values)]
+        return cli.SweepTable(cols, values.reshape(n, len(cols)))
+
+    def test_csv_matches_per_float_format(self, table, tmp_path):
+        out = tmp_path / "t.csv"
+        cli.write_table_csv(table, str(out))
+        assert out.read_bytes() == _old_format_csv(table)
+        again = tmp_path / "again.csv"
+        cli.write_table_csv(cli.read_table(str(out)), str(again))
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_json_matches_per_float_format(self, table, tmp_path):
+        out = tmp_path / "t.json"
+        cli.write_table_json(table, str(out))
+        assert out.read_bytes() == _old_format_json(table)
+        # JSON has no token for nan/inf, so the read-back check uses finite cells
+        finite = cli.SweepTable(table.columns, np.nan_to_num(table.rows, posinf=1e308,
+                                                             neginf=-1e308))
+        cli.write_table_json(finite, str(out))
+        again = tmp_path / "again.json"
+        cli.write_table_json(cli.read_table(str(out)), str(again))
+        assert again.read_bytes() == out.read_bytes() == _old_format_json(finite)
+
+
 class TestCompare:
     def test_file_vs_itself(self, circ_cfg, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -239,6 +291,28 @@ class TestPhaseSweepCmd:
         gaps = np.diff(np.sort(minima))
         assert np.allclose(gaps, math.pi, atol=0.02)
 
+    def test_rows_phi_major_with_solver_magnitudes(self, circ_cfg, tmp_path):
+        raw = yaml.safe_load(circ_cfg.read_text())
+        raw["sweep"]["points"] = 7
+        cfg_path = tmp_path / "small.cfg"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "ps.csv"
+        assert run("phase-sweep", "--config", cfg_path, "--out", out, "--pairs", "ab,ba,cc",
+                   "--phi-min", -math.pi, "--phi-max", math.pi, "--phi-points", 5) == 0
+        table = cli.read_table(str(out))
+        assert table.columns == ["phi_rad", "delta_hz", "S_ab_db", "S_ba_db", "S_cc_db"]
+        cfg = cli.load_config(str(cfg_path))
+        phis = np.linspace(-math.pi, math.pi, 5)
+        ps = nr.phase_sweep(cfg.device, phis, cfg.delta_grid)
+        assert table.rows.shape == (5 * 7, 5)
+        for r in range(5):
+            for c in range(7):
+                expected = [phis[r], cfg.delta_grid[c]] + [
+                    20.0 * np.log10(ps.magnitude(o, i)[r, c]) for o, i in ("ab", "ba", "cc")
+                ]
+                got = table.rows[r * 7 + c]
+                assert [format(x, ".9g") for x in got] == [format(x, ".9g") for x in expected]
+
 
 class TestThresholdCmd:
     def test_threshold_column_and_monotone_segment(self, diramp_cfg, tmp_path):
@@ -275,3 +349,18 @@ class TestTuneCmd:
                    "--budget", 500, "--out", out) == 0
         tuned = cli.load_config(str(out))
         assert abs(nr.total_pump_phase(tuned.device).value - math.pi / 2) < 0.05
+
+    def test_tuned_target_c_reloads(self, circ_cfg, tmp_path):
+        # this start converges to rho ~ 1, where 4 rho / (1 + rho)^2 rounds to
+        # 1 + 2.2e-16 unless the written conversion coefficient is clamped
+        raw = yaml.safe_load(circ_cfg.read_text())
+        for entry, c in zip(raw["device"]["couplings"], (0.95067, 0.994096, 0.914272)):
+            entry["target_c"] = c
+        cfg_path = tmp_path / "start.cfg"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "tuned.cfg"
+        assert run("tune", "--config", cfg_path, "--objective", "circulator-cw",
+                   "--budget", 800, "--out", out) == 0
+        written = [e["target_c"] for e in yaml.safe_load(out.read_text())["device"]["couplings"]]
+        assert all(0.0 <= c <= 1.0 for c in written)
+        assert cli.load_config(str(out)).device.is_circulator

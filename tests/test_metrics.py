@@ -187,6 +187,17 @@ class TestSymplecticDefect:
         bad = nr.ScatteringMatrix(0.0, broken, s.frame)
         assert metrics.symplectic_defect(bad) > 0.5
 
+    def test_sweep_maximum_equals_pointwise_maximum(self, circulator, diramp):
+        # the stacked evaluation does the per-matrix arithmetic: bitwise equal
+        for dev in (circulator, diramp):
+            sw = nr.sweep(dev, np.linspace(-30e6, 30e6, 1001))
+            per_point = max(metrics.symplectic_defect(sw.matrix_at(k)) for k in range(len(sw)))
+            assert metrics.max_symplectic_defect(sw) == per_point
+        sw = nr.sweep(circulator, np.array([-5e6, 0.0, 5e6]))
+        broken = sw.entries.copy()
+        broken[2, 1, :] = 0.0
+        assert metrics.max_symplectic_defect(nr.SweepResult(sw.deltas, broken, circulator)) > 0.5
+
 
 class TestRoleMap:
     # role calibration pairs with the clockwise-at-+pi/2 circulator convention:
