@@ -26,13 +26,7 @@ import numpy as np
 import yaml
 
 from . import cmt, metrics, tuner
-from .errors import (
-    DeviceValidationError,
-    DomainError,
-    EmptyBandError,
-    SingularMatrixError,
-    TopologyError,
-)
+from .errors import EmptyBandError, SingularMatrixError, TopologyError
 from .model import (
     DeviceConfig,
     ModeSpec,
@@ -47,16 +41,18 @@ from .model import (
 )
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_SOLVER = 2
-EXIT_MISMATCH = 1
-EXIT_SCHEMA = 2
+EXIT_CONFIG = 1  # invalid input; also a `compare` outside its tolerance
+EXIT_SOLVER = 2  # singular dynamics matrix; also tables `compare` cannot line up
 
 STRENGTH_KEYS = ("rho", "target_g_db", "target_c")
 
 
 class ConfigError(ValueError):
     """Malformed run configuration."""
+
+
+class SchemaError(Exception):
+    """Two tables that ``compare`` cannot read or line up."""
 
 
 @dataclass
@@ -194,17 +190,22 @@ def sweep_table(result: cmt.SweepResult) -> SweepTable:
     return SweepTable(columns, rows)
 
 
-def _table_chunks(rows: np.ndarray, row_template: str, sep: str, head: str, tail: str):
+def _table_chunks(rows: np.ndarray, row_template: str, sep: str, head: str, tail: str,
+                  json_tokens: bool = False):
     """Yield ``head + sep.join(row_template % row for row in rows) + tail`` in
     blocks of ``_BLOCK_ROWS`` rows.
 
     ``row_template`` holds one ``%.9g`` per column; for float64 ``'%.9g' % x``
     is the same string as ``format(x, '.9g')``, including -0, +-inf and nan.
+    With ``json_tokens`` non-finite cells are written as ``NaN``, ``Infinity``
+    and ``-Infinity``, the tokens Python's ``json`` reads and writes.
     """
     yield head
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         text = sep.join([row_template] * len(block)) % tuple(block.ravel().tolist())
+        if json_tokens and not np.isfinite(block).all():
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
         yield text if start == 0 else sep + text
     yield tail
 
@@ -219,7 +220,8 @@ def write_table_json(table: SweepTable, path: str) -> None:
     cols = json.dumps(table.columns, separators=(", ", ": "))
     row_template = "    [" + ", ".join(["%.9g"] * len(table.columns)) + "]"
     head = '{\n  "columns": ' + cols + ',\n  "rows": [\n'
-    _atomic_write(path, _table_chunks(table.rows, row_template, ",\n", head, "\n  ]\n}\n"))
+    chunks = _table_chunks(table.rows, row_template, ",\n", head, "\n  ]\n}\n", json_tokens=True)
+    _atomic_write(path, chunks)
 
 
 def write_table(table: SweepTable, path: str, fmt: str) -> None:
@@ -323,18 +325,10 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
 
 
 def cmd_sparams(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, DeviceValidationError, DomainError, OSError, yaml.YAMLError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
     out_path = args.out or cfg.out_path
     fmt = (args.format or cfg.out_format).lower()
-    try:
-        result = cmt.sweep(cfg.device, cfg.delta_grid)
-    except SingularMatrixError as exc:
-        print(f"error: SingularMatrix: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    result = cmt.sweep(cfg.device, cfg.delta_grid)
     write_table(sweep_table(result), out_path, fmt)
     print(f"wrote {len(result)} detuning points to {out_path} ({fmt})")
     _print_summary(cfg, result)
@@ -342,22 +336,10 @@ def cmd_sparams(args) -> int:
 
 
 def cmd_phase_sweep(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        pairs = _parse_pairs(args.pairs, cfg.device)
-    except (ConfigError, DeviceValidationError, DomainError, TopologyError,
-            OSError, yaml.YAMLError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    pairs = _parse_pairs(args.pairs, cfg.device)
     phis = np.linspace(args.phi_min, args.phi_max, args.phi_points)
-    try:
-        ps = tuner.phase_sweep(cfg.device, phis, cfg.delta_grid)
-    except SingularMatrixError as exc:
-        print(f"error: SingularMatrix: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except TopologyError as exc:
-        print(f"error: TopologyError: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    ps = tuner.phase_sweep(cfg.device, phis, cfg.delta_grid)
     columns = ["phi_rad", "delta_hz"] + [f"S_{o}{i}_db" for o, i in pairs]
     n_phi, n_delta = len(ps.phis), len(ps.deltas)
     rows = np.empty((n_phi * n_delta, len(columns)))  # phi-major: row r * n_delta + c
@@ -373,20 +355,11 @@ def cmd_phase_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if not cfg.device.is_directional_amp:
-            raise TopologyError("threshold sweep needs a directional-amp config")
-    except (ConfigError, DeviceValidationError, DomainError, TopologyError,
-            OSError, yaml.YAMLError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    if not cfg.device.is_directional_amp:
+        raise TopologyError("threshold sweep needs a directional-amp config")
     cs = np.linspace(args.c_min, args.c_max, args.c_points)
-    try:
-        res = tuner.conversion_sweep(cfg.device, cs)
-    except SingularMatrixError as exc:
-        print(f"error: SingularMatrix: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    res = tuner.conversion_sweep(cfg.device, cs)
     q, z = res.reflection_port, res.idler_port
     columns = ["c", "rho_conv", f"S_{q}{q}_abs", f"S_{z}{q}_abs",
                f"S_{q}{q}_db", f"S_{z}{q}_db", "c_threshold"]
@@ -407,23 +380,14 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        kind = {
-            "circulator-cw": tuner.ObjectiveKind.CIRCULATOR_CW,
-            "circulator-ccw": tuner.ObjectiveKind.CIRCULATOR_CCW,
-            "diramp": tuner.ObjectiveKind.DIRECTIONAL_AMP,
-        }[args.objective]
-        objective = tuner.Objective(kind=kind, target_gain_db=args.target_gain_db)
-    except (ConfigError, DeviceValidationError, DomainError, KeyError,
-            OSError, yaml.YAMLError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        result = tuner.tune(cfg.device, objective, budget=args.budget)
-    except (TopologyError, DomainError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    kind = {
+        "circulator-cw": tuner.ObjectiveKind.CIRCULATOR_CW,
+        "circulator-ccw": tuner.ObjectiveKind.CIRCULATOR_CCW,
+        "diramp": tuner.ObjectiveKind.DIRECTIONAL_AMP,
+    }[args.objective]
+    objective = tuner.Objective(kind=kind, target_gain_db=args.target_gain_db)
+    result = tuner.tune(cfg.device, objective, budget=args.budget)
     out_path = args.out or (args.config + ".tuned")
     _write_tuned_config(cfg, result.device, out_path)
     print(f"objective: {result.objective_value:.6f} after {result.evaluations} evaluations "
@@ -455,6 +419,10 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, out_path: str) -
         coupling = tuned.coupling_for(pair)
         present = [k for k in STRENGTH_KEYS if k in entry]
         key = present[0] if present else "rho"
+        if key == "target_c" and coupling.rho > 1.0:
+            # C(rho) = C(1/rho), so only rho states an over-coupled conversion
+            del entry["target_c"]
+            key = "rho"
         if key == "rho":
             entry["rho"] = float(coupling.rho)
         elif key == "target_g_db":
@@ -472,44 +440,41 @@ def cmd_compare(args) -> int:
     try:
         sweep_t = read_table(args.sweep)
         ref_t = read_table(args.reference)
-    except (ConfigError, OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"{type(exc).__name__}: {exc}") from exc
     if sweep_t.columns != ref_t.columns:
-        print("error: schema mismatch: column sets differ", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError("schema mismatch: column sets differ")
     if "delta_hz" not in sweep_t.columns:
-        print("error: schema mismatch: no delta_hz column", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError("schema mismatch: no delta_hz column")
     columns = (
         args.columns.split(",") if args.columns
         else [c for c in sweep_t.columns if c.endswith("_db")]
     )
     for c in columns:
         if c not in sweep_t.columns:
-            print(f"error: schema mismatch: no column {c!r}", file=sys.stderr)
-            return EXIT_SCHEMA
+            raise SchemaError(f"schema mismatch: no column {c!r}")
     ds = sweep_t.column("delta_hz")
     dr = ref_t.column("delta_hz")
     if len(dr) > 1 and not np.all(np.diff(dr) > 0):
-        print("error: schema mismatch: reference grid not strictly increasing",
-              file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError("schema mismatch: reference grid not strictly increasing")
     lo, hi = max(ds.min(), dr.min()), min(ds.max(), dr.max())
     band = (ds >= lo) & (ds <= hi)
     if not np.any(band):
-        print("error: schema mismatch: detuning grids do not overlap", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError("schema mismatch: detuning grids do not overlap")
     worst = (-1.0, "", 0.0)
     for c in columns:
+        sweep_c = sweep_t.column(c)[band]
         ref_interp = np.interp(ds[band], dr, ref_t.column(c))
-        diff = np.abs(sweep_t.column(c)[band] - ref_interp)
+        with np.errstate(invalid="ignore"):
+            diff = np.abs(sweep_c - ref_interp)
+        diff[sweep_c == ref_interp] = 0.0  # also equal infinities, whose difference is nan
+        diff[np.isnan(diff)] = np.inf
         k = int(np.argmax(diff))
         if diff[k] > worst[0]:
             worst = (float(diff[k]), c, float(ds[band][k]))
     print(f"worst |delta dB| = {worst[0]:.6g} in column {worst[1]} at delta = {worst[2]:g} Hz "
           f"(tolerance {args.tol_db:g} dB, band [{lo:g}, {hi:g}] Hz)")
-    return EXIT_OK if worst[0] <= args.tol_db else EXIT_MISMATCH
+    return EXIT_OK if worst[0] <= args.tol_db else EXIT_CONFIG
 
 
 def _parse_pairs(spec_str: Optional[str], device: ValidatedDevice):
@@ -577,8 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; a failure becomes an ``error:`` message on stderr
+    and an exit code, mapped here and nowhere else."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SingularMatrixError as exc:
+        print(f"error: SingularMatrix: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except (ValueError, TopologyError, OSError, yaml.YAMLError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

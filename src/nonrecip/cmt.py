@@ -18,10 +18,7 @@ Closed forms provided as independent oracles:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -137,10 +134,6 @@ class SweepResult:
     def matrix_at(self, index: int) -> ScatteringMatrix:
         return ScatteringMatrix(float(self.deltas[index]), self.entries[index], self.device.frame)
 
-    @cached_property
-    def matrices(self) -> tuple[ScatteringMatrix, ...]:
-        return tuple(self.matrix_at(i) for i in range(len(self)))
-
     @property
     def center_index(self) -> int:
         """Grid point closest to zero detuning."""
@@ -225,35 +218,14 @@ def scattering_at(device: ValidatedDevice, delta: float) -> ScatteringMatrix:
     return ScatteringMatrix(float(delta), entries, device.frame)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NONRECIP_THREADS", "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 def sweep(device: ValidatedDevice, deltas) -> SweepResult:
     """One scattering matrix per grid point; pure function of its inputs.
 
-    The grid must be strictly increasing.  Points are independent; when the
-    NONRECIP_THREADS environment variable is a positive integer the batch is
-    split across that many threads, with results bit-identical to the serial
-    evaluation.
+    The grid must be strictly increasing.
     """
     grid = np.asarray(deltas, dtype=float)
     if grid.ndim != 1:
         raise DomainError("detuning grid must be one-dimensional")
     if len(grid) > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("detuning grid must be strictly increasing")
-    threads = _thread_count()
-    if threads > 1 and len(grid) >= 2 * threads:
-        chunks = np.array_split(np.arange(len(grid)), threads)
-        out = np.empty((len(grid), 3, 3), dtype=complex)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(idx, pool.submit(_solve_batch, device, grid[idx])) for idx in chunks]
-            for idx, fut in futures:
-                out[idx] = fut.result()
-    else:
-        out = _solve_batch(device, grid)
-    return SweepResult(grid, out, device)
+    return SweepResult(grid, _solve_batch(device, grid), device)

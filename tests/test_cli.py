@@ -119,15 +119,6 @@ class TestSparams:
         assert doc["columns"][0] == "delta_hz"
         assert len(doc["rows"]) == 1001
 
-    def test_thread_env_identical_output(self, circ_cfg, tmp_path, monkeypatch):
-        out1 = tmp_path / "s1.csv"
-        out2 = tmp_path / "s2.csv"
-        monkeypatch.delenv("NONRECIP_THREADS", raising=False)
-        run("sparams", "--config", circ_cfg, "--out", out1)
-        monkeypatch.setenv("NONRECIP_THREADS", "3")
-        run("sparams", "--config", circ_cfg, "--out", out2)
-        assert out1.read_bytes() == out2.read_bytes()
-
 
 class TestRoundTrip:
     def test_csv_emit_parse_emit(self, circ_cfg, tmp_path):
@@ -146,6 +137,23 @@ class TestRoundTrip:
         cli.write_table_json(table, str(again))
         assert out.read_bytes() == again.read_bytes()
 
+    def test_json_non_finite_cells(self, circ_cfg, tmp_path):
+        # only the a-b conversion: S_ac is exactly 0, i.e. -inf dB
+        raw = yaml.safe_load(circ_cfg.read_text())
+        raw["device"]["couplings"] = [
+            e for e in raw["device"]["couplings"] if sorted(e["pair"]) == ["a", "b"]
+        ]
+        cfg = tmp_path / "single.cfg"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "single.json"
+        assert run("sparams", "--config", cfg, "--out", out, "--format", "json") == 0
+        table = cli.read_table(str(out))
+        assert np.all(table.column("S_ac_db") == -math.inf)
+        again = tmp_path / "again.json"
+        cli.write_table_json(table, str(again))
+        assert out.read_bytes() == again.read_bytes()
+        assert run("compare", out, out, "--tol-db", 1e-9) == 0
+
 
 def _old_format_csv(table):
     """CSV bytes as the per-float ``format(x, '.9g')`` writer produced them."""
@@ -155,10 +163,14 @@ def _old_format_csv(table):
 
 
 def _old_format_json(table):
-    """JSON bytes as the per-float ``format(x, '.9g')`` writer produced them."""
+    """JSON bytes as the per-float ``format(x, '.9g')`` writer produced them,
+    with ``json``'s own tokens for non-finite cells."""
+    def cell(x):
+        return format(x, ".9g") if math.isfinite(x) else json.dumps(x)
+
     cols = json.dumps(table.columns, separators=(", ", ": "))
     body = ",\n".join(
-        "    [" + ", ".join(format(float(x), ".9g") for x in row) + "]" for row in table.rows
+        "    [" + ", ".join(cell(float(x)) for x in row) + "]" for row in table.rows
     )
     return ('{\n  "columns": ' + cols + ',\n  "rows": [\n' + body + "\n  ]\n}\n").encode()
 
@@ -190,13 +202,9 @@ class TestTableWriters:
         out = tmp_path / "t.json"
         cli.write_table_json(table, str(out))
         assert out.read_bytes() == _old_format_json(table)
-        # JSON has no token for nan/inf, so the read-back check uses finite cells
-        finite = cli.SweepTable(table.columns, np.nan_to_num(table.rows, posinf=1e308,
-                                                             neginf=-1e308))
-        cli.write_table_json(finite, str(out))
         again = tmp_path / "again.json"
         cli.write_table_json(cli.read_table(str(out)), str(again))
-        assert again.read_bytes() == out.read_bytes() == _old_format_json(finite)
+        assert again.read_bytes() == out.read_bytes()
 
 
 class TestCompare:
@@ -237,6 +245,23 @@ class TestCompare:
         coarse = tmp_path / "coarse.csv"
         run("sparams", "--config", coarse_cfg, "--out", coarse)
         assert run("compare", fine, coarse, "--tol-db", 0.05) == 0
+
+    def test_mismatch_in_column_with_equal_infinities(self, tmp_path, capsys):
+        columns = ["delta_hz", "S_ab_db"]
+        sweep, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
+        cli.write_table_csv(cli.SweepTable(columns, np.array([[0.0, -math.inf], [1.0, 1.0]])),
+                            str(sweep))
+        cli.write_table_csv(cli.SweepTable(columns, np.array([[0.0, -math.inf], [1.0, 5.0]])),
+                            str(ref))
+        assert run("compare", sweep, ref, "--tol-db", 1.0) == 1
+        assert "worst |delta dB| = 4 in column S_ab_db at delta = 1 Hz" in capsys.readouterr().out
+
+    def test_missing_table_exit_2(self, circ_cfg, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        run("sparams", "--config", circ_cfg, "--out", out)
+        capsys.readouterr()
+        assert run("compare", out, tmp_path / "missing.csv") == 2
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
 
 
 class TestPhaseSweepCmd:
@@ -361,6 +386,50 @@ class TestTuneCmd:
         out = tmp_path / "tuned.cfg"
         assert run("tune", "--config", cfg_path, "--objective", "circulator-cw",
                    "--budget", 800, "--out", out) == 0
-        written = [e["target_c"] for e in yaml.safe_load(out.read_text())["device"]["couplings"]]
-        assert all(0.0 <= c <= 1.0 for c in written)
+        entries = yaml.safe_load(out.read_text())["device"]["couplings"]
+        # a tuned rho > 1 is written as rho; any target_c left must load
+        assert all(len([k for k in cli.STRENGTH_KEYS if k in e]) == 1 for e in entries)
+        assert all(0.0 <= e["target_c"] <= 1.0 for e in entries if "target_c" in e)
         assert cli.load_config(str(out)).device.is_circulator
+
+    @pytest.mark.parametrize("rho", [1.3, 1.0 - 3 * 2.0 ** -53])
+    def test_tuned_conversion_reloads(self, rho, circ_cfg, tmp_path):
+        # C(rho) = C(1/rho), so a rho > 1 must be written as rho; just below 1,
+        # 4 rho / (1 + rho)^2 rounds to 1 + 2.2e-16 unless the written C is clamped
+        cfg = cli.load_config(str(circ_cfg))
+        tuned = nr.with_coupling(cfg.device, ("a", "b"), rho=rho)
+        out = tmp_path / "tuned.cfg"
+        cli._write_tuned_config(cfg, tuned, str(out))
+        reloaded = cli.load_config(str(out)).device
+        for pair in (("a", "b"), ("b", "c"), ("a", "c")):
+            assert math.isclose(reloaded.coupling_for(pair).rho, tuned.coupling_for(pair).rho,
+                                rel_tol=1e-12)
+
+
+class TestErrorExits:
+    """Inputs that fail inside a command end with one ``error:`` line and exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["phase-sweep", "--config", "{circ}", "--phi-points", "0", "--out", "{tmp}/x.csv"],
+        ["phase-sweep", "--config", "{circ}", "--phi-points", "-1", "--out", "{tmp}/x.csv"],
+        ["threshold", "--config", "{diramp}", "--c-points", "0", "--out", "{tmp}/x.csv"],
+        ["threshold", "--config", "{diramp}", "--c-max", "1.5", "--out", "{tmp}/x.csv"],
+        ["sparams", "--config", "{circ}", "--out", "{tmp}/no-such-dir/x.csv"],
+    ], ids=["no-phi-points", "negative-phi-points", "no-c-points", "c-above-1", "missing-out-dir"])
+    def test_command_argument(self, argv, circ_cfg, diramp_cfg, tmp_path, capsys):
+        assert run(*[a.format(circ=circ_cfg, diramp=diramp_cfg, tmp=tmp_path) for a in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("couplings", "kind", "convert"),
+        ("modes", "kappa_mhz", "abc"),
+    ])
+    def test_config_value(self, section, key, value, circ_cfg, tmp_path, capsys):
+        raw = yaml.safe_load(circ_cfg.read_text())
+        raw["device"][section][0][key] = value
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValueError: ")

@@ -311,19 +311,6 @@ class TestSweep:
         fit = np.polyval(coef, grid ** 2)
         assert np.max(np.abs(fit - 1.0 / p) / (1.0 / p)) < 0.02
 
-    def test_matrices_property(self, circulator):
-        sw = nr.sweep(circulator, np.linspace(-1e6, 1e6, 5))
-        assert len(sw.matrices) == 5
-        assert sw.matrices[2].delta == 0.0
-
-    def test_thread_env_bit_identical(self, circulator, monkeypatch):
-        grid = np.linspace(-30e6, 30e6, 257)
-        monkeypatch.delenv("NONRECIP_THREADS", raising=False)
-        serial = nr.sweep(circulator, grid)
-        monkeypatch.setenv("NONRECIP_THREADS", "4")
-        threaded = nr.sweep(circulator, grid)
-        assert np.array_equal(serial.entries, threaded.entries)
-
     def test_singularity_reports_offending_delta(self):
         dev = make_diramp()
         dev = nr.with_coupling(dev, ("a", "c"), rho=0.6)
