@@ -256,7 +256,10 @@ def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
     if isinstance(text, str):
         text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
+    except OSError as exc:  # name the requested file, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(text)
@@ -363,15 +366,12 @@ def cmd_threshold(args) -> int:
     q, z = res.reflection_port, res.idler_port
     columns = ["c", "rho_conv", f"S_{q}{q}_abs", f"S_{z}{q}_abs",
                f"S_{q}{q}_db", f"S_{z}{q}_db", "c_threshold"]
-    rows = np.empty((len(cs), len(columns)))
-    rows[:, 0] = res.c_values
-    rows[:, 1] = res.rho_values
-    rows[:, 2] = res.reflection_mag
-    rows[:, 3] = res.forward_mag
     with np.errstate(divide="ignore"):
-        rows[:, 4] = 20.0 * np.log10(res.reflection_mag)
-        rows[:, 5] = 20.0 * np.log10(res.forward_mag)
-    rows[:, 6] = res.threshold_c
+        rows = np.column_stack([
+            res.c_values, res.rho_values, res.reflection_mag, res.forward_mag,
+            20.0 * np.log10(res.reflection_mag), 20.0 * np.log10(res.forward_mag),
+            np.full(len(cs), res.threshold_c),
+        ])
     out_path = args.out or "threshold." + (args.format or cfg.out_format)
     write_table(SweepTable(columns, rows), out_path, (args.format or cfg.out_format).lower())
     print(f"wrote {len(cs)} conversion points to {out_path}; "
@@ -450,6 +450,8 @@ def cmd_compare(args) -> int:
         args.columns.split(",") if args.columns
         else [c for c in sweep_t.columns if c.endswith("_db")]
     )
+    if not columns:
+        raise SchemaError("schema mismatch: no column to compare")
     for c in columns:
         if c not in sweep_t.columns:
             raise SchemaError(f"schema mismatch: no column {c!r}")
@@ -542,20 +544,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; a failure becomes an ``error:`` message on stderr
-    and an exit code, mapped here and nowhere else."""
+    """Run one subcommand; a failure becomes one ``error:`` line on stderr and
+    an exit code, mapped here and nowhere else."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SingularMatrixError as exc:
-        print(f"error: SingularMatrix: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        message, code = f"SingularMatrix: {exc}", EXIT_SOLVER
     except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        message, code = str(exc), EXIT_SOLVER
     except (ValueError, TopologyError, OSError, yaml.YAMLError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        message, code = f"{type(exc).__name__}: {exc}", EXIT_CONFIG
+    lines = filter(None, map(str.strip, message.splitlines()))  # YAML's texts span lines
+    print("error: " + "; ".join(lines), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,17 +17,21 @@ Closed forms provided as independent oracles:
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError, SingularMatrixError, TopologyError
 from .model import (
+    TWO_PI,
     ChannelFrame,
     ProcessKind,
     ValidatedDevice,
     conversion_head,
+    phase_signs,
 )
 
 _DET_TOL = 1e-12  # on the dimensionless (normalized) dynamics matrix
@@ -147,37 +151,61 @@ class SweepResult:
         return np.abs(self.entries[:, i, j])
 
 
-def _coupling_entries(device: ValidatedDevice) -> np.ndarray:
-    """Off-diagonal (delta-independent) part of the dynamics matrix, in Hz."""
-    kappas = device.kappas
-    sig = device.frame.detuning_signs
-    off = np.zeros((3, 3), dtype=complex)
+_DIAG = np.arange(3)
+_Template = namedtuple("_Template", "half_kappas root_k scale slots phases control_sign")
+
+
+@functools.lru_cache(maxsize=32)
+def _template(device: ValidatedDevice) -> _Template:
+    """What the kernel takes from a device, once per device: kappa/2, sqrt(kappa),
+    the scale K K / 2 of the dimensionless M, per coupling (kappa_i, kappa_j, r, c, a, b)
+    with M[r, c] = a g / exp(i phase) and M[c, r] = b g exp(i phase), the stored
+    phases and the sign of the first pair in phi_tot (None without).  Strengths stay
+    out: the cache matches equal devices, and rho = -0.0 equals 0.0."""
+    kappas, sig = device.kappas, device.frame.detuning_signs
+    slots = []
     for c in device.couplings:
         i, j = (device.index(n) for n in c.pair)
-        g = math.sqrt(c.rho * kappas[i] * kappas[j]) / 2.0
-        phase = np.exp(1j * c.phase)
-        if c.kind is ProcessKind.CONVERSION:
+        if c.kind is ProcessKind.GAIN:
+            slot = (i, j, 1j, -1j) if sig[i] == +1 else (j, i, 1j, -1j)
+        else:
             p = device.index(conversion_head(device, c.pair))
             q = j if p == i else i
-            if sig[i] == +1:  # both channels un-conjugated
-                off[p, q] = 1j * g / phase
-                off[q, p] = 1j * g * phase
-            else:  # both channels conjugated: conjugate envelope equations
-                off[p, q] = -1j * g * phase
-                off[q, p] = -1j * g / phase
-        else:
-            u, v = (i, j) if sig[i] == +1 else (j, i)
-            off[u, v] = 1j * g / phase
-            off[v, u] = -1j * g * phase
-    return off
+            # both channels conjugated: the conjugate envelope equations
+            slot = (p, q, 1j, 1j) if sig[i] == +1 else (q, p, -1j, -1j)
+        slots.append((kappas[i], kappas[j]) + slot)
+    loop = device.is_circulator or device.is_directional_amp
+    root_k = np.sqrt(np.asarray(kappas))
+    return _Template(np.asarray(kappas) / 2.0, root_k, np.outer(root_k, root_k) / 2.0,
+                     tuple(slots), tuple(c.phase for c in device.couplings),
+                     phase_signs(device)[device.couplings[0].pair] if loop else None)
 
 
-def _dynamics_batch(device: ValidatedDevice, deltas: np.ndarray) -> np.ndarray:
-    off = _coupling_entries(device)
-    kappas = np.asarray(device.kappas)
-    m = np.broadcast_to(off, (len(deltas), 3, 3)).copy()
-    diag = kappas / 2.0 - 1j * deltas[:, None]
-    m[:, np.arange(3), np.arange(3)] = diag
+def _dynamics_batch(template: _Template, deltas, rhos, phi_tot=None) -> np.ndarray:
+    """Dynamics matrices of n points, shape (n, 3, 3): ``deltas``, ``phi_tot``
+    and each of ``rhos`` (one per coupling), scalars or 1-D, broadcast to n.
+    Without ``phi_tot`` the device's stored phases are used; with it the
+    phases of ``with_total_phase(device, phi_tot)``."""
+    phases = template.phases
+    if phi_tot is not None:
+        if template.control_sign is None:
+            raise TopologyError("phi_tot needs a circulator or directional-amp device")
+        # all on the first pair, wrapped twice as with_total_phase and
+        # PumpedCoupling do; an infinite total wraps to nan
+        with np.errstate(invalid="ignore"):
+            first = np.mod(template.control_sign * np.asarray(phi_tot, dtype=float), TWO_PI)
+            phases = [np.mod(first, TWO_PI)] + [0.0] * (len(phases) - 1)
+    deltas = np.asarray(deltas, dtype=float)
+    shape = np.broadcast(deltas, *phases, *rhos).shape
+    if len(shape) > 1:
+        raise DomainError("parameter arrays must be scalars or one-dimensional")
+    m = np.zeros((shape or (1,)) + (3, 3), dtype=complex)
+    m[:, _DIAG, _DIAG] = template.half_kappas - 1j * deltas[..., None]
+    for (k_i, k_j, r, c, a, b), rho, phase in zip(template.slots, rhos, phases):
+        g = np.sqrt(rho * k_i * k_j) / 2.0
+        e = np.exp(1j * phase)
+        m[:, r, c] = a * g / e
+        m[:, c, r] = b * g * e
     return m
 
 
@@ -189,23 +217,25 @@ def build_dynamics_matrix(device: ValidatedDevice, delta: float) -> np.ndarray:
     -delta from its carrier).  Off-diagonal entries carry sqrt(rho_ij kappa_i
     kappa_j)/2 with the pump phase, conjugated on conjugated-channel rows.
     """
-    return _dynamics_batch(device, np.asarray([float(delta)]))[0]
+    return _dynamics_batch(_template(device), float(delta), [c.rho for c in device.couplings])[0]
 
 
-def _solve_batch(device: ValidatedDevice, deltas: np.ndarray) -> np.ndarray:
-    if len(deltas) == 0:
-        return np.zeros((0, 3, 3), dtype=complex)
-    m = _dynamics_batch(device, deltas)
-    kappas = np.asarray(device.kappas)
-    root_k = np.sqrt(kappas)
+def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None) -> np.ndarray:
+    """Scattering matrices S = K M^{-1} K - I of n points, shape (n, 3, 3), from
+    parameter arrays broadcast as in ``_dynamics_batch`` (no ``rhos``: the device's
+    own).  Bit for bit ``scattering_at`` on the device rebuilt with ``with_coupling``
+    and ``with_total_phase``, without building one.  Raises SingularMatrixError at
+    the first parametric oscillation point."""
+    template = _template(device)
+    rhos = [c.rho for c in device.couplings] if rhos is None else rhos
+    m = _dynamics_batch(template, deltas, rhos, phi_tot)
     # dimensionless determinant check: N = 2 K^-1 M K^-1 has O(1) entries
-    scale = np.outer(root_k, root_k) / 2.0
-    dets = np.linalg.det(m / scale)
+    dets = np.linalg.det(m / template.scale)
     bad = np.abs(dets) < _DET_TOL
     if np.any(bad):
-        raise SingularMatrixError(float(deltas[int(np.argmax(bad))]))
-    s = root_k[None, :, None] * np.linalg.inv(m) * root_k[None, None, :]
-    s[:, np.arange(3), np.arange(3)] -= 1.0
+        raise SingularMatrixError(float(np.broadcast_to(deltas, len(m))[int(np.argmax(bad))]))
+    s = template.root_k[None, :, None] * np.linalg.inv(m) * template.root_k[None, None, :]
+    s[:, _DIAG, _DIAG] -= 1.0
     return s
 
 
@@ -214,8 +244,18 @@ def scattering_at(device: ValidatedDevice, delta: float) -> ScatteringMatrix:
 
     Raises SingularMatrixError at a parametric oscillation point.
     """
-    entries = _solve_batch(device, np.asarray([float(delta)]))[0]
+    entries = solve_batch(device, float(delta))[0]
     return ScatteringMatrix(float(delta), entries, device.frame)
+
+
+def delta_grid(deltas) -> np.ndarray:
+    """The detuning grid as a float array; it must be 1-D and strictly increasing."""
+    grid = np.asarray(deltas, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError("detuning grid must be one-dimensional")
+    if len(grid) > 1 and not np.all(np.diff(grid) > 0):
+        raise DomainError("detuning grid must be strictly increasing")
+    return grid
 
 
 def sweep(device: ValidatedDevice, deltas) -> SweepResult:
@@ -223,9 +263,5 @@ def sweep(device: ValidatedDevice, deltas) -> SweepResult:
 
     The grid must be strictly increasing.
     """
-    grid = np.asarray(deltas, dtype=float)
-    if grid.ndim != 1:
-        raise DomainError("detuning grid must be one-dimensional")
-    if len(grid) > 1 and not np.all(np.diff(grid) > 0):
-        raise DomainError("detuning grid must be strictly increasing")
-    return SweepResult(grid, _solve_batch(device, grid), device)
+    grid = delta_grid(deltas)
+    return SweepResult(grid, solve_batch(device, grid), device)

@@ -5,6 +5,10 @@ on the individual pump phases only through their signed sum, so one phase
 variable suffices.  The objectives are cheap and smooth away from oscillation
 poles, which are handled with a large finite penalty to keep the simplex
 well-defined.
+
+Objective evaluations, the calibration and the sweeps solve from parameter
+arrays (rho per coupling, phi_tot) with ``cmt.solve_batch``; no device is built
+or validated per point, only the one ``tune`` returns.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from scipy.optimize import minimize
 from . import cmt, metrics
 from .errors import (
     AmbiguousMinimumError,
-    DeviceValidationError,
     DomainError,
     SingularMatrixError,
     TopologyError,
@@ -139,19 +142,15 @@ def phase_sweep(
 ) -> PhaseSweepResult:
     """Re-solve the device across total pump phases and detunings."""
     phis = np.asarray(phi_grid, dtype=float)
-    deltas = np.asarray(delta_grid, dtype=float)
+    deltas = cmt.delta_grid(delta_grid)
     if len(phis) == 0 or len(deltas) == 0:
         raise DomainError("phase_sweep grids must be non-empty")
     names = device.mode_names
-    mags = {
-        (o, i): np.empty((len(phis), len(deltas))) for o in names for i in names
-    }
-    for r, phi in enumerate(phis):
-        dev = with_total_phase(device, float(phi))
-        sw = cmt.sweep(dev, deltas)
-        for o in names:
-            for i in names:
-                mags[(o, i)][r] = sw.magnitudes(o, i)
+    mags = {(o, i): np.empty((len(phis), len(deltas))) for o in names for i in names}
+    for r, phi in enumerate(phis):  # one batch per row keeps memory flat
+        s = cmt.solve_batch(device, deltas, phi_tot=float(phi))
+        for (o, i), mag in mags.items():
+            mag[r] = np.abs(s[:, device.index(o), device.index(i)])
     return PhaseSweepResult(phis, deltas, mags, device)
 
 
@@ -171,18 +170,17 @@ def conversion_sweep(
     gain_at_port = device_template.coupling_for((other, idler))
     threshold = cmt.directionality_threshold(cmt.gain_coefficient(gain_at_port.rho))
     rhos = np.array([cmt.rho_for_conversion(c) for c in cs])
-    refl = np.empty(len(cs))
-    fwd = np.empty(len(cs))
-    base = with_total_phase(device_template, -math.pi / 2.0)
-    for k, rho in enumerate(rhos):
-        dev = with_coupling(base, conv_pair, rho=float(rho))
-        s = cmt.scattering_at(dev, 0.0)
-        refl[k] = s.magnitude(other, other)
-        fwd[k] = s.magnitude(idler, other)
-    return ConversionSweepResult(
-        cs, rhos, refl, fwd, reflection_port=other, idler_port=idler,
-        threshold_c=threshold, device=device_template,
-    )
+    strengths = [rhos if c.pair == conv_pair else c.rho for c in device_template.couplings]
+    s = cmt.solve_batch(device_template, 0.0, rhos=strengths, phi_tot=-math.pi / 2.0)
+    q, z = device_template.index(other), device_template.index(idler)
+    return ConversionSweepResult(cs, rhos, _magnitudes(s, q, q), _magnitudes(s, z, q),
+                                 reflection_port=other, idler_port=idler,
+                                 threshold_c=threshold, device=device_template)
+
+
+def _magnitudes(s: np.ndarray, out: int, inp: int) -> np.ndarray:
+    # Python's abs(complex), as ScatteringMatrix.magnitude; np.abs can differ in the last bit
+    return np.array([abs(z) for z in s[:, out, inp].tolist()])
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -221,13 +219,16 @@ def calibrate_phase_offset(
     else:
         raise TopologyError("phase calibration needs a circulator or directional amplifier")
     t0 = total_pump_phase(device).value
+    k = device.index(port)
+
+    def responses(offsets) -> np.ndarray:
+        return _magnitudes(cmt.solve_batch(device, 0.0, phi_tot=t0 + offsets), k, k)
 
     def objective(offset: float) -> float:
-        dev = with_total_phase(device, t0 + offset)
-        return cmt.scattering_at(dev, 0.0).magnitude(port, port)
+        return float(responses(offset)[0])
 
     grid = np.linspace(0.0, 2.0 * math.pi, coarse_points, endpoint=False)
-    values = np.array([objective(x) for x in grid])
+    values = responses(grid)
     if float(values.max() - values.min()) < 1e-12:
         raise AmbiguousMinimumError(
             f"|S_{port}{port}| does not vary with pump phase; nothing to calibrate"
@@ -255,48 +256,49 @@ def calibrate_phase_offset(
     )
 
 
-def _reverse_pairs(names: tuple[str, str, str], cw: bool):
-    a, b, c = names
-    return ((a, b), (b, c), (c, a)) if cw else ((b, a), (c, b), (a, c))
-
-
 def _objective_function(template: ValidatedDevice, objective: Objective):
-    couplings = template.couplings
-    names = template.mode_names
+    caps = [RHO_GAIN_MAX if c.kind is ProcessKind.GAIN else RHO_CONVERSION_MAX
+            for c in template.couplings]
+    floored = metrics._amp_db_floored
+    if objective.kind in (ObjectiveKind.CIRCULATOR_CW, ObjectiveKind.CIRCULATOR_CCW):
+        # the reverse pairs of the wanted sense: the cycle's, or its forward ones for CCW
+        cw = objective.kind is ObjectiveKind.CIRCULATOR_CW
+        rev = metrics._cycle_pairs(template.mode_names)[cw]
+        leaks = [(template.index(o), template.index(i)) for o, i in rev]
+    else:
+        # the roles depend on phi_tot only through the sign of sin(phi_tot)
+        roles = {up: metrics.role_map(template, math.pi / 2 if up else -math.pi / 2)
+                 for up in (True, False)}
+        ports = {up: [template.index(n) for n in (r.signal, r.idler, r.vacuum)]
+                 for up, r in roles.items()}
 
     def evaluate(x: np.ndarray) -> float:
         penalty = 0.0
-        for rho, c in zip(x[:-1], couplings):
-            cap = RHO_GAIN_MAX if c.kind is ProcessKind.GAIN else RHO_CONVERSION_MAX
+        for rho, cap in zip(x[:-1], caps):
             if rho < 0.0:
                 penalty += PENALTY_DB * (1.0 + abs(rho))
             elif rho > cap:
                 penalty += PENALTY_DB * (1.0 + rho - cap)
         if penalty > 0.0:
             return penalty
-        try:
-            dev = template
-            for rho, c in zip(x[:-1], couplings):
-                dev = with_coupling(dev, c.pair, rho=float(rho))
-            dev = with_total_phase(dev, float(x[-1]))
-            s = cmt.scattering_at(dev, 0.0)
-        except (SingularMatrixError, DeviceValidationError):
+        rhos = [float(rho) for rho in x[:-1]]
+        if not all(map(math.isfinite, rhos)):  # a coupling would reject it
             return PENALTY_DB
-        if objective.kind in (ObjectiveKind.CIRCULATOR_CW, ObjectiveKind.CIRCULATOR_CCW):
-            match = max(metrics._amp_db_floored(s.magnitude(n, n)) for n in names)
-            rev = _reverse_pairs(names, cw=objective.kind is ObjectiveKind.CIRCULATOR_CW)
-            leak = max(metrics._amp_db_floored(s.magnitude(o, i)) for o, i in rev)
+        try:
+            s = cmt.solve_batch(template, 0.0, rhos=rhos, phi_tot=float(x[-1]))[0].tolist()
+        except SingularMatrixError:
+            return PENALTY_DB
+        if objective.kind is not ObjectiveKind.DIRECTIONAL_AMP:
+            match = max(floored(abs(s[k][k])) for k in range(3))
+            leak = max(floored(abs(s[o][i])) for o, i in leaks)
             return match + objective.isolation_weight * leak
-        roles = metrics.role_map(dev, float(x[-1]))
-        fwd = s.magnitude(roles.idler, roles.signal) ** 2
+        signal, idler, vacuum = ports[math.sin(float(x[-1])) >= 0.0]
+        fwd = abs(s[idler][signal]) ** 2
         if fwd <= 0.0:
             return PENALTY_DB
         gain_err = abs(metrics.to_db(fwd) - objective.target_gain_db)
-        worst_refl = max(
-            metrics._amp_db_floored(s.magnitude(roles.signal, roles.signal)),
-            metrics._amp_db_floored(s.magnitude(roles.vacuum, roles.vacuum)),
-            MATCH_REWARD_FLOOR_DB,
-        )
+        worst_refl = max(floored(abs(s[signal][signal])), floored(abs(s[vacuum][vacuum])),
+                         MATCH_REWARD_FLOOR_DB)
         return gain_err + objective.match_weight * worst_refl
 
     return evaluate

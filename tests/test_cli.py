@@ -263,6 +263,19 @@ class TestCompare:
         assert run("compare", out, tmp_path / "missing.csv") == 2
         assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
 
+    def test_no_column_compared_exit_2(self, tmp_path, capsys):
+        # no *_db column and no --columns: there is nothing to compare
+        columns = ["delta_hz", "S_ab_re"]
+        sweep, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
+        cli.write_table_csv(cli.SweepTable(columns, np.array([[0.0, 1.0], [1.0, 2.0]])),
+                            str(sweep))
+        cli.write_table_csv(cli.SweepTable(columns, np.array([[0.0, 5.0], [1.0, 9.0]])),
+                            str(ref))
+        assert run("compare", sweep, ref) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: schema mismatch: no column to compare\n"
+
 
 class TestPhaseSweepCmd:
     def test_single_cell_consistency(self, circ_cfg, tmp_path):
@@ -368,6 +381,21 @@ class TestTuneCmd:
         assert raw["declared_pumps_ghz"]["b"] == 16.339
         assert raw["device"]["modes"][0]["kappa_mhz"] == 44.0
 
+    def test_bundled_diramp_stdout_pinned(self, diramp_cfg, tmp_path, capsys):
+        # the whole optimizer path: any change in an objective value's last
+        # bit moves the simplex and shows here
+        out = tmp_path / "tuned.cfg"
+        assert run("tune", "--config", diramp_cfg, "--objective", "diramp",
+                   "--target-gain-db", 14, "--out", out) == 0
+        assert capsys.readouterr().out.splitlines()[:6] == [
+            "objective: -60.000000 after 2000 evaluations (1154 iterations, converged=False)",
+            "trace: start -14.0667 -> best -60.0000 (595 improving steps)",
+            "  conversion ('a', 'b'): rho = 0.999961396",
+            "  gain ('a', 'c'): rho = 0.672474904",
+            "  gain ('b', 'c'): rho = 0.672905671",
+            "  phi_tot = -1.57047908 rad",
+        ]
+
     def test_circulator_objective(self, circ_cfg, tmp_path):
         out = tmp_path / "tuned.cfg"
         assert run("tune", "--config", circ_cfg, "--objective", "circulator-cw",
@@ -408,6 +436,20 @@ class TestTuneCmd:
 
 class TestErrorExits:
     """Inputs that fail inside a command end with one ``error:`` line and exit 1."""
+
+    def test_missing_directory_names_requested_path(self, circ_cfg, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "x.csv"
+        assert run("sparams", "--config", circ_cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_yaml_syntax_error_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "broken.cfg"
+        cfg.write_text("device: [\n")
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ParserError: while parsing")
+        assert f'in "{cfg}", line 2, column 1' in err[0]
 
     @pytest.mark.parametrize("argv", [
         ["phase-sweep", "--config", "{circ}", "--phi-points", "0", "--out", "{tmp}/x.csv"],
