@@ -3,16 +3,22 @@ comparison against reference data.
 
 Config files are nested key/value YAML with interface units matching how the
 numbers are usually quoted: frequencies in GHz, kappas and spans in MHz,
-angles in degrees.  Everything is converted to Hz/radians internally.  Sweep
-files (CSV or JSON) print floating point with 9 significant digits and "\n"
-line endings, which makes emit -> parse -> emit byte-identical.  Tables are
-formatted and written in fixed blocks of rows, so the memory a writer needs
-does not grow with the size of the file.
+angles in degrees.  Everything is converted to Hz/radians internally.
+
+Tables (CSV or JSON) lead with their axis columns: ``delta_hz`` (``sparams``),
+``phi_rad, delta_hz`` in phi-major order (``phase-sweep``), ``c``
+(``threshold``).  Floats have 9 significant digits and lines end in "\n", so
+emit -> parse -> emit is byte-identical; rows are written in fixed blocks, so a
+writer's memory does not grow with the file.  ``compare`` needs the values of
+all axes but the last to match exactly and interpolates the reference along
+the last; it compares the ``*_db`` columns by default and exits 2 when the
+tables cannot be lined up.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -20,7 +26,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -158,6 +164,10 @@ def bundled_config_path(name: str):
 
 _BLOCK_ROWS = 1024  # rows formatted per chunk handed to the file
 
+# axis columns with the label and unit ``compare`` prints; a table leads with
+# its axes and is sorted by them, the last one varying fastest
+AXES = {"phi_rad": ("phi", " rad"), "delta_hz": ("delta", " Hz"), "c": ("c", "")}
+
 
 @dataclass
 class SweepTable:
@@ -167,68 +177,55 @@ class SweepTable:
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]
 
+    @property
+    def axes(self) -> list[str]:
+        """The leading columns that name an axis."""
+        return list(itertools.takewhile(AXES.__contains__, self.columns))
+
+    def runs(self) -> list[np.ndarray]:
+        """The rows split into runs of equal values on every axis but the last."""
+        lead = self.rows[:, :len(self.axes) - 1]
+        return np.split(self.rows, np.flatnonzero(np.any(lead[1:] != lead[:-1], axis=1)) + 1)
+
 
 def sweep_table(result: cmt.SweepResult) -> SweepTable:
     """Tabulate a sweep: delta, re/im for every (out, in) pair, then dB."""
     names = result.device.mode_names
-    pairs = [(o, i) for o in names for i in names]
-    columns = ["delta_hz"]
-    columns += [f"S_{o}{i}_{p}" for (o, i) in pairs for p in ("re", "im")]
-    columns += [f"S_{o}{i}_db" for (o, i) in pairs]
-    rows = np.empty((len(result), len(columns)))
-    rows[:, 0] = result.deltas
-    k = 1
-    for o, i in pairs:
-        oi, ii = result.device.index(o), result.device.index(i)
-        rows[:, k] = result.entries[:, oi, ii].real
-        rows[:, k + 1] = result.entries[:, oi, ii].imag
-        k += 2
+    pairs = [o + i for o in names for i in names]  # row-major, as the entries
+    columns = (["delta_hz"] + [f"S_{p}_{part}" for p in pairs for part in ("re", "im")]
+               + [f"S_{p}_db" for p in pairs])
+    s = np.ascontiguousarray(result.entries.reshape(len(result), 9))
     with np.errstate(divide="ignore"):
-        for n, (o, i) in enumerate(pairs):
-            oi, ii = result.device.index(o), result.device.index(i)
-            rows[:, k + n] = 20.0 * np.log10(np.abs(result.entries[:, oi, ii]))
+        rows = np.column_stack([result.deltas, s.view(float), 20.0 * np.log10(np.abs(s))])
     return SweepTable(columns, rows)
 
 
-def _table_chunks(rows: np.ndarray, row_template: str, sep: str, head: str, tail: str,
-                  json_tokens: bool = False):
-    """Yield ``head + sep.join(row_template % row for row in rows) + tail`` in
-    blocks of ``_BLOCK_ROWS`` rows.
-
-    ``row_template`` holds one ``%.9g`` per column; for float64 ``'%.9g' % x``
-    is the same string as ``format(x, '.9g')``, including -0, +-inf and nan.
-    With ``json_tokens`` non-finite cells are written as ``NaN``, ``Infinity``
-    and ``-Infinity``, the tokens Python's ``json`` reads and writes.
-    """
+def _table_chunks(table: SweepTable, fmt: str):
+    """Yield ``table`` as CSV (``fmt`` "csv") or JSON text, the rows in blocks of
+    ``_BLOCK_ROWS`` formatted with one ``%``-template per block.  A cell is
+    ``%.9g``, for float64 the string ``format(x, '.9g')`` (-0, +-inf and nan
+    included); JSON writes non-finite cells as ``NaN``, ``Infinity`` and
+    ``-Infinity``, the tokens Python's ``json`` reads and writes."""
+    cells = ["%.9g"] * len(table.columns)
+    if fmt == "csv":
+        head, row, sep, tail = ",".join(table.columns) + "\n", ",".join(cells) + "\n", "", ""
+    else:
+        cols = json.dumps(table.columns, separators=(", ", ": "))
+        head, tail = '{\n  "columns": ' + cols + ',\n  "rows": [\n', "\n  ]\n}\n"
+        row, sep = "    [" + ", ".join(cells) + "]", ",\n"
     yield head
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        text = sep.join([row_template] * len(block)) % tuple(block.ravel().tolist())
-        if json_tokens and not np.isfinite(block).all():
+    for start in range(0, len(table.rows), _BLOCK_ROWS):
+        block = table.rows[start:start + _BLOCK_ROWS]
+        text = sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+        if fmt != "csv" and not np.isfinite(block).all():
             text = text.replace("nan", "NaN").replace("inf", "Infinity")
         yield text if start == 0 else sep + text
     yield tail
 
 
-def write_table_csv(table: SweepTable, path: str) -> None:
-    row_template = ",".join(["%.9g"] * len(table.columns)) + "\n"
-    header = ",".join(table.columns) + "\n"
-    _atomic_write(path, _table_chunks(table.rows, row_template, "", header, ""))
-
-
-def write_table_json(table: SweepTable, path: str) -> None:
-    cols = json.dumps(table.columns, separators=(", ", ": "))
-    row_template = "    [" + ", ".join(["%.9g"] * len(table.columns)) + "]"
-    head = '{\n  "columns": ' + cols + ',\n  "rows": [\n'
-    chunks = _table_chunks(table.rows, row_template, ",\n", head, "\n  ]\n}\n", json_tokens=True)
-    _atomic_write(path, chunks)
-
-
 def write_table(table: SweepTable, path: str, fmt: str) -> None:
-    if fmt == "csv":
-        write_table_csv(table, path)
-    else:
-        write_table_json(table, path)
+    """Write ``table`` to ``path`` as CSV (``fmt`` "csv") or JSON."""
+    _atomic_write(path, _table_chunks(table, fmt))
 
 
 def read_table(path: str) -> SweepTable:
@@ -238,23 +235,20 @@ def read_table(path: str) -> SweepTable:
         doc = json.loads(text, parse_int=float)  # every cell is a float; keeps "-0" negative
         if not isinstance(doc, dict) or "columns" not in doc or "rows" not in doc:
             raise ConfigError(f"{path}: JSON table needs 'columns' and 'rows'")
-        cols = [str(c) for c in doc["columns"]]
-        rows = np.asarray(doc["rows"], dtype=float).reshape(-1, len(cols))
-        return SweepTable(cols, rows)
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines:
-        raise ConfigError(f"{path}: empty table")
-    cols = lines[0].split(",")
-    data = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-    rows = np.asarray(data, dtype=float).reshape(-1, len(cols))
-    return SweepTable(cols, rows)
+        cols, data = doc["columns"], doc["rows"]
+    else:
+        lines = [ln for ln in text.split("\n") if ln]
+        if not lines:
+            raise ConfigError(f"{path}: empty table")
+        cols = lines[0].split(",")
+        data = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+    cols = [str(c) for c in cols]
+    return SweepTable(cols, np.asarray(data, dtype=float).reshape(-1, len(cols)))
 
 
-def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
-    """Write ``text`` (a string or an iterable of string chunks) to ``path``
-    through a temporary file in the same directory, then rename it."""
-    if isinstance(text, str):
-        text = (text,)
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the string ``chunks`` to ``path`` through a temporary file in the
+    same directory, then rename it."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
@@ -262,7 +256,7 @@ def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
         raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -433,50 +427,55 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, out_path: str) -
         if pair == control:
             phase = signs[control] * (target_tot - other_sum)
             entry["phase_deg"] = float(math.degrees(wrap_phase(phase)))
-    _atomic_write(out_path, yaml.safe_dump(raw, sort_keys=False))
+    _atomic_write(out_path, [yaml.safe_dump(raw, sort_keys=False)])
 
 
 def cmd_compare(args) -> int:
     try:
-        sweep_t = read_table(args.sweep)
-        ref_t = read_table(args.reference)
+        sweep_t, ref_t = read_table(args.sweep), read_table(args.reference)
     except (OSError, ValueError) as exc:
         raise SchemaError(f"{type(exc).__name__}: {exc}") from exc
     if sweep_t.columns != ref_t.columns:
         raise SchemaError("schema mismatch: column sets differ")
-    if "delta_hz" not in sweep_t.columns:
-        raise SchemaError("schema mismatch: no delta_hz column")
-    columns = (
-        args.columns.split(",") if args.columns
-        else [c for c in sweep_t.columns if c.endswith("_db")]
-    )
+    axes = sweep_t.axes
+    if not axes:
+        raise SchemaError(f"schema mismatch: no axis column ({', '.join(AXES)})")
+    columns = (args.columns.split(",") if args.columns
+               else [c for c in sweep_t.columns if c.endswith("_db")])
     if not columns:
         raise SchemaError("schema mismatch: no column to compare")
     for c in columns:
         if c not in sweep_t.columns:
             raise SchemaError(f"schema mismatch: no column {c!r}")
-    ds = sweep_t.column("delta_hz")
-    dr = ref_t.column("delta_hz")
-    if len(dr) > 1 and not np.all(np.diff(dr) > 0):
-        raise SchemaError("schema mismatch: reference grid not strictly increasing")
-    lo, hi = max(ds.min(), dr.min()), min(ds.max(), dr.max())
-    band = (ds >= lo) & (ds <= hi)
-    if not np.any(band):
-        raise SchemaError("schema mismatch: detuning grids do not overlap")
-    worst = (-1.0, "", 0.0)
-    for c in columns:
-        sweep_c = sweep_t.column(c)[band]
-        ref_interp = np.interp(ds[band], dr, ref_t.column(c))
+    cols = [sweep_t.columns.index(c) for c in columns]
+    last = len(axes) - 1  # the axis interpolated along; the others must match exactly
+    sweep_runs, ref_runs = sweep_t.runs(), ref_t.runs()
+    if len(sweep_runs) != len(ref_runs) or not all(
+            np.array_equal(s[:1, :last], r[:1, :last]) for s, r in zip(sweep_runs, ref_runs)):
+        raise SchemaError(f"schema mismatch: {', '.join(axes[:-1])} values differ")
+    worst = (-1.0,)
+    for s, r in zip(sweep_runs, ref_runs):
+        ds, dr = s[:, last], r[:, last]
+        if len(dr) > 1 and not np.all(np.diff(dr) > 0):
+            raise SchemaError("schema mismatch: reference grid not strictly increasing")
+        lo, hi = max(ds.min(), dr.min()), min(ds.max(), dr.max())
+        band = (ds >= lo) & (ds <= hi)
+        if not np.any(band):
+            raise SchemaError(f"schema mismatch: {axes[-1]} grids do not overlap")
+        sweep_c = s[band][:, cols]
+        ref_c = np.column_stack([np.interp(ds[band], dr, r[:, k]) for k in cols])
         with np.errstate(invalid="ignore"):
-            diff = np.abs(sweep_c - ref_interp)
-        diff[sweep_c == ref_interp] = 0.0  # also equal infinities, whose difference is nan
+            diff = np.abs(sweep_c - ref_c)
+        diff[sweep_c == ref_c] = 0.0  # also equal infinities, whose difference is nan
         diff[np.isnan(diff)] = np.inf
-        k = int(np.argmax(diff))
-        if diff[k] > worst[0]:
-            worst = (float(diff[k]), c, float(ds[band][k]))
-    print(f"worst |delta dB| = {worst[0]:.6g} in column {worst[1]} at delta = {worst[2]:g} Hz "
-          f"(tolerance {args.tol_db:g} dB, band [{lo:g}, {hi:g}] Hz)")
-    return EXIT_OK if worst[0] <= args.tol_db else EXIT_CONFIG
+        c, k = divmod(int(np.argmax(diff.T)), len(diff))  # the first column holding the max
+        if diff[k, c] > worst[0]:
+            worst = (float(diff[k, c]), columns[c], s[band][k, :last + 1].tolist(), lo, hi)
+    value, column, at, lo, hi = worst
+    where = ", ".join(f"{AXES[a][0]} = {v:g}{AXES[a][1]}" for a, v in zip(axes, at))
+    print(f"worst |delta dB| = {value:.6g} in column {column} at {where} "
+          f"(tolerance {args.tol_db:g} dB, band [{lo:g}, {hi:g}]{AXES[axes[-1]][1]})")
+    return EXIT_OK if value <= args.tol_db else EXIT_CONFIG
 
 
 def _parse_pairs(spec_str: Optional[str], device: ValidatedDevice):

@@ -59,19 +59,15 @@ class Objective:
     """Optimization target for tune().
 
     Circulator objectives minimize the worst on-resonance input match plus
-    isolation_weight times the worst reverse leakage (both amplitude dB);
-    the directional-amp objective minimizes the forward-gain error from
-    target_gain_db plus match_weight times the worst input reflection.
+    the worst reverse leakage (both amplitude dB); the directional-amp
+    objective minimizes the forward-gain error from target_gain_db plus the
+    worst input reflection.
     """
 
     kind: ObjectiveKind
     target_gain_db: float = 0.0
-    match_weight: float = 1.0
-    isolation_weight: float = 1.0
 
     def __post_init__(self):
-        if self.match_weight <= 0 or self.isolation_weight <= 0:
-            raise DomainError("objective weights must be > 0")
         if self.target_gain_db < 0:
             raise DomainError("target_gain_db must be >= 0")
 
@@ -240,7 +236,8 @@ def calibrate_phase_offset(
     m1, m2 = wrap_signed(m1), wrap_signed(m2)
 
     if device.is_circulator:
-        s = cmt.scattering_at(with_total_phase(device, t0 + m1), 0.0)
+        s = cmt.ScatteringMatrix(0.0, cmt.solve_batch(device, 0.0, phi_tot=t0 + m1)[0],
+                                 device.frame)
         first_is_primary = metrics.circulation_sense(s) is metrics.CirculationSense.CW
     else:
         # anchor whose +pi/2 branch puts the signal role on the head mode
@@ -281,25 +278,26 @@ def _objective_function(template: ValidatedDevice, objective: Objective):
                 penalty += PENALTY_DB * (1.0 + rho - cap)
         if penalty > 0.0:
             return penalty
-        rhos = [float(rho) for rho in x[:-1]]
-        if not all(map(math.isfinite, rhos)):  # a coupling would reject it
+        params = [float(v) for v in x]
+        if not all(map(math.isfinite, params)):  # no device has a non-finite rho or phi_tot
             return PENALTY_DB
+        *rhos, phi = params
         try:
-            s = cmt.solve_batch(template, 0.0, rhos=rhos, phi_tot=float(x[-1]))[0].tolist()
+            s = cmt.solve_batch(template, 0.0, rhos=rhos, phi_tot=phi)[0].tolist()
         except SingularMatrixError:
             return PENALTY_DB
         if objective.kind is not ObjectiveKind.DIRECTIONAL_AMP:
             match = max(floored(abs(s[k][k])) for k in range(3))
             leak = max(floored(abs(s[o][i])) for o, i in leaks)
-            return match + objective.isolation_weight * leak
-        signal, idler, vacuum = ports[math.sin(float(x[-1])) >= 0.0]
+            return match + leak
+        signal, idler, vacuum = ports[math.sin(phi) >= 0.0]
         fwd = abs(s[idler][signal]) ** 2
         if fwd <= 0.0:
             return PENALTY_DB
         gain_err = abs(metrics.to_db(fwd) - objective.target_gain_db)
         worst_refl = max(floored(abs(s[signal][signal])), floored(abs(s[vacuum][vacuum])),
                          MATCH_REWARD_FLOOR_DB)
-        return gain_err + objective.match_weight * worst_refl
+        return gain_err + worst_refl
 
     return evaluate
 

@@ -317,7 +317,7 @@ def test_c10_cli_end_to_end(tmp_path):
         ok &= code == 0 and out.exists()
         table = cli.read_table(str(out))
         again = tmp_path / f"{name}_again.csv"
-        cli.write_table_csv(table, str(again))
+        cli.write_table(table, str(again), "csv")
         ok &= out.read_bytes() == again.read_bytes()
         ok &= cli.main(["compare", str(out), str(out), "--tol-db", "1e-9"]) == 0
         details.append(f"{name}: run+roundtrip+self-compare")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -126,7 +127,7 @@ class TestRoundTrip:
         run("sparams", "--config", circ_cfg, "--out", out)
         table = cli.read_table(str(out))
         again = tmp_path / "again.csv"
-        cli.write_table_csv(table, str(again))
+        cli.write_table(table, str(again), "csv")
         assert out.read_bytes() == again.read_bytes()
 
     def test_json_emit_parse_emit(self, diramp_cfg, tmp_path):
@@ -134,7 +135,7 @@ class TestRoundTrip:
         run("sparams", "--config", diramp_cfg, "--out", out, "--format", "json")
         table = cli.read_table(str(out))
         again = tmp_path / "again.json"
-        cli.write_table_json(table, str(again))
+        cli.write_table(table, str(again), "json")
         assert out.read_bytes() == again.read_bytes()
 
     def test_json_non_finite_cells(self, circ_cfg, tmp_path):
@@ -150,7 +151,7 @@ class TestRoundTrip:
         table = cli.read_table(str(out))
         assert np.all(table.column("S_ac_db") == -math.inf)
         again = tmp_path / "again.json"
-        cli.write_table_json(table, str(again))
+        cli.write_table(table, str(again), "json")
         assert out.read_bytes() == again.read_bytes()
         assert run("compare", out, out, "--tol-db", 1e-9) == 0
 
@@ -192,18 +193,18 @@ class TestTableWriters:
 
     def test_csv_matches_per_float_format(self, table, tmp_path):
         out = tmp_path / "t.csv"
-        cli.write_table_csv(table, str(out))
+        cli.write_table(table, str(out), "csv")
         assert out.read_bytes() == _old_format_csv(table)
         again = tmp_path / "again.csv"
-        cli.write_table_csv(cli.read_table(str(out)), str(again))
+        cli.write_table(cli.read_table(str(out)), str(again), "csv")
         assert again.read_bytes() == out.read_bytes()
 
     def test_json_matches_per_float_format(self, table, tmp_path):
         out = tmp_path / "t.json"
-        cli.write_table_json(table, str(out))
+        cli.write_table(table, str(out), "json")
         assert out.read_bytes() == _old_format_json(table)
         again = tmp_path / "again.json"
-        cli.write_table_json(cli.read_table(str(out)), str(again))
+        cli.write_table(cli.read_table(str(out)), str(again), "json")
         assert again.read_bytes() == out.read_bytes()
 
 
@@ -249,10 +250,10 @@ class TestCompare:
     def test_mismatch_in_column_with_equal_infinities(self, tmp_path, capsys):
         columns = ["delta_hz", "S_ab_db"]
         sweep, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
-        cli.write_table_csv(cli.SweepTable(columns, np.array([[0.0, -math.inf], [1.0, 1.0]])),
-                            str(sweep))
-        cli.write_table_csv(cli.SweepTable(columns, np.array([[0.0, -math.inf], [1.0, 5.0]])),
-                            str(ref))
+        cli.write_table(cli.SweepTable(columns, np.array([[0.0, -math.inf], [1.0, 1.0]])),
+                        str(sweep), "csv")
+        cli.write_table(cli.SweepTable(columns, np.array([[0.0, -math.inf], [1.0, 5.0]])),
+                        str(ref), "csv")
         assert run("compare", sweep, ref, "--tol-db", 1.0) == 1
         assert "worst |delta dB| = 4 in column S_ab_db at delta = 1 Hz" in capsys.readouterr().out
 
@@ -267,14 +268,86 @@ class TestCompare:
         # no *_db column and no --columns: there is nothing to compare
         columns = ["delta_hz", "S_ab_re"]
         sweep, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
-        cli.write_table_csv(cli.SweepTable(columns, np.array([[0.0, 1.0], [1.0, 2.0]])),
-                            str(sweep))
-        cli.write_table_csv(cli.SweepTable(columns, np.array([[0.0, 5.0], [1.0, 9.0]])),
-                            str(ref))
+        cli.write_table(cli.SweepTable(columns, np.array([[0.0, 1.0], [1.0, 2.0]])),
+                        str(sweep), "csv")
+        cli.write_table(cli.SweepTable(columns, np.array([[0.0, 5.0], [1.0, 9.0]])),
+                        str(ref), "csv")
         assert run("compare", sweep, ref) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: schema mismatch: no column to compare\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, config", [
+        ("sparams", "circulator"), ("sparams", "diramp"), ("phase-sweep", "circulator"),
+        ("phase-sweep", "diramp"), ("threshold", "diramp"),
+    ])
+    def test_every_table_against_itself(self, command, config, fmt, circ_cfg, diramp_cfg,
+                                        tmp_path, capsys):
+        cfg = circ_cfg if config == "circulator" else diramp_cfg
+        out = tmp_path / f"table.{fmt}"
+        extra = ["--phi-points", 9] if command == "phase-sweep" else []
+        assert run(command, "--config", cfg, "--out", out, "--format", fmt, *extra) == 0
+        capsys.readouterr()
+        assert run("compare", out, out, "--tol-db", 0) == 0
+        assert capsys.readouterr().out.startswith("worst |delta dB| = 0 in column S_")
+        # one dB cell moved by 0.5: named by its column and its axis values
+        table = cli.read_table(str(out))
+        column = next(c for c in table.columns if c.endswith("_db"))
+        k = len(table.rows) // 2
+        table.rows[k, table.columns.index(column)] += 0.5
+        perturbed = tmp_path / f"perturbed.{fmt}"
+        cli.write_table(table, str(perturbed), fmt)
+        assert run("compare", perturbed, out, "--tol-db", 0) == 1
+        row = table.rows[k]
+        where = {"sparams": f"delta = {row[0]:g} Hz",
+                 "phase-sweep": f"phi = {row[0]:g} rad, delta = {row[1]:g} Hz",
+                 "threshold": f"c = {row[0]:g}"}[command]
+        assert capsys.readouterr().out.startswith(
+            f"worst |delta dB| = 0.5 in column {column} at {where} (tolerance 0 dB, band [")
+
+    @pytest.mark.parametrize("other", [
+        ["--phi-min", -6.0, "--phi-points", 9],  # the same number of phi runs, other values
+        ["--phi-points", 8],  # one phi run fewer
+    ], ids=["other-phi-values", "fewer-phi-runs"])
+    def test_phase_sweeps_on_other_phi_grids_exit_2(self, other, circ_cfg, tmp_path, capsys):
+        sweep, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
+        assert run("phase-sweep", "--config", circ_cfg, "--out", ref, "--phi-points", 9) == 0
+        assert run("phase-sweep", "--config", circ_cfg, "--out", sweep, *other) == 0
+        capsys.readouterr()
+        assert run("compare", sweep, ref) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: schema mismatch: phi_rad values differ\n"
+
+
+# sha256 of every writer's file for the bundled configs; the sparams and default
+# phase-sweep digests are the ones the benchmark checks (bench/digests.json)
+WRITER_DIGESTS = {
+    "sparams-circulator-csv": "3dfbd46f4d0aafa61d33b46709581015b7e4a2eac1519b32697e90f060f1745f",
+    "sparams-circulator-json": "b9fc72ca3731accca31cbb73deaaa5141c547d3c958708a48655be4b7ef153d2",
+    "sparams-diramp-csv": "8c759ba453f486118bd277843c0f483127a479eae77e3ea77aaea02602342cd6",
+    "sparams-diramp-json": "a9049feb168ea7bfd1035a7d0ea44db4421b11d7060e806a78c82c7b82707133",
+    "phase-sweep-circulator-csv":
+        "c8e740a0210083ff586f6879756da15600dcdc4e37a6e55b0cc0ec9eb8a58984",
+    "phase-sweep-37-circulator-json":
+        "ce71499451d20db6a4cc9e921d16fdae7229cc7362a2fa91c27b066c98e70bb6",
+    "phase-sweep-37-diramp-json":
+        "66419a73f1ceff812dc94b306f4d87f30a4785b33116cdfdc40ebfa57af881d0",
+    "threshold-diramp-csv": "864c64fb5955b42a207034c6257bfc4a2f2e29de433acbd07782f6774206b58e",
+    "threshold-diramp-json": "546abb14a6f93f27dd5ad408b7ab9097205047e00f280039eb80fd472c526b8e",
+}
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("name", sorted(WRITER_DIGESTS))
+    def test_bundled_files_pinned(self, name, circ_cfg, diramp_cfg, tmp_path):
+        command, config, fmt = name.replace("-37", "").rsplit("-", 2)
+        extra = ["--phi-points", 37, "--pairs", "ab,ba,cc,bb"] if "-37-" in name else []
+        out = tmp_path / f"out.{fmt}"
+        cfg = circ_cfg if config == "circulator" else diramp_cfg
+        assert run(command, "--config", cfg, "--out", out, "--format", fmt, *extra) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITER_DIGESTS[name]
 
 
 class TestPhaseSweepCmd:

@@ -231,6 +231,16 @@ class TestTune:
 
     def test_objective_validation(self):
         with pytest.raises(DomainError):
-            tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW, match_weight=0.0)
-        with pytest.raises(DomainError):
             tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=-1.0)
+
+    @pytest.mark.parametrize("kind", list(tuner.ObjectiveKind))
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the simplex
+    def test_non_finite_phase_scores_penalty(self, kind, phi, circulator, diramp):
+        template = diramp if kind is tuner.ObjectiveKind.DIRECTIONAL_AMP else circulator
+        objective = tuner.Objective(kind, target_gain_db=14.0)
+        x0 = [c.rho for c in template.couplings] + [phi]
+        assert tuner._objective_function(template, objective)(np.array(x0)) == tuner.PENALTY_DB
+        # every simplex vertex keeps the non-finite phase, so nothing beats the penalty
+        result = tuner.tune(template, objective, initial=x0, budget=50)
+        assert result.objective_value == tuner.PENALTY_DB
