@@ -9,10 +9,16 @@ Tables (CSV or JSON) lead with their axis columns: ``delta_hz`` (``sparams``),
 ``phi_rad, delta_hz`` in phi-major order (``phase-sweep``), ``c``
 (``threshold``).  Floats have 9 significant digits and lines end in "\n", so
 emit -> parse -> emit is byte-identical; rows are written in fixed blocks, so a
-writer's memory does not grow with the file.  ``compare`` needs the values of
-all axes but the last to match exactly and interpolates the reference along
-the last; it compares the ``*_db`` columns by default and exits 2 when the
-tables cannot be lined up.
+writer's memory does not grow with the file.  ``compare`` splits both tables
+into runs (a run ends where an axis but the last changes or the last stops
+increasing), needs the runs' leading axis values to match exactly and
+interpolates the reference along the last axis within each run; it compares
+the ``*_db`` columns by default and exits 2 when the tables cannot be lined up.
+
+``tune`` stops at the objective's closed-form working point when that meets
+the target and otherwise runs the simplex; its ``objective:`` line ends with
+the stop reason (``target_met``, ``simplex_collapsed`` or ``budget``).  Only
+the simplex imports ``scipy.optimize``, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -183,9 +189,13 @@ class SweepTable:
         return list(itertools.takewhile(AXES.__contains__, self.columns))
 
     def runs(self) -> list[np.ndarray]:
-        """The rows split into runs of equal values on every axis but the last."""
-        lead = self.rows[:, :len(self.axes) - 1]
-        return np.split(self.rows, np.flatnonzero(np.any(lead[1:] != lead[:-1], axis=1)) + 1)
+        """The rows split into runs: a run ends where a value on an axis but the
+        last changes or the last axis stops increasing, so within a run the
+        last axis is strictly increasing (a repeated phi gives one run each)."""
+        n = len(self.axes)
+        lead, last = self.rows[:, :n - 1], self.rows[:, n - 1]
+        ends = np.any(lead[1:] != lead[:-1], axis=1) | ~(last[1:] > last[:-1])
+        return np.split(self.rows, np.flatnonzero(ends) + 1)
 
 
 def sweep_table(result: cmt.SweepResult) -> SweepTable:
@@ -385,7 +395,8 @@ def cmd_tune(args) -> int:
     out_path = args.out or (args.config + ".tuned")
     _write_tuned_config(cfg, result.device, out_path)
     print(f"objective: {result.objective_value:.6f} after {result.evaluations} evaluations "
-          f"({result.iterations} iterations, converged={result.converged})")
+          f"({result.iterations} iterations, converged={result.converged}, "
+          f"stop_reason={result.stop_reason})")
     if result.trace:
         print(f"trace: start {result.trace[0]:.4f} -> best {result.trace[-1]:.4f} "
               f"({len(result.trace)} improving steps)")
@@ -452,12 +463,11 @@ def cmd_compare(args) -> int:
     sweep_runs, ref_runs = sweep_t.runs(), ref_t.runs()
     if len(sweep_runs) != len(ref_runs) or not all(
             np.array_equal(s[:1, :last], r[:1, :last]) for s, r in zip(sweep_runs, ref_runs)):
-        raise SchemaError(f"schema mismatch: {', '.join(axes[:-1])} values differ")
+        what = f"{', '.join(axes[:-1])} values differ" if last else f"{axes[0]} runs differ"
+        raise SchemaError(f"schema mismatch: {what}")
     worst = (-1.0,)
     for s, r in zip(sweep_runs, ref_runs):
         ds, dr = s[:, last], r[:, last]
-        if len(dr) > 1 and not np.all(np.diff(dr) > 0):
-            raise SchemaError("schema mismatch: reference grid not strictly increasing")
         lo, hi = max(ds.min(), dr.min()), min(ds.max(), dr.max())
         band = (ds >= lo) & (ds <= hi)
         if not np.any(band):

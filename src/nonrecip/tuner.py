@@ -9,6 +9,10 @@ well-defined.
 Objective evaluations, the calibration and the sweeps solve from parameter
 arrays (rho per coupling, phi_tot) with ``cmt.solve_batch``; no device is built
 or validated per point, only the one ``tune`` returns.
+
+``tune`` starts at the closed-form working point of its objective and runs the
+simplex only when that point misses the target, so ``scipy.optimize`` (most of
+the package's import time) is imported only then.
 """
 
 from __future__ import annotations
@@ -16,10 +20,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import cmt, metrics
 from .errors import (
@@ -46,6 +49,9 @@ RHO_CONVERSION_MAX = 4.0
 # plateau in floating point) and the simplex stalls there with the gain
 # target still unmet.
 MATCH_REWARD_FLOOR_DB = -60.0
+# A circulator tune meets its target when the worst input match and the worst
+# reverse leakage are each at or below this (amplitude dB).
+CIRCULATOR_TARGET_DB = -60.0
 
 
 class ObjectiveKind(enum.Enum):
@@ -74,14 +80,24 @@ class Objective:
 
 @dataclass(frozen=True)
 class TuneResult:
-    """Outcome of a tune() run; converged=False simply means budget exhausted."""
+    """Outcome of a tune() run and why it stopped.
+
+    ``stop_reason`` is ``"target_met"`` (a start point met the objective's
+    target, see ``tune``), ``"simplex_collapsed"`` (a restart of the simplex
+    collapsed below its tolerances without improving) or ``"budget"`` (the
+    evaluation budget, or scipy's iteration cap of one simplex run, ran out).
+    """
 
     device: ValidatedDevice
     objective_value: float
     trace: tuple[float, ...]  # best objective after each improving evaluation
     evaluations: int
     iterations: int
-    converged: bool
+    stop_reason: Literal["target_met", "simplex_collapsed", "budget"]
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "budget"
 
 
 @dataclass(frozen=True)
@@ -253,7 +269,13 @@ def calibrate_phase_offset(
     )
 
 
-def _objective_function(template: ValidatedDevice, objective: Objective):
+def _score_function(template: ValidatedDevice, objective: Objective):
+    """``score(x) -> (objective value, target met)`` at x = (rho_1..rho_k, phi_tot).
+
+    The target is read from the same solve as the value: a directional amp
+    meets it at the match floor with the gain on target, a circulator when its
+    worst match and worst reverse leakage are each at most CIRCULATOR_TARGET_DB.
+    """
     caps = [RHO_GAIN_MAX if c.kind is ProcessKind.GAIN else RHO_CONVERSION_MAX
             for c in template.couplings]
     floored = metrics._amp_db_floored
@@ -269,7 +291,7 @@ def _objective_function(template: ValidatedDevice, objective: Objective):
         ports = {up: [template.index(n) for n in (r.signal, r.idler, r.vacuum)]
                  for up, r in roles.items()}
 
-    def evaluate(x: np.ndarray) -> float:
+    def score(x: np.ndarray) -> tuple[float, bool]:
         penalty = 0.0
         for rho, cap in zip(x[:-1], caps):
             if rho < 0.0:
@@ -277,29 +299,56 @@ def _objective_function(template: ValidatedDevice, objective: Objective):
             elif rho > cap:
                 penalty += PENALTY_DB * (1.0 + rho - cap)
         if penalty > 0.0:
-            return penalty
+            return penalty, False
         params = [float(v) for v in x]
         if not all(map(math.isfinite, params)):  # no device has a non-finite rho or phi_tot
-            return PENALTY_DB
+            return PENALTY_DB, False
         *rhos, phi = params
         try:
             s = cmt.solve_batch(template, 0.0, rhos=rhos, phi_tot=phi)[0].tolist()
         except SingularMatrixError:
-            return PENALTY_DB
+            return PENALTY_DB, False
         if objective.kind is not ObjectiveKind.DIRECTIONAL_AMP:
             match = max(floored(abs(s[k][k])) for k in range(3))
             leak = max(floored(abs(s[o][i])) for o, i in leaks)
-            return match + leak
+            return match + leak, max(match, leak) <= CIRCULATOR_TARGET_DB
         signal, idler, vacuum = ports[math.sin(phi) >= 0.0]
         fwd = abs(s[idler][signal]) ** 2
         if fwd <= 0.0:
-            return PENALTY_DB
+            return PENALTY_DB, False
         gain_err = abs(metrics.to_db(fwd) - objective.target_gain_db)
         worst_refl = max(floored(abs(s[signal][signal])), floored(abs(s[vacuum][vacuum])),
                          MATCH_REWARD_FLOOR_DB)
-        return gain_err + worst_refl
+        value = gain_err + worst_refl
+        return value, value <= MATCH_REWARD_FLOOR_DB + 1e-9
 
-    return evaluate
+    return score
+
+
+def _objective_function(template: ValidatedDevice, objective: Objective):
+    """``evaluate(x) -> objective value``: the value ``tune``'s simplex minimizes."""
+    score = _score_function(template, objective)
+    return lambda x: score(x)[0]
+
+
+def _working_point(template: ValidatedDevice, objective: Objective) -> np.ndarray:
+    """The closed-form working point (rho_1..rho_k, phi_tot) of ``objective``.
+
+    Circulator: every conversion matched (rho = 1) at phi_tot = +pi/2 (CW) or
+    -pi/2 (CCW).  Directional amp: the conversion matched and both gains at
+    rho_for_gain(10**(t/10) + 1), so that |S_signal->idler|^2 = 10**(t/10) and
+    both inputs are matched (S_bb = 0 in ``cmt.sbb_closed_form``); phi_tot =
+    +-pi/2 with the sign of sin of the template's phi_tot (+ when that is 0),
+    which keeps its signal and idler roles.
+    """
+    if objective.kind is ObjectiveKind.DIRECTIONAL_AMP:
+        rho_gain = cmt.rho_for_gain(10.0 ** (objective.target_gain_db / 10.0) + 1.0)
+        rhos = [rho_gain if c.kind is ProcessKind.GAIN else 1.0 for c in template.couplings]
+        up = math.sin(total_pump_phase(template).value) >= 0.0
+    else:
+        rhos = [1.0] * len(template.couplings)
+        up = objective.kind is ObjectiveKind.CIRCULATOR_CW
+    return np.array(rhos + [math.pi / 2 if up else -math.pi / 2])
 
 
 def tune(
@@ -308,11 +357,18 @@ def tune(
     initial: Optional[Sequence[float]] = None,
     budget: int = 2000,
 ) -> TuneResult:
-    """Derivative-free simplex search over (rho_1..rho_k, phi_tot).
+    """Tune (rho_1..rho_k, phi_tot) toward ``objective`` in at most ``budget``
+    objective evaluations; deterministic.
 
-    Deterministic given the initial point and budget (total objective
-    evaluations).  Convergence means the simplex collapsed below 1e-8;
-    exhausting the budget returns converged=False, not an error.
+    Without ``initial`` the closed-form working point (``_working_point``) is
+    evaluated first, then the template's own parameters; the first that meets
+    the objective's target is returned (``stop_reason`` "target_met", one
+    evaluation when the working point holds).  Otherwise a restarted
+    Nelder-Mead simplex runs from the better of the two on the remaining
+    budget.  With ``initial`` the simplex starts there at once.  The simplex
+    stops when a restart collapses below 1e-8 without improving
+    ("simplex_collapsed") or when the budget runs out ("budget", ``converged``
+    False), which is not an error.
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
@@ -321,37 +377,49 @@ def tune(
             raise TopologyError("directional-amp objective needs a directional-amp template")
     elif not template.is_circulator:
         raise TopologyError("circulator objective needs an all-conversion template")
-
-    if initial is None:
-        x0 = np.array([c.rho for c in template.couplings] + [total_pump_phase(template).value])
-    else:
-        x0 = np.asarray(initial, dtype=float)
-        if len(x0) != len(template.couplings) + 1:
+    if initial is not None:
+        starts = [np.asarray(initial, dtype=float)]
+        if len(starts[0]) != len(template.couplings) + 1:
             raise DomainError("initial point must supply one rho per coupling plus phi_tot")
+    else:
+        starts = [_working_point(template, objective),
+                  np.array([c.rho for c in template.couplings]
+                           + [total_pump_phase(template).value])]
 
-    raw = _objective_function(template, objective)
+    score = _score_function(template, objective)
     trace: list[float] = []
-    evaluations = [0]
+    evaluations = 0
 
-    def tracked(x: np.ndarray) -> float:
-        evaluations[0] += 1
-        value = raw(x)
+    def tracked(x: np.ndarray) -> tuple[float, bool]:
+        nonlocal evaluations
+        evaluations += 1
+        value, met = score(x)
         if not trace or value < trace[-1]:
             trace.append(value)
-        return value
+        return value, met
+
+    best_x, best_f = starts[0], math.inf
+    stop_reason = "budget"
+    if initial is None:
+        for x in starts[:budget]:
+            value, met = tracked(x)
+            if met:
+                best_x, best_f, stop_reason = x, value, "target_met"
+                break
+            if value < best_f:
+                best_x, best_f = x, value
 
     # Restarted simplex: a collapsed simplex is re-expanded at the best point
     # until the budget runs out or a restart stops improving.  Deterministic.
-    best_x = np.asarray(x0, dtype=float)
-    best_f = math.inf
     iterations = 0
-    converged = False
-    while evaluations[0] < budget:
+    while stop_reason == "budget" and evaluations < budget:
+        from scipy.optimize import minimize  # imported here: only the simplex needs scipy
+
         result = minimize(
-            tracked,
+            lambda x: tracked(x)[0],
             best_x,
             method="Nelder-Mead",
-            options={"maxfev": budget - evaluations[0], "xatol": 1e-8, "fatol": 1e-12},
+            options={"maxfev": budget - evaluations, "xatol": 1e-8, "fatol": 1e-12},
         )
         iterations += int(result.nit)
         improved = result.fun < best_f - 1e-10
@@ -359,9 +427,8 @@ def tune(
             best_f = float(result.fun)
             best_x = np.asarray(result.x, dtype=float)
         if result.success and not improved:
-            converged = True
-            break
-        if not result.success:
+            stop_reason = "simplex_collapsed"
+        elif not result.success:
             break
 
     dev = template
@@ -373,7 +440,7 @@ def tune(
         device=dev,
         objective_value=best_f,
         trace=tuple(trace),
-        evaluations=evaluations[0],
+        evaluations=evaluations,
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
     )

@@ -241,9 +241,14 @@ class TestNoPerPointValidation:
 
         monkeypatch.setattr(model, "validate_device", counting)
         objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=14.0)
-        result = tuner.tune(diramp, objective, budget=200)
+        start = [c.rho for c in diramp.couplings] + [nr.total_pump_phase(diramp).value]
+        result = tuner.tune(diramp, objective, initial=start, budget=200)  # the simplex
         assert result.evaluations == 200
         assert len(calls) <= 4  # the returned device: one with_coupling per pair + the phase
+        calls.clear()
+        result = tuner.tune(diramp, objective, budget=200)  # stops at the working point
+        assert result.stop_reason == "target_met"
+        assert len(calls) <= 4
         circulator = make_circulator(phi_tot=0.3)
         calls.clear()
         tuner.calibrate_phase_offset(circulator)

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -320,6 +323,33 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == "error: schema mismatch: phi_rad values differ\n"
 
+    @pytest.mark.parametrize("command, config, argv", [
+        ("phase-sweep", "circulator", ["--phi-min", 1, "--phi-max", 1, "--phi-points", 3]),
+        ("threshold", "diramp", ["--c-min", 0.5, "--c-max", 0.5, "--c-points", 3]),
+    ], ids=["repeated-phi", "repeated-c"])
+    def test_repeated_axis_values_against_itself(self, command, config, argv, circ_cfg,
+                                                 diramp_cfg, tmp_path, capsys):
+        # a repeated phi starts a new run where delta restarts; every c is its own run
+        cfg = circ_cfg if config == "circulator" else diramp_cfg
+        out = tmp_path / "r.csv"
+        assert run(command, "--config", cfg, "--out", out, *argv) == 0
+        assert len(cli.read_table(str(out)).runs()) == 3
+        capsys.readouterr()
+        assert run("compare", out, out, "--tol-db", 0) == 0
+        assert capsys.readouterr().out.startswith("worst |delta dB| = 0 in column S_")
+
+    def test_restarted_grid_against_one_run_exit_2(self, tmp_path, capsys):
+        columns = ["delta_hz", "S_ab_db"]
+        sweep, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
+        grid = np.array([0.0, 1.0, 2.0])
+        cli.write_table(cli.SweepTable(columns, np.column_stack([grid, grid])), str(sweep), "csv")
+        twice = np.concatenate([grid, grid])
+        cli.write_table(cli.SweepTable(columns, np.column_stack([twice, twice])), str(ref), "csv")
+        assert run("compare", ref, ref, "--tol-db", 0) == 0  # two runs each
+        capsys.readouterr()
+        assert run("compare", sweep, ref) == 2
+        assert capsys.readouterr().err == "error: schema mismatch: delta_hz runs differ\n"
+
 
 # sha256 of every writer's file for the bundled configs; the sparams and default
 # phase-sweep digests are the ones the benchmark checks (bench/digests.json)
@@ -455,18 +485,20 @@ class TestTuneCmd:
         assert raw["device"]["modes"][0]["kappa_mhz"] == 44.0
 
     def test_bundled_diramp_stdout_pinned(self, diramp_cfg, tmp_path, capsys):
-        # the whole optimizer path: any change in an objective value's last
-        # bit moves the simplex and shows here
+        # the closed-form working point meets the target in one evaluation:
+        # matched conversion, both gains at G = 10**1.4 + 1, phi_tot = -pi/2
+        # (the bundled config's sign); the simplex path is pinned in test_tuner
         out = tmp_path / "tuned.cfg"
         assert run("tune", "--config", diramp_cfg, "--objective", "diramp",
                    "--target-gain-db", 14, "--out", out) == 0
         assert capsys.readouterr().out.splitlines()[:6] == [
-            "objective: -60.000000 after 2000 evaluations (1154 iterations, converged=False)",
-            "trace: start -14.0667 -> best -60.0000 (595 improving steps)",
-            "  conversion ('a', 'b'): rho = 0.999961396",
-            "  gain ('a', 'c'): rho = 0.672474904",
-            "  gain ('b', 'c'): rho = 0.672905671",
-            "  phi_tot = -1.57047908 rad",
+            "objective: -60.000000 after 1 evaluations "
+            "(0 iterations, converged=True, stop_reason=target_met)",
+            "trace: start -60.0000 -> best -60.0000 (1 improving steps)",
+            "  conversion ('a', 'b'): rho = 1",
+            "  gain ('a', 'c'): rho = 0.67270321",
+            "  gain ('b', 'c'): rho = 0.67270321",
+            "  phi_tot = -1.57079633 rad",
         ]
 
     def test_circulator_objective(self, circ_cfg, tmp_path):
@@ -505,6 +537,33 @@ class TestTuneCmd:
         for pair in (("a", "b"), ("b", "c"), ("a", "c")):
             assert math.isclose(reloaded.coupling_for(pair).rho, tuned.coupling_for(pair).rho,
                                 rel_tol=1e-12)
+
+
+class TestImports:
+    def test_commands_run_without_scipy_optimize(self, circ_cfg, diramp_cfg, tmp_path):
+        # scipy.optimize takes most of the start-up time and only the tuner's
+        # simplex needs it; a closed-form tune meets its target without it
+        script = f"""
+import sys
+from nonrecip import cli
+for argv in (
+    ["sparams", "--config", {str(circ_cfg)!r}, "--out", "s.csv"],
+    ["phase-sweep", "--config", {str(circ_cfg)!r}, "--out", "p.csv", "--phi-points", "3"],
+    ["threshold", "--config", {str(diramp_cfg)!r}, "--out", "t.csv"],
+    ["compare", "s.csv", "s.csv"],
+    ["tune", "--config", {str(diramp_cfg)!r}, "--objective", "diramp",
+     "--target-gain-db", "14", "--out", "d.cfg"],
+    ["tune", "--config", {str(circ_cfg)!r}, "--objective", "circulator-ccw", "--out", "c.cfg"],
+):
+    assert cli.main(argv) == 0, argv
+print("scipy.optimize" in sys.modules)
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nr.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=tmp_path, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "stop_reason=target_met" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "False"  # "scipy.optimize" not in sys.modules
 
 
 class TestErrorExits:

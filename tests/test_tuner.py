@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nonrecip as nr
-from nonrecip import cmt, metrics, tuner
+from nonrecip import cli, cmt, metrics, tuner
 from nonrecip.errors import AmbiguousMinimumError, DomainError, TopologyError
 
 from conftest import make_circulator
@@ -158,6 +160,78 @@ class TestCalibratePhaseOffset:
             tuner.calibrate_phase_offset(bare_device)
 
 
+PAIRS = (("a", "b"), ("a", "c"), ("b", "c"))
+TOPOLOGIES = ("circulator",) + PAIRS  # a circulator, or the directional amp's conversion pair
+
+
+@st.composite
+def tuning_problems(draw):
+    """A random valid device (kappas over four decades, distinct frequencies in
+    any order, any stored phase) with an objective its topology supports."""
+    kappas = draw(st.lists(st.floats(1e5, 1e9), min_size=3, max_size=3))
+    freqs = draw(st.lists(st.floats(1e9, 2e10), min_size=3, max_size=3, unique=True))
+    modes = tuple(nr.ModeSpec(n, f, k) for n, f, k in zip("abc", freqs, kappas))
+    topology = draw(st.sampled_from(TOPOLOGIES))
+    if topology == "circulator":
+        couplings = tuple(nr.PumpedCoupling(p, "conversion", 0.5) for p in PAIRS)
+        objective = tuner.Objective(draw(st.sampled_from(
+            [tuner.ObjectiveKind.CIRCULATOR_CW, tuner.ObjectiveKind.CIRCULATOR_CCW])))
+    else:
+        couplings = tuple(nr.PumpedCoupling(p, "conversion" if p == topology else "gain", 0.3)
+                          for p in PAIRS)
+        objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP,
+                                    target_gain_db=draw(st.floats(0.0, 30.0)))
+    device = nr.validate_device(nr.DeviceConfig(modes, couplings))
+    phi = draw(st.one_of(st.just(0.0), st.floats(-7.0, 7.0)))
+    return nr.with_total_phase(device, phi), objective
+
+
+class TestWorkingPoint:
+    """The closed-form working points ``tune`` starts from, over random devices."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(problem=tuning_problems())
+    def test_meets_its_target_and_is_stable(self, problem):
+        template, objective = problem
+        x = tuner._working_point(template, objective)
+        assert tuner._score_function(template, objective)(x)[1]
+        for budget in (1, 2, 2000):
+            result = tuner.tune(template, objective, budget=budget)
+            assert result.evaluations <= budget
+            assert (result.evaluations, result.stop_reason) == (1, "target_met")
+        # the device tune returns is the working point, and it does not oscillate
+        assert [c.rho for c in result.device.couplings] == list(x[:-1])
+        poles = np.linalg.eigvals(cmt.build_dynamics_matrix(result.device, 0.0))
+        assert poles.real.min() > 0.0
+
+    def test_topologies_cover_conjugated_frames(self):
+        # the gain-coupled idler is conjugated; a conversion on (b, c) links two
+        # conjugated channels
+        modes = (nr.ModeSpec("a", 9e9, 4e7), nr.ModeSpec("b", 5e9, 2e7), nr.ModeSpec("c", 7e9, 5e7))
+        frames = [nr.validate_device(nr.DeviceConfig(modes, tuple(
+            nr.PumpedCoupling(p, "conversion" if p == pair else "gain", 0.3) for p in PAIRS)
+        )).frame.conjugated for pair in TOPOLOGIES[1:]]
+        assert frames == [(False, False, True), (False, True, False), (False, True, True)]
+
+    @pytest.mark.parametrize("budget, evaluations", [(1, 1), (2, 2), (40, 40)])
+    def test_missed_target_runs_the_simplex_within_budget(self, diramp, budget, evaluations):
+        # at 130 dB the working point's gain rho is past RHO_GAIN_MAX: penalized, missed
+        objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=130.0)
+        assert not tuner._score_function(diramp, objective)(
+            tuner._working_point(diramp, objective))[1]
+        result = tuner.tune(diramp, objective, budget=budget)
+        assert (result.evaluations, result.stop_reason, result.converged) == (
+            evaluations, "budget", False)
+        assert result.trace[0] >= tuner.PENALTY_DB  # the working point was scored first
+
+    def test_simplex_collapses_at_an_optimum(self):
+        dev = make_circulator(1.0, 1.0, 1.0, phi_tot=math.pi / 2)
+        result = tuner.tune(dev, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW),
+                            initial=[1.0, 1.0, 1.0, math.pi / 2])
+        assert (result.stop_reason, result.converged) == ("simplex_collapsed", True)
+        assert result.evaluations < 2000
+
+
 class TestTune:
     def test_circulator_recovery_from_perturbed_start(self):
         rng = np.random.default_rng(2024)
@@ -232,6 +306,21 @@ class TestTune:
     def test_objective_validation(self):
         with pytest.raises(DomainError):
             tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=-1.0)
+
+    def test_bundled_diramp_simplex_pinned(self):
+        # the whole simplex path from the config's own point: any change in an
+        # objective value's last bit moves the simplex and shows here
+        diramp = cli.load_config(str(cli.bundled_config_path("diramp"))).device
+        objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=14.0)
+        start = [c.rho for c in diramp.couplings] + [nr.total_pump_phase(diramp).value]
+        result = tuner.tune(diramp, objective, initial=start)
+        assert f"{result.objective_value:.6f}" == "-60.000000"
+        assert (result.evaluations, result.iterations, len(result.trace)) == (2000, 1154, 595)
+        assert f"{result.trace[0]:.4f}" == "-14.0667"
+        assert (result.stop_reason, result.converged) == ("budget", False)
+        assert [f"{c.rho:.9g}" for c in result.device.couplings] == [
+            "0.999961396", "0.672474904", "0.672905671"]
+        assert f"{nr.total_pump_phase(result.device).value:+.9g}" == "-1.57047908"
 
     @pytest.mark.parametrize("kind", list(tuner.ObjectiveKind))
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
