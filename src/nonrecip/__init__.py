@@ -26,10 +26,8 @@ from .model import (
     ChannelFrame,
     DeviceConfig,
     ModeSpec,
-    PhaseConvention,
     ProcessKind,
     PumpedCoupling,
-    TotalPumpPhase,
     ValidatedDevice,
     check_pump_closure,
     pump_frequency_for,
@@ -53,8 +51,6 @@ from .cmt import (
 )
 from .metrics import (
     CirculationSense,
-    PortRole,
-    Role,
     added_noise,
     amp_db,
     circulation_order,
@@ -94,16 +90,12 @@ __all__ = [
     "Objective",
     "ObjectiveKind",
     "PhaseCalibration",
-    "PhaseConvention",
-    "PortRole",
     "ProcessKind",
     "PumpedCoupling",
-    "Role",
     "ScatteringMatrix",
     "SingularMatrixError",
     "SweepResult",
     "TopologyError",
-    "TotalPumpPhase",
     "TuneResult",
     "ValidatedDevice",
     "added_noise",

@@ -24,6 +24,7 @@ the simplex imports ``scipy.optimize``, so no other command loads it.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
@@ -134,7 +135,9 @@ def parse_config(raw: dict) -> RunConfig:
 
     sweep_doc = raw.get("sweep", {})
     span = float(sweep_doc.get("delta_span_mhz", 60.0)) * 1e6
-    points = int(sweep_doc.get("points", 1001))
+    points = sweep_doc.get("points", 1001)
+    if isinstance(points, bool) or not isinstance(points, int):
+        raise ConfigError(f"sweep.points must be an integer, got {points!r}")
     if points < 1:
         raise ConfigError("sweep.points must be >= 1")
     if span <= 0:
@@ -247,13 +250,20 @@ def read_table(path: str) -> SweepTable:
             raise ConfigError(f"{path}: JSON table needs 'columns' and 'rows'")
         cols, data = doc["columns"], doc["rows"]
     else:
-        lines = [ln for ln in text.split("\n") if ln]
-        if not lines:
+        head, _, body = text.lstrip("\n").partition("\n")
+        if not head:
             raise ConfigError(f"{path}: empty table")
-        cols = lines[0].split(",")
-        data = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+        cols = head.split(",")
+        # comments=None: a "#" cell is an error, not the start of a comment
+        data = (np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+                if body.strip("\n") else [])
     cols = [str(c) for c in cols]
-    return SweepTable(cols, np.asarray(data, dtype=float).reshape(-1, len(cols)))
+    rows = np.asarray(data, dtype=float)
+    if rows.size == 0:
+        rows = rows.reshape(0, len(cols))
+    if rows.ndim != 2 or rows.shape[1] != len(cols):
+        raise ConfigError(f"{path}: every row needs {len(cols)} cells, one per column")
+    return SweepTable(cols, rows)
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
@@ -299,10 +309,9 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
     if device.is_directional_amp:
         phi = total_pump_phase(device)
         roles = metrics.role_map(device, phi)
-        print(
-            f"roles at phi_tot={phi.value:+.4f} rad: "
-            + ", ".join(f"{m}={roles[m].value}" for m in names)
-        )
+        role_of = {m: role for role, m in roles._asdict().items()}
+        print(f"roles at phi_tot={phi:+.4f} rad: "
+              + ", ".join(f"{m}={role_of[m]}" for m in names))
         fwd = s0.magnitude(roles.idler, roles.signal) ** 2
         if fwd > 0:
             print(f"forward gain {roles.signal}->{roles.idler} at delta=0: "
@@ -403,7 +412,7 @@ def cmd_tune(args) -> int:
     phi = total_pump_phase(result.device)
     for c in result.device.couplings:
         print(f"  {c.kind.value} {c.pair}: rho = {c.rho:.9g}")
-    print(f"  phi_tot = {phi.value:+.9g} rad")
+    print(f"  phi_tot = {phi:+.9g} rad")
     print(f"wrote tuned config to {out_path}")
     return EXIT_OK
 
@@ -413,7 +422,7 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, out_path: str) -
     raw = json.loads(json.dumps(cfg.raw))  # deep copy
     signs = phase_signs(tuned)
     control = tuned.couplings[0].pair
-    target_tot = total_pump_phase(tuned).value
+    target_tot = total_pump_phase(tuned)
     other_sum = 0.0
     for entry in raw["device"]["couplings"]:
         pair = tuple(sorted(entry["pair"]))
@@ -448,6 +457,9 @@ def cmd_compare(args) -> int:
         raise SchemaError(f"{type(exc).__name__}: {exc}") from exc
     if sweep_t.columns != ref_t.columns:
         raise SchemaError("schema mismatch: column sets differ")
+    for path, table in ((args.sweep, sweep_t), (args.reference, ref_t)):
+        if not len(table.rows):
+            raise SchemaError(f"schema mismatch: {path} has no rows")
     axes = sweep_t.axes
     if not axes:
         raise SchemaError(f"schema mismatch: no axis column ({', '.join(AXES)})")

@@ -4,21 +4,21 @@ Match, isolation and insertion loss are amplitude ratios (20 log10); gains
 and noise ratios are power ratios (10 log10).  Noise quantities assume
 vacuum (half a photon) incident on every channel and a perfectly stiff pump,
 so the scattering is lossless and S Sigma S^dag = Sigma is the conservation
-law being monitored.
+law being monitored.  A directional amplifier's port roles are the named
+tuple ``(signal, idler, vacuum)`` of mode names.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
 from .cmt import ScatteringMatrix, SweepResult
 from .errors import DomainError, EmptyBandError, TopologyError
-from .model import TotalPumpPhase, ValidatedDevice, directional_amp_parts
+from .model import ValidatedDevice, directional_amp_parts
 
 DB_FLOOR = -320.0  # amplitude dB assigned to an exact zero
 
@@ -41,40 +41,12 @@ def _amp_db_floored(x: float) -> float:
     return amp_db(x) if x > 10 ** (DB_FLOOR / 20.0) else DB_FLOOR
 
 
-class Role(enum.Enum):
-    SIGNAL = "signal"
-    IDLER = "idler"
-    VACUUM = "vacuum"
+class PortRoles(NamedTuple):
+    """Mode names of a directional amplifier's three ports."""
 
-
-@dataclass(frozen=True)
-class PortRole:
-    """Bijective map from mode names to directional-amplifier port roles."""
-
-    roles: Mapping[str, Role]
-
-    def __post_init__(self):
-        object.__setattr__(self, "roles", dict(self.roles))
-        if sorted(r.value for r in self.roles.values()) != ["idler", "signal", "vacuum"]:
-            raise DomainError("PortRole must assign signal, idler and vacuum exactly once")
-
-    def __getitem__(self, mode: str) -> Role:
-        return self.roles[mode]
-
-    def mode_for(self, role: Role) -> str:
-        return next(n for n, r in self.roles.items() if r is role)
-
-    @property
-    def signal(self) -> str:
-        return self.mode_for(Role.SIGNAL)
-
-    @property
-    def idler(self) -> str:
-        return self.mode_for(Role.IDLER)
-
-    @property
-    def vacuum(self) -> str:
-        return self.mode_for(Role.VACUUM)
+    signal: str
+    idler: str
+    vacuum: str
 
 
 class CirculationSense(enum.Enum):
@@ -220,8 +192,9 @@ def max_symplectic_defect(sweep: SweepResult) -> float:
     return _flux_defect(sweep.entries, sweep.device.frame.detuning_signs)
 
 
-def role_map(device: ValidatedDevice, phi_tot) -> PortRole:
-    """Port roles of a directional amplifier at a given total pump phase.
+def role_map(device: ValidatedDevice, phi_tot: float) -> PortRoles:
+    """Port roles ``(signal, idler, vacuum)`` of a directional amplifier at the
+    total pump phase ``phi_tot`` (radians).
 
     The idler is the doubly-gain-coupled mode.  Among the conversion pair the
     signal port is the phase-reference (head) mode when sin(phi_tot) > 0 and
@@ -231,9 +204,6 @@ def role_map(device: ValidatedDevice, phi_tot) -> PortRole:
     by convention.
     """
     _pair, head, other, idler = directional_amp_parts(device)
-    value = phi_tot.value if isinstance(phi_tot, TotalPumpPhase) else float(phi_tot)
-    if math.sin(value) >= 0.0:
-        signal, vac = head, other
-    else:
-        signal, vac = other, head
-    return PortRole({signal: Role.SIGNAL, vac: Role.VACUUM, idler: Role.IDLER})
+    if math.sin(phi_tot) >= 0.0:
+        return PortRoles(head, idler, other)
+    return PortRoles(other, idler, head)

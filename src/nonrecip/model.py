@@ -8,6 +8,8 @@ a gain process links opposite ones, so the coupling graph must admit a
 2-coloring.  All frequencies and decay rates are ordinary frequencies
 (omega/2pi) in Hz; coupling strengths are the dimensionless ratios
 rho_ij = |g_ij|^2 / (kappa_i * kappa_j); phases are radians in [0, 2pi).
+The total pump phase phi_tot, the one phase combination the scattering
+depends on, is a plain float in (-pi, pi].
 """
 
 from __future__ import annotations
@@ -121,44 +123,17 @@ class ChannelFrame:
 
     names: tuple[str, str, str]
     conjugated: tuple[bool, bool, bool]
-    carrier_freqs: tuple[float, float, float]
 
     def index(self, name: str) -> int:
         return self.names.index(name)
-
-    def is_conjugated(self, name: str) -> bool:
-        return self.conjugated[self.index(name)]
 
     @property
     def detuning_signs(self) -> tuple[int, int, int]:
         return tuple(-1 if c else +1 for c in self.conjugated)  # type: ignore[return-value]
 
-    def sign(self, name: str) -> int:
-        return -1 if self.is_conjugated(name) else +1
-
     def flipped(self) -> "ChannelFrame":
         """Globally flipped assignment (the other valid 2-coloring)."""
-        return ChannelFrame(self.names, tuple(not c for c in self.conjugated), self.carrier_freqs)
-
-
-class PhaseConvention(enum.Enum):
-    CIRCULATOR = "circulator"
-    DIRECTIONAL_AMP = "directional_amp"
-
-
-@dataclass(frozen=True)
-class TotalPumpPhase:
-    """Signed sum of the three pump phases around the mode loop.
-
-    Acts as an artificial gauge flux: it is the only phase combination the
-    scattering magnitudes depend on.  The value is stored wrapped to (-pi, pi].
-    """
-
-    value: float
-    convention: PhaseConvention
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", wrap_signed(self.value))
+        return ChannelFrame(self.names, tuple(not c for c in self.conjugated))
 
 
 @dataclass(frozen=True)
@@ -185,19 +160,12 @@ class ValidatedDevice:
     def index(self, name: str) -> int:
         return self.mode_names.index(name)
 
-    def mode(self, name: str) -> ModeSpec:
-        return self.modes[self.index(name)]
-
     def coupling_for(self, pair: Iterable[str]) -> Optional[PumpedCoupling]:
         key = tuple(sorted(pair))
         for c in self.couplings:
             if c.pair == key:
                 return c
         return None
-
-    @property
-    def config(self) -> DeviceConfig:
-        return DeviceConfig(self.modes, self.couplings, self.pump_detuning_tolerance)
 
     @property
     def is_circulator(self) -> bool:
@@ -272,14 +240,15 @@ def phase_signs(device: ValidatedDevice) -> dict[tuple[str, str], int]:
     raise TopologyError("total pump phase defined only for circulator or directional-amp devices")
 
 
-def total_pump_phase(device: ValidatedDevice) -> TotalPumpPhase:
-    """Signed sum of the stored coupling phases for the device's topology."""
+def total_pump_phase(device: ValidatedDevice) -> float:
+    """Total pump phase phi_tot: the signed sum of the stored coupling phases
+    for the device's topology, wrapped to (-pi, pi].
+
+    It acts as an artificial gauge flux: the only phase combination the
+    scattering magnitudes depend on.
+    """
     signs = phase_signs(device)
-    value = sum(signs[c.pair] * c.phase for c in device.couplings)
-    convention = (
-        PhaseConvention.CIRCULATOR if device.is_circulator else PhaseConvention.DIRECTIONAL_AMP
-    )
-    return TotalPumpPhase(value, convention)
+    return wrap_signed(sum(signs[c.pair] * c.phase for c in device.couplings))
 
 
 def with_total_phase(device: ValidatedDevice, value: float) -> ValidatedDevice:
@@ -358,7 +327,8 @@ def validate_device(config: DeviceConfig) -> ValidatedDevice:
     Rejects duplicate pairs, non-member pairs, gain couplings at rho >= 1
     (enforced by PumpedCoupling itself) and coupling graphs with no
     consistent conjugation 2-coloring.  Idempotent: re-validating a
-    ValidatedDevice's config yields an equivalent device.
+    ValidatedDevice's modes, couplings and tolerance yields an equivalent
+    device.
     """
     if len(config.modes) != 3:
         raise DeviceValidationError(f"device needs exactly 3 modes, got {len(config.modes)}")
@@ -386,11 +356,7 @@ def validate_device(config: DeviceConfig) -> ValidatedDevice:
     couplings = tuple(sorted(config.couplings, key=lambda c: c.pair))
 
     conjugated = _assign_conjugation(names, couplings)  # type: ignore[arg-type]
-    frame = ChannelFrame(
-        names=names,  # type: ignore[arg-type]
-        conjugated=conjugated,
-        carrier_freqs=tuple(m.resonance_freq for m in modes),  # type: ignore[arg-type]
-    )
+    frame = ChannelFrame(names, conjugated)  # type: ignore[arg-type]
     tol = float(config.pump_detuning_tolerance)
     if not (tol >= 0):
         raise DeviceValidationError("pump_detuning_tolerance must be >= 0")

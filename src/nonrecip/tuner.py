@@ -230,7 +230,7 @@ def calibrate_phase_offset(
         port = directional_amp_parts(device)[3]
     else:
         raise TopologyError("phase calibration needs a circulator or directional amplifier")
-    t0 = total_pump_phase(device).value
+    t0 = total_pump_phase(device)
     k = device.index(port)
 
     def responses(offsets) -> np.ndarray:
@@ -325,12 +325,6 @@ def _score_function(template: ValidatedDevice, objective: Objective):
     return score
 
 
-def _objective_function(template: ValidatedDevice, objective: Objective):
-    """``evaluate(x) -> objective value``: the value ``tune``'s simplex minimizes."""
-    score = _score_function(template, objective)
-    return lambda x: score(x)[0]
-
-
 def _working_point(template: ValidatedDevice, objective: Objective) -> np.ndarray:
     """The closed-form working point (rho_1..rho_k, phi_tot) of ``objective``.
 
@@ -344,7 +338,7 @@ def _working_point(template: ValidatedDevice, objective: Objective) -> np.ndarra
     if objective.kind is ObjectiveKind.DIRECTIONAL_AMP:
         rho_gain = cmt.rho_for_gain(10.0 ** (objective.target_gain_db / 10.0) + 1.0)
         rhos = [rho_gain if c.kind is ProcessKind.GAIN else 1.0 for c in template.couplings]
-        up = math.sin(total_pump_phase(template).value) >= 0.0
+        up = math.sin(total_pump_phase(template)) >= 0.0
     else:
         rhos = [1.0] * len(template.couplings)
         up = objective.kind is ObjectiveKind.CIRCULATOR_CW
@@ -384,7 +378,7 @@ def tune(
     else:
         starts = [_working_point(template, objective),
                   np.array([c.rho for c in template.couplings]
-                           + [total_pump_phase(template).value])]
+                           + [total_pump_phase(template)])]
 
     score = _score_function(template, objective)
     trace: list[float] = []

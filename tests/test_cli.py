@@ -38,16 +38,16 @@ class TestConfigParsing:
         assert cfg.device.is_circulator
         assert cfg.points == 1001
         assert math.isclose(cfg.span, 60e6)
-        assert math.isclose(cfg.device.mode("a").kappa, 44e6)
+        assert math.isclose(cfg.device.kappas[0], 44e6)
         assert math.isclose(
             cfg.device.coupling_for(("a", "b")).rho, cmt.rho_for_conversion(0.97)
         )
-        assert math.isclose(nr.total_pump_phase(cfg.device).value, math.pi / 2)
+        assert math.isclose(nr.total_pump_phase(cfg.device), math.pi / 2)
 
     def test_bundled_diramp(self, diramp_cfg):
         cfg = cli.load_config(str(diramp_cfg))
         assert cfg.device.is_directional_amp
-        assert math.isclose(nr.total_pump_phase(cfg.device).value, -math.pi / 2)
+        assert math.isclose(nr.total_pump_phase(cfg.device), -math.pi / 2)
         assert math.isclose(cfg.declared_pumps["b"], 16.339e9)
 
     def test_strength_key_exclusive(self, tmp_path, circ_cfg):
@@ -65,6 +65,42 @@ class TestConfigParsing:
         bad.write_text(yaml.safe_dump(raw))
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(bad))
+
+    @pytest.mark.parametrize("points", ["2.7", "yes"])
+    def test_non_integer_points_rejected(self, points, tmp_path, circ_cfg, capsys):
+        # a count must be an int: 2.7 is not truncated to 2, nor YAML's yes (True) read as 1
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(circ_cfg.read_text().replace("points: 1001", f"points: {points}"))
+        with pytest.raises(cli.ConfigError, match="sweep.points must be an integer"):
+            cli.load_config(str(bad))
+        assert run("sparams", "--config", bad, "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err.startswith("error: ConfigError: sweep.points")
+
+
+SPARAMS_STDOUT = {
+    "circulator": [
+        "on-resonance |S| (dB) at delta=0 Hz, modes ('a', 'b', 'c'):",
+        "  out a:   -23.10    -29.48     -0.03",
+        "  out b:    -0.07    -19.15    -23.62",
+        "  out c:   -19.35     -0.06    -27.74",
+        "circulation sense at delta=0: cw (a->b->c->a)",
+        "bandwidth (match <= -10 dB, loss <= 1 dB): 11.400 MHz around delta=0",
+        "NVR at delta=0 (dB): a: -0.000, b: 0.000, c: 0.000",
+    ],
+    "diramp": [
+        "on-resonance |S| (dB) at delta=0 Hz, modes ('a', 'b', 'c'):",
+        "  out a:   -15.00     13.28     13.08",
+        "  out b:    -0.02    -22.70    -28.98",
+        "  out c:   -15.60     13.07     13.29",
+        "roles at phi_tot=-1.5708 rad: a=vacuum, b=signal, c=idler",
+        "forward gain b->c at delta=0: 13.07 dB",
+        "added noise b->c at delta=0: 0.5260 photons",
+        "input reflections at delta=0: b: -22.70 dB, a: -15.00 dB",
+        "a->b transmission at delta=0: -0.02 dB",
+        "3 dB gain bandwidth: 16.200 MHz around delta=0",
+        "NVR at delta=0 (dB): a: 16.192, b: 0.011, c: 16.193",
+    ],
+}
 
 
 class TestSparams:
@@ -115,6 +151,18 @@ class TestSparams:
         bad.write_text(yaml.safe_dump(raw))
         assert run("sparams", "--config", bad, "--out", tmp_path / "x.csv") == 2
         assert "SingularMatrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", sorted(SPARAMS_STDOUT))
+    def test_bundled_stdout_pinned(self, config, circ_cfg, diramp_cfg, tmp_path, capsys):
+        # every summary line but the defect, whose digits are round-off
+        out = tmp_path / "sweep.csv"
+        cfg = circ_cfg if config == "circulator" else diramp_cfg
+        assert run("sparams", "--config", cfg, "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"wrote 1001 detuning points to {out} (csv)"
+        defect = "max symplectic defect over the sweep: "
+        assert lines[-1].startswith(defect) and float(lines[-1][len(defect):]) < 1e-12
+        assert lines[1:-1] == SPARAMS_STDOUT[config]
 
     def test_json_output(self, circ_cfg, tmp_path):
         out = tmp_path / "sweep.json"
@@ -279,6 +327,40 @@ class TestCompare:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: schema mismatch: no column to compare\n"
+
+    @pytest.mark.parametrize("text", ["delta_hz,S_ab_db\n",
+                                      '{"columns": ["delta_hz", "S_ab_db"], "rows": []}\n'],
+                             ids=["csv", "json"])
+    def test_table_with_no_rows_exit_2(self, text, tmp_path, capsys):
+        empty, ref = tmp_path / "empty", tmp_path / "ref.csv"
+        empty.write_text(text)
+        cli.write_table(cli.SweepTable(["delta_hz", "S_ab_db"], np.array([[0.0, 1.0]])),
+                        str(ref), "csv")
+        assert run("compare", ref, empty) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: schema mismatch: {empty} has no rows\n"
+
+    def test_header_only_table_reads_as_no_rows(self, tmp_path, recwarn):
+        path = tmp_path / "empty.csv"
+        path.write_text("delta_hz,S_ab_db,S_ba_db\n")
+        assert cli.read_table(str(path)).rows.shape == (0, 3)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("body, message", [
+        ("0,1\n1\n", "ValueError: "),
+        ("0,1,2\n1,2,3\n", "ConfigError: {bad}: every row needs 2 cells, one per column"),
+        ("0,1\n1,x\n", "ValueError: could not convert string"),
+        ("0,1\n1,#\n", "ValueError: could not convert string"),  # a cell, not a comment
+    ], ids=["ragged-row", "rows-wider-than-header", "non-numeric-cell", "hash-cell"])
+    def test_unreadable_csv_exit_2(self, body, message, tmp_path, capsys):
+        bad, ref = tmp_path / "bad.csv", tmp_path / "ref.csv"
+        bad.write_text("delta_hz,S_ab_db\n" + body)
+        cli.write_table(cli.SweepTable(["delta_hz", "S_ab_db"], np.array([[0.0, 1.0]])),
+                        str(ref), "csv")
+        assert run("compare", bad, ref) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + message.format(bad=bad))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command, config", [
@@ -506,11 +588,13 @@ class TestTuneCmd:
         assert run("tune", "--config", circ_cfg, "--objective", "circulator-cw",
                    "--budget", 500, "--out", out) == 0
         tuned = cli.load_config(str(out))
-        assert abs(nr.total_pump_phase(tuned.device).value - math.pi / 2) < 0.05
+        assert abs(nr.total_pump_phase(tuned.device) - math.pi / 2) < 0.05
 
     def test_tuned_target_c_reloads(self, circ_cfg, tmp_path):
-        # this start converges to rho ~ 1, where 4 rho / (1 + rho)^2 rounds to
-        # 1 + 2.2e-16 unless the written conversion coefficient is clamped
+        # a config stating its conversions by target_c gets target_c written
+        # back, and the tuned file must reload; this start stops at the working
+        # point (every rho = 1, so C = 1 exactly); the clamp of a C that rounds
+        # above 1 is covered by test_tuned_conversion_reloads
         raw = yaml.safe_load(circ_cfg.read_text())
         for entry, c in zip(raw["device"]["couplings"], (0.95067, 0.994096, 0.914272)):
             entry["target_c"] = c
@@ -564,6 +648,13 @@ print("scipy.optimize" in sys.modules)
         assert proc.returncode == 0, proc.stderr
         assert "stop_reason=target_met" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "False"  # "scipy.optimize" not in sys.modules
+
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from nonrecip import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(nr.__all__)
+        assert len(nr.__all__) == len(set(nr.__all__))
 
 
 class TestErrorExits:

@@ -233,8 +233,3 @@ class TestRoleMap:
     def test_circulator_rejected(self, circulator):
         with pytest.raises(TopologyError):
             metrics.role_map(circulator, math.pi / 2)
-
-    def test_port_role_validation(self):
-        with pytest.raises(DomainError):
-            metrics.PortRole({"a": metrics.Role.SIGNAL, "b": metrics.Role.SIGNAL,
-                              "c": metrics.Role.IDLER})
