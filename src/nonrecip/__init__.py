@@ -37,7 +37,6 @@ from .model import (
     with_total_phase,
 )
 from .cmt import (
-    ScatteringMatrix,
     SweepResult,
     build_dynamics_matrix,
     conversion_coefficient,
@@ -92,7 +91,6 @@ __all__ = [
     "PhaseCalibration",
     "ProcessKind",
     "PumpedCoupling",
-    "ScatteringMatrix",
     "SingularMatrixError",
     "SweepResult",
     "TopologyError",

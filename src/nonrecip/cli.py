@@ -94,8 +94,37 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _coupling_from_entry(entry: dict) -> PumpedCoupling:
-    pair = tuple(_require(entry, "pair", "coupling"))
+def _mapping(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a mapping, got {value!r}")
+    return value
+
+
+def _list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{context} must be a list, got {value!r}")
+    return value
+
+
+def _number(value, context: str) -> float:
+    """``float(value)`` of a YAML number or string; a boolean, list, mapping or
+    null is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{context} must be a number, got {value!r}")
+    return float(value)
+
+
+def _mode_from_entry(entry) -> ModeSpec:
+    entry = _mapping(entry, "mode")
+    name = str(_require(entry, "name", "mode"))
+    freq, kappa = (_number(_require(entry, key, "mode"), f"mode {name}: {key}")
+                   for key in ("freq_ghz", "kappa_mhz"))
+    return ModeSpec(name, freq * 1e9, kappa * 1e6)
+
+
+def _coupling_from_entry(entry) -> PumpedCoupling:
+    entry = _mapping(entry, "coupling")
+    pair = tuple(_list(_require(entry, "pair", "coupling"), "coupling pair"))
     kind = ProcessKind(str(_require(entry, "kind", f"coupling {pair}")).lower())
     present = [k for k in STRENGTH_KEYS if k in entry]
     if len(present) != 1:
@@ -104,7 +133,7 @@ def _coupling_from_entry(entry: dict) -> PumpedCoupling:
             f"got {present or 'none'}"
         )
     key = present[0]
-    value = float(entry[key])
+    value = _number(entry[key], f"coupling {pair}: {key}")
     if key == "rho":
         rho = value
     elif key == "target_g_db":
@@ -115,26 +144,21 @@ def _coupling_from_entry(entry: dict) -> PumpedCoupling:
         if kind is not ProcessKind.CONVERSION:
             raise ConfigError(f"coupling {pair}: target_c only applies to conversion couplings")
         rho = cmt.rho_for_conversion(value)
-    phase = math.radians(float(entry.get("phase_deg", 0.0)))
+    phase = math.radians(_number(entry.get("phase_deg", 0.0), f"coupling {pair}: phase_deg"))
     return PumpedCoupling(pair=pair, kind=kind, rho=rho, phase=phase)
 
 
 def parse_config(raw: dict) -> RunConfig:
-    device_doc = _require(raw, "device", "config")
-    modes = tuple(
-        ModeSpec(
-            name=str(_require(m, "name", "mode")),
-            resonance_freq=float(_require(m, "freq_ghz", "mode")) * 1e9,
-            kappa=float(_require(m, "kappa_mhz", "mode")) * 1e6,
-        )
-        for m in _require(device_doc, "modes", "device")
-    )
-    couplings = tuple(_coupling_from_entry(e) for e in device_doc.get("couplings", []))
-    tol = float(device_doc.get("pump_detuning_tolerance_mhz", 10.0)) * 1e6
-    device = validate_device(DeviceConfig(modes, couplings, tol))
+    device_doc = _mapping(_require(raw, "device", "config"), "device")
+    modes = _list(_require(device_doc, "modes", "device"), "device.modes")
+    couplings = _list(device_doc.get("couplings", []), "device.couplings")
+    tol = _number(device_doc.get("pump_detuning_tolerance_mhz", 10.0),
+                  "device.pump_detuning_tolerance_mhz") * 1e6
+    device = validate_device(DeviceConfig(tuple(map(_mode_from_entry, modes)),
+                                          tuple(map(_coupling_from_entry, couplings)), tol))
 
-    sweep_doc = raw.get("sweep", {})
-    span = float(sweep_doc.get("delta_span_mhz", 60.0)) * 1e6
+    sweep_doc = _mapping(raw.get("sweep", {}), "sweep")
+    span = _number(sweep_doc.get("delta_span_mhz", 60.0), "sweep.delta_span_mhz") * 1e6
     points = sweep_doc.get("points", 1001)
     if isinstance(points, bool) or not isinstance(points, int):
         raise ConfigError(f"sweep.points must be an integer, got {points!r}")
@@ -143,14 +167,16 @@ def parse_config(raw: dict) -> RunConfig:
     if span <= 0:
         raise ConfigError("sweep.delta_span_mhz must be > 0")
 
-    outputs = raw.get("outputs", {})
+    outputs = _mapping(raw.get("outputs", {}), "outputs")
     out_format = str(outputs.get("format", "csv")).lower()
     if out_format not in ("csv", "json"):
         raise ConfigError(f"outputs.format must be csv or json, got {out_format!r}")
     out_path = str(outputs.get("path", "sweep." + out_format))
 
     declared = raw.get("declared_pumps_ghz")
-    pumps = {str(k): float(v) * 1e9 for k, v in declared.items()} if declared else None
+    pumps = None if declared is None else {
+        str(k): _number(v, f"declared_pumps_ghz.{k}") * 1e9
+        for k, v in _mapping(declared, "declared_pumps_ghz").items()}
     return RunConfig(raw, device, pumps, span, points, out_format, out_path)
 
 
@@ -246,8 +272,9 @@ def read_table(path: str) -> SweepTable:
         text = fh.read()
     if text.lstrip().startswith("{"):
         doc = json.loads(text, parse_int=float)  # every cell is a float; keeps "-0" negative
-        if not isinstance(doc, dict) or "columns" not in doc or "rows" not in doc:
-            raise ConfigError(f"{path}: JSON table needs 'columns' and 'rows'")
+        if not (isinstance(doc, dict) and isinstance(doc.get("columns"), list)
+                and isinstance(doc.get("rows"), list)):
+            raise ConfigError(f"{path}: JSON table needs 'columns' and 'rows' lists")
         cols, data = doc["columns"], doc["rows"]
     else:
         head, _, body = text.lstrip("\n").partition("\n")
@@ -291,14 +318,16 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
     device = cfg.device
     names = device.mode_names
-    s0 = result.matrix_at(result.center_index)
+    center = result.center_index
+    with np.errstate(divide="ignore"):  # an exact zero is -inf dB
+        db = 20.0 * np.log10(np.abs(result.entries[center]))
     print(f"on-resonance |S| (dB) at delta=0 Hz, modes {names}:")
-    for o in names:
-        cells = "  ".join(f"{s0.db(o, i):8.2f}" for i in names)
+    for o, row in zip(names, db):
+        cells = "  ".join(f"{v:8.2f}" for v in row)
         print(f"  out {o}: {cells}")
     if device.is_circulator:
-        sense = metrics.circulation_sense(s0)
-        order = metrics.circulation_order(s0)
+        sense = metrics.circulation_sense(result)
+        order = metrics.circulation_order(result)
         cycle = "->".join(order + (order[0],)) if order else "none"
         print(f"circulation sense at delta=0: {sense.value} ({cycle})")
         try:
@@ -312,25 +341,24 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
         role_of = {m: role for role, m in roles._asdict().items()}
         print(f"roles at phi_tot={phi:+.4f} rad: "
               + ", ".join(f"{m}={role_of[m]}" for m in names))
-        fwd = s0.magnitude(roles.idler, roles.signal) ** 2
+        sig, vac = device.index(roles.signal), device.index(roles.vacuum)
+        fwd = result.magnitudes(roles.idler, roles.signal)[center] ** 2
         if fwd > 0:
             print(f"forward gain {roles.signal}->{roles.idler} at delta=0: "
                   f"{metrics.to_db(fwd):.2f} dB")
             print(f"added noise {roles.signal}->{roles.idler} at delta=0: "
-                  f"{metrics.added_noise(s0, roles.signal, roles.idler):.4f} photons")
+                  f"{metrics.added_noise(result, roles.signal, roles.idler):.4f} photons")
         print(f"input reflections at delta=0: "
-              f"{roles.signal}: {s0.db(roles.signal, roles.signal):.2f} dB, "
-              f"{roles.vacuum}: {s0.db(roles.vacuum, roles.vacuum):.2f} dB")
-        print(f"{roles.vacuum}->{roles.signal} transmission at delta=0: "
-              f"{s0.db(roles.signal, roles.vacuum):.2f} dB")
+              f"{roles.signal}: {db[sig, sig]:.2f} dB, {roles.vacuum}: {db[vac, vac]:.2f} dB")
+        print(f"{roles.vacuum}->{roles.signal} transmission at delta=0: {db[sig, vac]:.2f} dB")
         try:
             bw = metrics.gain_bandwidth_3db(result, roles.signal, roles.idler)
             print(f"3 dB gain bandwidth: {bw / 1e6:.3f} MHz around delta=0")
         except EmptyBandError as exc:
             print(f"3 dB gain bandwidth: empty band ({exc})")
-    nvr0 = metrics.nvr(s0)
+    nvr0 = metrics.nvr(result)
     print("NVR at delta=0 (dB): " + ", ".join(f"{n}: {v:.3f}" for n, v in nvr0.items()))
-    print(f"max symplectic defect over the sweep: {metrics.max_symplectic_defect(result):.3e}")
+    print(f"max symplectic defect over the sweep: {metrics.symplectic_defect(result):.3e}")
     if cfg.declared_pumps:
         for w in check_pump_closure(device, cfg.declared_pumps):
             print(f"warning: {w}")
@@ -453,7 +481,7 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, out_path: str) -
 def cmd_compare(args) -> int:
     try:
         sweep_t, ref_t = read_table(args.sweep), read_table(args.reference)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, TypeError) as exc:  # TypeError: a JSON cell not a number
         raise SchemaError(f"{type(exc).__name__}: {exc}") from exc
     if sweep_t.columns != ref_t.columns:
         raise SchemaError("schema mismatch: column sets differ")

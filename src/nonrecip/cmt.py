@@ -4,7 +4,8 @@ The frequency-domain dynamics matrix M(delta) acts on channel envelopes
 (conjugate envelopes on conjugated channels); the scattering matrix follows
 from input-output theory as S = K M^{-1} K - I with K = diag(sqrt(kappa)).
 Everything is expressed in ordinary frequencies (Hz), so the mode
-susceptibility is (kappa/2 - i*delta)^{-1}.
+susceptibility is (kappa/2 - i*delta)^{-1}.  Every solve comes back as a
+``SweepResult``; ``scattering_at`` is the one-point sweep at a single detuning.
 
 Closed forms provided as independent oracles:
   sqrt(G) = (1+rho)/(1-rho)          zero-detuning gain of one pumped pair
@@ -27,7 +28,6 @@ import numpy as np
 from .errors import DomainError, SingularMatrixError, TopologyError
 from .model import (
     TWO_PI,
-    ChannelFrame,
     ProcessKind,
     ValidatedDevice,
     conversion_head,
@@ -92,41 +92,15 @@ def sbb_closed_form(rho_ab: float, rho_bc: float, rho_ac: float) -> float:
 
 
 @dataclass(frozen=True)
-class ScatteringMatrix:
-    """3x3 complex scattering matrix at one probe detuning.
+class SweepResult:
+    """Scattering matrices over an ordered detuning grid; one point is a grid of one.
 
-    Rows/columns follow the device's name-sorted mode order; entry (i, j) is
-    the transfer from an input on channel j to the output of channel i.
-    Satisfies photon-flux conservation S Sigma S^dag = Sigma with
+    ``entries[k]`` is the 3x3 complex S at ``deltas[k]``.  Rows/columns follow
+    the device's name-sorted mode order; entry (i, j) is the transfer from an
+    input on channel j to the output of channel i.  Each S satisfies
+    photon-flux conservation S Sigma S^dag = Sigma with
     Sigma = diag(+1 un-conjugated / -1 conjugated).
     """
-
-    delta: float
-    entries: np.ndarray
-    frame: ChannelFrame
-
-    @property
-    def mode_names(self) -> tuple[str, str, str]:
-        return self.frame.names
-
-    def index(self, name: str) -> int:
-        return self.frame.index(name)
-
-    def element(self, out_mode: str, in_mode: str) -> complex:
-        return complex(self.entries[self.index(out_mode), self.index(in_mode)])
-
-    def magnitude(self, out_mode: str, in_mode: str) -> float:
-        return abs(self.element(out_mode, in_mode))
-
-    def db(self, out_mode: str, in_mode: str) -> float:
-        """Magnitude in dB (20 log10); -inf for an exact zero."""
-        m = self.magnitude(out_mode, in_mode)
-        return 20.0 * math.log10(m) if m > 0 else -math.inf
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Scattering matrices over an ordered detuning grid."""
 
     deltas: np.ndarray
     entries: np.ndarray  # shape (n, 3, 3)
@@ -134,9 +108,6 @@ class SweepResult:
 
     def __len__(self) -> int:
         return len(self.deltas)
-
-    def matrix_at(self, index: int) -> ScatteringMatrix:
-        return ScatteringMatrix(float(self.deltas[index]), self.entries[index], self.device.frame)
 
     @property
     def center_index(self) -> int:
@@ -239,13 +210,12 @@ def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None) -> np.
     return s
 
 
-def scattering_at(device: ValidatedDevice, delta: float) -> ScatteringMatrix:
-    """Scattering matrix S(delta) = K M(delta)^{-1} K - I, K = diag(sqrt(kappa)).
+def scattering_at(device: ValidatedDevice, delta: float) -> SweepResult:
+    """S(delta) = K M(delta)^{-1} K - I, K = diag(sqrt(kappa)), as a one-point sweep.
 
     Raises SingularMatrixError at a parametric oscillation point.
     """
-    entries = solve_batch(device, float(delta))[0]
-    return ScatteringMatrix(float(delta), entries, device.frame)
+    return sweep(device, [float(delta)])
 
 
 def delta_grid(deltas) -> np.ndarray:

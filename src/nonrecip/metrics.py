@@ -4,8 +4,11 @@ Match, isolation and insertion loss are amplitude ratios (20 log10); gains
 and noise ratios are power ratios (10 log10).  Noise quantities assume
 vacuum (half a photon) incident on every channel and a perfectly stiff pump,
 so the scattering is lossless and S Sigma S^dag = Sigma is the conservation
-law being monitored.  A directional amplifier's port roles are the named
-tuple ``(signal, idler, vacuum)`` of mode names.
+law being monitored.  Every figure takes a ``cmt.SweepResult``; the
+single-point ones (sense, order, NVR, added noise) read its ``center_index``
+point, so ``scattering_at``'s one-point sweep serves them directly.  A
+directional amplifier's port roles are the named tuple ``(signal, idler,
+vacuum)`` of mode names.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cmt import ScatteringMatrix, SweepResult
+from .cmt import SweepResult
 from .errors import DomainError, EmptyBandError, TopologyError
 from .model import ValidatedDevice, directional_amp_parts
 
@@ -63,18 +66,20 @@ def _cycle_pairs(names: tuple[str, str, str]):
 
 
 def circulation_sense(
-    s: ScatteringMatrix, isolation_margin_db: float = 10.0
+    sweep: SweepResult, isolation_margin_db: float = 10.0
 ) -> CirculationSense:
-    """Sense of circulation of a conversion-coupled device.
+    """Sense of circulation of a conversion-coupled device at the sweep's
+    center point.
 
     CW means the weakest forward transmission along the name cycle
     (a->b->c->a) still exceeds the strongest reverse one by at least the
     isolation margin (power dB); CCW is the transposed condition.
     """
-    forward, reverse = _cycle_pairs(s.mode_names)
+    forward, reverse = _cycle_pairs(sweep.device.mode_names)
     margin = 10 ** (isolation_margin_db / 20.0)  # amplitude ratio for a power-dB margin
-    fwd = [s.magnitude(o, i) for o, i in forward]
-    rev = [s.magnitude(o, i) for o, i in reverse]
+    center = sweep.center_index
+    fwd = [sweep.magnitudes(o, i)[center] for o, i in forward]
+    rev = [sweep.magnitudes(o, i)[center] for o, i in reverse]
     if min(fwd) >= max(rev) * margin:
         return CirculationSense.CW
     if min(rev) >= max(fwd) * margin:
@@ -82,12 +87,13 @@ def circulation_sense(
     return CirculationSense.NONE
 
 
-def circulation_order(s: ScatteringMatrix, isolation_margin_db: float = 10.0):
-    """Mode names in propagation order, or None when there is no circulation."""
-    sense = circulation_sense(s, isolation_margin_db)
+def circulation_order(sweep: SweepResult, isolation_margin_db: float = 10.0):
+    """Mode names in propagation order at the center point, or None when there
+    is no circulation."""
+    sense = circulation_sense(sweep, isolation_margin_db)
     if sense is CirculationSense.NONE:
         return None
-    names = s.mode_names
+    names = sweep.device.mode_names
     return names if sense is CirculationSense.CW else names[::-1]
 
 
@@ -116,7 +122,7 @@ def circulator_bandwidth(
     if len(sweep) == 0:
         raise EmptyBandError("empty sweep")
     center = sweep.center_index
-    sense = circulation_sense(sweep.matrix_at(center))
+    sense = circulation_sense(sweep)
     if sense is CirculationSense.NONE:
         raise EmptyBandError("no circulation at zero detuning")
     forward, reverse = _cycle_pairs(device.mode_names)
@@ -149,47 +155,38 @@ def gain_bandwidth_3db(sweep: SweepResult, from_mode: str, to_mode: str) -> floa
     return _contiguous_band(sweep.deltas, ok, center)
 
 
-def nvr(s: ScatteringMatrix) -> dict[str, float]:
-    """Noise visibility ratio per output port, dB.
+def nvr(sweep: SweepResult) -> dict[str, float]:
+    """Noise visibility ratio per output port at the center point, dB.
 
     Vacuum-driven output noise with pumps on, referenced to the pumps-off
     baseline: NVR_i = 10 log10(sum_j |S_ij|^2).
     """
-    total = np.sum(np.abs(s.entries) ** 2, axis=1)
-    return {n: 10.0 * math.log10(float(total[k])) for k, n in enumerate(s.mode_names)}
+    total = np.sum(np.abs(sweep.entries[sweep.center_index]) ** 2, axis=1)
+    return {n: 10.0 * math.log10(float(total[k])) for k, n in enumerate(sweep.device.mode_names)}
 
 
-def added_noise(s: ScatteringMatrix, signal_port: str, output_port: str) -> float:
-    """Input-referred added noise (photons) of the signal_port -> output_port path.
+def added_noise(sweep: SweepResult, signal_port: str, output_port: str) -> float:
+    """Input-referred added noise (photons) of the signal_port -> output_port
+    path at the center point.
 
     Half a photon per non-signal channel feeding the output row, divided by
     the forward power gain.
     """
-    out = s.index(output_port)
-    sig = s.index(signal_port)
-    row = np.abs(s.entries[out]) ** 2
+    out = sweep.device.index(output_port)
+    sig = sweep.device.index(signal_port)
+    row = np.abs(sweep.entries[sweep.center_index, out]) ** 2
     denom = float(row[sig])
     if denom <= 0.0:
         raise DomainError(f"no forward gain {signal_port}->{output_port}")
     return float(0.5 * (np.sum(row) - row[sig]) / denom)
 
 
-def _flux_defect(entries: np.ndarray, signs) -> float:
-    """Largest |element| of S Sigma S^dag - Sigma over one matrix or a stack."""
-    sigma = np.diag(signs).astype(complex)
-    defect = entries @ sigma @ np.swapaxes(entries.conj(), -1, -2) - sigma
-    return float(np.max(np.abs(defect)))
-
-
-def symplectic_defect(s: ScatteringMatrix) -> float:
-    """Largest |element| of S Sigma S^dag - Sigma; zero for a lossless device."""
-    return _flux_defect(s.entries, s.frame.detuning_signs)
-
-
-def max_symplectic_defect(sweep: SweepResult) -> float:
-    """Largest symplectic defect over every point of a sweep, in one stacked
-    evaluation; equal to the maximum of ``symplectic_defect`` per point."""
-    return _flux_defect(sweep.entries, sweep.device.frame.detuning_signs)
+def symplectic_defect(sweep: SweepResult) -> float:
+    """Largest |element| of S Sigma S^dag - Sigma over every point of the
+    sweep, in one stacked evaluation; zero for a lossless device."""
+    sigma = np.diag(sweep.device.frame.detuning_signs).astype(complex)
+    s = sweep.entries
+    return float(np.max(np.abs(s @ sigma @ np.swapaxes(s.conj(), -1, -2) - sigma)))
 
 
 def role_map(device: ValidatedDevice, phi_tot: float) -> PortRoles:

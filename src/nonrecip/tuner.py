@@ -8,7 +8,9 @@ well-defined.
 
 Objective evaluations, the calibration and the sweeps solve from parameter
 arrays (rho per coupling, phi_tot) with ``cmt.solve_batch``; no device is built
-or validated per point, only the one ``tune`` returns.
+or validated per point, only the one ``tune`` returns.  The sweeps and the
+calibration take magnitudes with ``np.abs``, as ``cmt.SweepResult.magnitudes``
+does; the objective takes Python ``abs`` of each complex entry.
 
 ``tune`` starts at the closed-form working point of its objective and runs the
 simplex only when that point misses the target, so ``scipy.optimize`` (most of
@@ -185,14 +187,9 @@ def conversion_sweep(
     strengths = [rhos if c.pair == conv_pair else c.rho for c in device_template.couplings]
     s = cmt.solve_batch(device_template, 0.0, rhos=strengths, phi_tot=-math.pi / 2.0)
     q, z = device_template.index(other), device_template.index(idler)
-    return ConversionSweepResult(cs, rhos, _magnitudes(s, q, q), _magnitudes(s, z, q),
+    return ConversionSweepResult(cs, rhos, np.abs(s[:, q, q]), np.abs(s[:, z, q]),
                                  reflection_port=other, idler_port=idler,
                                  threshold_c=threshold, device=device_template)
-
-
-def _magnitudes(s: np.ndarray, out: int, inp: int) -> np.ndarray:
-    # Python's abs(complex), as ScatteringMatrix.magnitude; np.abs can differ in the last bit
-    return np.array([abs(z) for z in s[:, out, inp].tolist()])
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -234,7 +231,7 @@ def calibrate_phase_offset(
     k = device.index(port)
 
     def responses(offsets) -> np.ndarray:
-        return _magnitudes(cmt.solve_batch(device, 0.0, phi_tot=t0 + offsets), k, k)
+        return np.abs(cmt.solve_batch(device, 0.0, phi_tot=t0 + offsets)[:, k, k])
 
     def objective(offset: float) -> float:
         return float(responses(offset)[0])
@@ -252,8 +249,8 @@ def calibrate_phase_offset(
     m1, m2 = wrap_signed(m1), wrap_signed(m2)
 
     if device.is_circulator:
-        s = cmt.ScatteringMatrix(0.0, cmt.solve_batch(device, 0.0, phi_tot=t0 + m1)[0],
-                                 device.frame)
+        # S at phi_tot = t0 + m1; the sense reads only the mode names from the device
+        s = cmt.SweepResult(np.zeros(1), cmt.solve_batch(device, 0.0, phi_tot=t0 + m1), device)
         first_is_primary = metrics.circulation_sense(s) is metrics.CirculationSense.CW
     else:
         # anchor whose +pi/2 branch puts the signal role on the head mode

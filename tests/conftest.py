@@ -18,6 +18,11 @@ def standard_modes():
     )
 
 
+def db(s, out_mode, in_mode):
+    """|S_out,in| of a one-point sweep (``scattering_at``) in dB, 20 log10."""
+    return 20.0 * math.log10(s.magnitudes(out_mode, in_mode)[0])
+
+
 def make_circulator(c_ab=0.97, c_bc=0.98, c_ac=0.99, phi_tot=math.pi / 2):
     """All-conversion device at the standard working point."""
     device = nr.validate_device(

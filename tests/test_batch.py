@@ -3,9 +3,11 @@
 ``cmt.solve_batch`` and the callers routed through it (tuner objective, phase
 calibration, conversion sweep) take parameter arrays instead of devices.  The
 reference rebuilds every point's device with ``with_coupling`` /
-``with_total_phase`` and calls ``scattering_at``; results must agree bit for
-bit, because the tuner's simplex path and the written files depend on the
-last bit.
+``with_total_phase`` and calls ``scattering_at`` (a one-point ``SweepResult``,
+read at ``entries[0]``); results must agree bit for bit, because the tuner's
+simplex path and the written files depend on the last bit.  Magnitudes are
+taken as each caller takes them: ``np.abs`` (``SweepResult.magnitudes``) for
+the conversion sweep, Python ``abs(complex)`` for the tuner objective.
 """
 
 import math
@@ -76,24 +78,28 @@ def reference_objective(template, objective):
             return penalty
         try:
             dev = rebuilt(template, x[:-1], x[-1])
-            s = nr.scattering_at(dev, 0.0)
+            s = nr.scattering_at(dev, 0.0).entries[0]
         except (SingularMatrixError, DeviceValidationError):
             return tuner.PENALTY_DB
+
+        def mag(out_mode, in_mode):  # Python's abs(complex), as the objective takes it
+            return abs(complex(s[dev.index(out_mode), dev.index(in_mode)]))
+
         floored = metrics._amp_db_floored
         if objective.kind is not tuner.ObjectiveKind.DIRECTIONAL_AMP:
-            match = max(floored(s.magnitude(n, n)) for n in names)
+            match = max(floored(mag(n, n)) for n in names)
             cw = objective.kind is tuner.ObjectiveKind.CIRCULATOR_CW
             a, b, c = names
             rev = ((a, b), (b, c), (c, a)) if cw else ((b, a), (c, b), (a, c))
-            leak = max(floored(s.magnitude(o, i)) for o, i in rev)
+            leak = max(floored(mag(o, i)) for o, i in rev)
             return match + leak
         roles = metrics.role_map(dev, float(x[-1]))
-        fwd = s.magnitude(roles.idler, roles.signal) ** 2
+        fwd = mag(roles.idler, roles.signal) ** 2
         if fwd <= 0.0:
             return tuner.PENALTY_DB
         gain_err = abs(metrics.to_db(fwd) - objective.target_gain_db)
-        worst_refl = max(floored(s.magnitude(roles.signal, roles.signal)),
-                         floored(s.magnitude(roles.vacuum, roles.vacuum)),
+        worst_refl = max(floored(mag(roles.signal, roles.signal)),
+                         floored(mag(roles.vacuum, roles.vacuum)),
                          tuner.MATCH_REWARD_FLOOR_DB)
         return gain_err + worst_refl
 
@@ -122,7 +128,7 @@ class TestSolveBatch:
         template = TEMPLATES[name]
         rhos = [f * cap for f, cap in zip(fractions, caps(template))]
         try:
-            expected = nr.scattering_at(rebuilt(template, rhos, phi), delta).entries
+            expected = nr.scattering_at(rebuilt(template, rhos, phi), delta).entries[0]
         except SingularMatrixError:
             with pytest.raises(SingularMatrixError):
                 cmt.solve_batch(template, delta, rhos=rhos, phi_tot=phi)
@@ -142,7 +148,7 @@ class TestSolveBatch:
         got = cmt.solve_batch(template, deltas, rhos=rhos, phi_tot=phis)
         for k in range(n):
             dev = rebuilt(template, [r[k] for r in rhos], phis[k])
-            assert same_bits(got[k], nr.scattering_at(dev, deltas[k]).entries), k
+            assert same_bits(got[k], nr.scattering_at(dev, deltas[k]).entries[0]), k
 
     def test_defaults_are_the_device_itself(self, circulator):
         # stored phases (not the with_total_phase split) without phi_tot
@@ -198,7 +204,7 @@ class TestCallers:
         got = cmt.solve_batch(device, 0.0, phi_tot=t0 + grid)
         for k, x in enumerate(grid):
             dev = nr.with_total_phase(device, t0 + x)
-            assert same_bits(got[k], nr.scattering_at(dev, 0.0).entries), k
+            assert same_bits(got[k], nr.scattering_at(dev, 0.0).entries[0]), k
 
     @pytest.mark.parametrize("name", ["circulator", "diramp-ab", "diramp-bc"])
     def test_calibration_equals_per_point_calibration(self, name, monkeypatch):
@@ -226,8 +232,8 @@ class TestCallers:
         for k, c in enumerate(cs):
             dev = nr.with_coupling(base, conv_pair, rho=float(cmt.rho_for_conversion(c)))
             s = nr.scattering_at(dev, 0.0)
-            assert same_bits(res.reflection_mag[k], s.magnitude(other, other)), k
-            assert same_bits(res.forward_mag[k], s.magnitude(idler, other)), k
+            assert same_bits(res.reflection_mag[k], s.magnitudes(other, other)[0]), k
+            assert same_bits(res.forward_mag[k], s.magnitudes(idler, other)[0]), k
 
 
 class TestNoPerPointValidation:

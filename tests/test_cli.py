@@ -13,6 +13,8 @@ import yaml
 import nonrecip as nr
 from nonrecip import cli, cmt
 
+from conftest import db
+
 
 @pytest.fixture
 def circ_cfg(tmp_path):
@@ -126,7 +128,7 @@ class TestSparams:
         cfg = cli.load_config(str(cfg_path))
         s0 = nr.scattering_at(cfg.device, 0.0)
         assert math.isclose(
-            table.column("S_ba_re")[0], s0.element("b", "a").real, abs_tol=1e-9
+            table.column("S_ba_re")[0], s0.entries[0, 1, 0].real, abs_tol=1e-9
         )
 
     def test_invalid_gain_rho_exit_1(self, tmp_path, diramp_cfg, capsys):
@@ -362,6 +364,29 @@ class TestCompare:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: " + message.format(bad=bad))
 
+    @pytest.mark.parametrize("doc", [
+        {"columns": 5, "rows": []},
+        {"columns": "delta_hz,S_ab_db", "rows": []},
+        {"columns": ["delta_hz", "S_ab_db"], "rows": 5},
+        {"columns": ["delta_hz", "S_ab_db"], "rows": {"0": [0, 1]}},
+        {"columns": ["delta_hz", "S_ab_db"]},
+    ], ids=["columns-number", "columns-string", "rows-number", "rows-mapping", "no-rows"])
+    def test_json_table_without_lists_exit_2(self, doc, tmp_path, capsys):
+        bad, ref = tmp_path / "bad.json", tmp_path / "ref.csv"
+        bad.write_text(json.dumps(doc))
+        cli.write_table(cli.SweepTable(["delta_hz", "S_ab_db"], np.array([[0.0, 1.0]])),
+                        str(ref), "csv")
+        assert run("compare", bad, ref) == 2
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: {bad}: JSON table needs 'columns' and 'rows' lists\n")
+
+    def test_json_cell_holding_a_mapping_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"columns": ["delta_hz", "S_ab_db"], "rows": [[0, {}]]}))
+        assert run("compare", bad, bad) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: TypeError: ")
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command, config", [
         ("sparams", "circulator"), ("sparams", "diramp"), ("phase-sweep", "circulator"),
@@ -477,7 +502,7 @@ class TestPhaseSweepCmd:
         cfg = cli.load_config(str(cfg_path))
         dev = nr.with_total_phase(cfg.device, math.pi / 2)
         s = nr.scattering_at(dev, 0.0)
-        assert math.isclose(table.column("S_bb_db")[0], s.db("b", "b"), abs_tol=1e-6)
+        assert math.isclose(table.column("S_bb_db")[0], db(s, "b", "b"), abs_tol=1e-6)
 
     def test_diramp_gain_direction_reverses(self, diramp_cfg, tmp_path):
         out = tmp_path / "ps.csv"
@@ -685,6 +710,45 @@ class TestErrorExits:
         assert run(*[a.format(circ=circ_cfg, diramp=diramp_cfg, tmp=tmp_path) for a in argv]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("config, path, value", [
+        ("circulator", ("device",), 5),
+        ("circulator", ("device", "modes"), 5),
+        ("circulator", ("device", "modes", 0), 5),
+        ("circulator", ("device", "couplings"), 5),
+        ("circulator", ("device", "couplings", 0), 5),
+        ("circulator", ("device", "couplings", 0, "pair"), 5),
+        ("circulator", ("sweep",), 5),
+        ("circulator", ("outputs",), [1]),
+        ("circulator", ("declared_pumps_ghz",), [1, 2]),
+        ("circulator", ("sweep", "delta_span_mhz"), True),  # YAML "yes"
+        ("circulator", ("device", "modes", 0, "freq_ghz"), True),
+        ("circulator", ("device", "modes", 1, "kappa_mhz"), [19.0]),
+        ("circulator", ("device", "modes", 2, "freq_ghz"), None),
+        ("circulator", ("device", "couplings", 0, "target_c"), False),
+        ("circulator", ("device", "couplings", 1, "phase_deg"), {"deg": 90.0}),
+        ("circulator", ("device", "couplings", 2),
+         {"pair": ["a", "c"], "kind": "conversion", "rho": True}),
+        ("circulator", ("device", "pump_detuning_tolerance_mhz"), True),
+        ("circulator", ("declared_pumps_ghz", "b"), [1.9989]),
+        ("diramp", ("device", "couplings", 1, "target_g_db"), True),
+    ], ids=["device", "modes", "mode-entry", "couplings", "coupling-entry", "pair", "sweep",
+            "outputs", "declared-pumps", "delta-span-bool", "freq-bool", "kappa-list",
+            "freq-null", "target-c-bool", "phase-mapping", "rho-bool", "tolerance-bool",
+            "declared-pump-list", "target-g-bool"])
+    def test_config_shape(self, config, path, value, circ_cfg, diramp_cfg, tmp_path, capsys):
+        raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
+        *parents, key = path
+        node = raw
+        for p in parents:
+            node = node[p]
+        node[key] = value
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert run("sparams", "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: "), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("couplings", "kind", "convert"),

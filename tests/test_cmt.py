@@ -118,13 +118,13 @@ class TestScatteringAt:
     def test_full_conversion_swaps(self):
         dev = make_single("conversion", ("a", "b"), 1.0)
         s = nr.scattering_at(dev, 0.0)
-        assert s.magnitude("a", "a") < 1e-12
-        assert math.isclose(s.magnitude("b", "a"), 1.0, rel_tol=1e-12)
+        assert s.magnitudes("a", "a")[0] < 1e-12
+        assert math.isclose(s.magnitudes("b", "a")[0], 1.0, rel_tol=1e-12)
 
     def test_13db_gain_reflection(self):
         dev = make_single("gain", ("a", "c"), cmt.rho_for_gain(10 ** 1.3))
         s = nr.scattering_at(dev, 0.0)
-        assert math.isclose(s.magnitude("a", "a") ** 2, 10 ** 1.3, rel_tol=1e-12)
+        assert math.isclose(s.magnitudes("a", "a")[0] ** 2, 10 ** 1.3, rel_tol=1e-12)
 
     def test_gain_oracle_rows(self):
         # |S_ii|^2 = G and |S_ji|^2 = G - 1 across the rho grid
@@ -132,19 +132,19 @@ class TestScatteringAt:
             dev = make_single("gain", ("a", "c"), rho, phase=1.234)
             s = nr.scattering_at(dev, 0.0)
             g = cmt.gain_coefficient(rho)
-            assert math.isclose(s.magnitude("a", "a") ** 2, g, rel_tol=1e-10)
-            assert math.isclose(s.magnitude("c", "a") ** 2, g - 1.0, rel_tol=1e-10,
+            assert math.isclose(s.magnitudes("a", "a")[0] ** 2, g, rel_tol=1e-10)
+            assert math.isclose(s.magnitudes("c", "a")[0] ** 2, g - 1.0, rel_tol=1e-10,
                                 abs_tol=1e-12)
             # spectator mode stays bare
-            assert math.isclose(s.magnitude("b", "b"), 1.0, rel_tol=1e-12)
+            assert math.isclose(s.magnitudes("b", "b")[0], 1.0, rel_tol=1e-12)
 
     def test_conversion_oracle_rows(self):
         for rho in RHO_GRID + [1.0, 1.2, 1.5]:
             dev = make_single("conversion", ("a", "b"), rho, phase=0.777)
             s = nr.scattering_at(dev, 0.0)
             c = cmt.conversion_coefficient(rho)
-            assert math.isclose(s.magnitude("b", "a") ** 2, c, rel_tol=1e-10, abs_tol=1e-12)
-            assert math.isclose(s.magnitude("a", "a") ** 2, 1.0 - c, rel_tol=1e-10,
+            assert math.isclose(s.magnitudes("b", "a")[0] ** 2, c, rel_tol=1e-10, abs_tol=1e-12)
+            assert math.isclose(s.magnitudes("a", "a")[0] ** 2, 1.0 - c, rel_tol=1e-10,
                                 abs_tol=1e-12)
 
     def test_ideal_circulator_permutation(self):
@@ -168,7 +168,7 @@ class TestScatteringAt:
             dev = nr.with_total_phase(dev, math.pi / 2)
             s = nr.scattering_at(dev, 0.0)
             expected = cmt.sbb_closed_form(rho_ab, rho_bc, rho_ac)
-            assert abs(s.element("b", "b") - expected) < 1e-10
+            assert abs(s.entries[0, 1, 1] - expected) < 1e-10
 
     def test_singular_at_oscillation_point(self):
         # two gains overwhelming the conversion: 1 + rho_ab = rho_ac + rho_bc
@@ -226,16 +226,17 @@ class TestInvariants:
                 s = nr.scattering_at(dev, delta)
             except SingularMatrixError:
                 continue
+            s = s.entries[0]
             sigma = np.diag(dev.frame.detuning_signs).astype(complex)
-            defect = np.max(np.abs(s.entries @ sigma @ s.entries.conj().T - sigma))
-            scale = max(1.0, float(np.max(np.abs(s.entries)) ** 2))
+            defect = np.max(np.abs(s @ sigma @ s.conj().T - sigma))
+            scale = max(1.0, float(np.max(np.abs(s)) ** 2))
             assert defect / scale < 1e-9
             checked += 1
 
     def test_all_conversion_unitary(self, circulator):
         for delta in (-12e6, 0.0, 5e6):
-            s = nr.scattering_at(circulator, delta)
-            assert np.allclose(s.entries @ s.entries.conj().T, np.eye(3), atol=1e-9)
+            s = nr.scattering_at(circulator, delta).entries[0]
+            assert np.allclose(s @ s.conj().T, np.eye(3), atol=1e-9)
 
     def test_gauge_invariance(self):
         # redistribute phases at fixed signed sum: magnitudes unchanged
@@ -270,14 +271,14 @@ class TestInvariants:
             for _ in range(10):
                 tot = rng.uniform(-math.pi, math.pi)
                 delta = rng.uniform(-20e6, 20e6)
-                s_pos = nr.scattering_at(make(phi_tot=tot), delta)
-                s_neg = nr.scattering_at(make(phi_tot=-tot), delta)
-                assert np.max(np.abs(np.abs(s_pos.entries) - np.abs(s_neg.entries).T)) < 1e-9
+                s_pos = nr.scattering_at(make(phi_tot=tot), delta).entries[0]
+                s_neg = nr.scattering_at(make(phi_tot=-tot), delta).entries[0]
+                assert np.max(np.abs(np.abs(s_pos) - np.abs(s_neg).T)) < 1e-9
 
     def test_reciprocal_at_zero_and_pi(self):
         for tot in (0.0, math.pi):
-            s = nr.scattering_at(make_circulator(phi_tot=tot), 0.0)
-            assert np.max(np.abs(np.abs(s.entries) - np.abs(s.entries).T)) < 1e-9
+            s = nr.scattering_at(make_circulator(phi_tot=tot), 0.0).entries[0]
+            assert np.max(np.abs(np.abs(s) - np.abs(s).T)) < 1e-9
 
 
 class TestSweep:
@@ -285,7 +286,7 @@ class TestSweep:
         grid = np.linspace(-30e6, 30e6, 101)
         sw = nr.sweep(circulator, grid)
         s0 = nr.scattering_at(circulator, 0.0)
-        assert np.allclose(sw.entries[50], s0.entries)
+        assert np.allclose(sw.entries[50], s0.entries[0])
         assert sw.center_index == 50
 
     def test_empty_grid(self, circulator):
@@ -295,7 +296,15 @@ class TestSweep:
     def test_single_point(self, circulator):
         sw = nr.sweep(circulator, [0.0])
         assert len(sw) == 1
-        assert sw.matrix_at(0).delta == 0.0
+        assert sw.deltas.tolist() == [0.0] and sw.entries.shape == (1, 3, 3)
+
+    @pytest.mark.parametrize("delta", [-7e6, -0.0, 0.0, 3.3e6])
+    def test_scattering_at_is_one_point_sweep(self, circulator, diramp, delta):
+        for dev in (circulator, diramp):
+            s, sw = nr.scattering_at(dev, delta), nr.sweep(dev, [delta])
+            assert s.device is dev and s.center_index == 0
+            assert s.deltas.tobytes() == sw.deltas.tobytes()
+            assert s.entries.tobytes() == sw.entries.tobytes()
 
     def test_rejects_non_increasing_grid(self, circulator):
         with pytest.raises(DomainError):

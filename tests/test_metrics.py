@@ -48,6 +48,19 @@ class TestCirculationSense:
         flat = nr.scattering_at(make_circulator(phi_tot=0.0), 0.0)
         assert metrics.circulation_order(flat) is None
 
+    def test_multi_point_sweep_reads_center_point(self):
+        cw = nr.scattering_at(make_circulator(phi_tot=math.pi / 2), 0.0).entries[0]
+        ccw = nr.scattering_at(make_circulator(phi_tot=-math.pi / 2), 0.0).entries[0]
+        deltas = np.array([-3e6, -1e6, 0.5e6, 2e6])  # center index 2
+        device = make_circulator()
+        for center, edge, sense in ((cw, ccw, "CW"), (ccw, cw, "CCW")):
+            sw = nr.SweepResult(deltas, np.stack([edge, edge, center, edge]), device)
+            assert metrics.circulation_sense(sw) is metrics.CirculationSense[sense]
+            order = metrics.circulation_order(sw)
+            assert order == (("a", "b", "c") if sense == "CW" else ("c", "b", "a"))
+        sw = nr.sweep(make_circulator(phi_tot=math.pi / 2), np.linspace(-30e6, 30e6, 101))
+        assert metrics.circulation_sense(sw) is metrics.CirculationSense.CW
+
     def test_sense_reverses_with_phase_sign(self):
         rng = np.random.default_rng(5)
         opposite = {
@@ -183,20 +196,20 @@ class TestSymplecticDefect:
     def test_broken_matrix_detected(self, circulator):
         s = nr.scattering_at(circulator, 0.0)
         broken = s.entries.copy()
-        broken[1, :] = 0.0
-        bad = nr.ScatteringMatrix(0.0, broken, s.frame)
+        broken[0, 1, :] = 0.0
+        bad = nr.SweepResult(s.deltas, broken, circulator)
         assert metrics.symplectic_defect(bad) > 0.5
 
     def test_sweep_maximum_equals_pointwise_maximum(self, circulator, diramp):
         # the stacked evaluation does the per-matrix arithmetic: bitwise equal
+        grid = np.linspace(-30e6, 30e6, 1001)
         for dev in (circulator, diramp):
-            sw = nr.sweep(dev, np.linspace(-30e6, 30e6, 1001))
-            per_point = max(metrics.symplectic_defect(sw.matrix_at(k)) for k in range(len(sw)))
-            assert metrics.max_symplectic_defect(sw) == per_point
+            per_point = max(metrics.symplectic_defect(nr.scattering_at(dev, d)) for d in grid)
+            assert metrics.symplectic_defect(nr.sweep(dev, grid)) == per_point
         sw = nr.sweep(circulator, np.array([-5e6, 0.0, 5e6]))
         broken = sw.entries.copy()
         broken[2, 1, :] = 0.0
-        assert metrics.max_symplectic_defect(nr.SweepResult(sw.deltas, broken, circulator)) > 0.5
+        assert metrics.symplectic_defect(nr.SweepResult(sw.deltas, broken, circulator)) > 0.5
 
 
 class TestRoleMap:
@@ -223,8 +236,8 @@ class TestRoleMap:
             dev = nr.with_total_phase(diramp, tot)
             s = nr.scattering_at(dev, 0.0)
             roles = metrics.role_map(dev, tot)
-            assert s.magnitude(roles.idler, roles.signal) > 1.0
-            assert math.isclose(s.magnitude(roles.signal, roles.vacuum), 1.0, rel_tol=0.01)
+            assert s.magnitudes(roles.idler, roles.signal)[0] > 1.0
+            assert math.isclose(s.magnitudes(roles.signal, roles.vacuum)[0], 1.0, rel_tol=0.01)
 
     def test_accepts_total_pump_phase_value(self, diramp):
         tot = nr.total_pump_phase(diramp)

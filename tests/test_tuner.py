@@ -9,7 +9,7 @@ import nonrecip as nr
 from nonrecip import cli, cmt, metrics, tuner
 from nonrecip.errors import AmbiguousMinimumError, DomainError, TopologyError
 
-from conftest import make_circulator
+from conftest import db, make_circulator
 
 
 class TestPhaseSweep:
@@ -19,7 +19,7 @@ class TestPhaseSweep:
         s = nr.scattering_at(dev, 0.0)
         for o in "abc":
             for i in "abc":
-                assert math.isclose(ps.magnitude(o, i)[0, 0], s.magnitude(o, i),
+                assert math.isclose(ps.magnitude(o, i)[0, 0], s.magnitudes(o, i)[0],
                                     rel_tol=1e-12, abs_tol=1e-12)
 
     def test_three_working_points_with_alternating_sense(self, circulator):
@@ -243,7 +243,7 @@ class TestTune:
         result = tuner.tune(start, objective, budget=2000)
         assert result.evaluations <= 2000
         s = nr.scattering_at(result.device, 0.0)
-        assert max(s.db(n, n) for n in "abc") <= -30.0
+        assert max(db(s, n, n) for n in "abc") <= -30.0
         assert abs(nr.total_pump_phase(result.device) - math.pi / 2) <= 1e-3
 
     def test_start_at_optimum_stays(self):
@@ -265,10 +265,10 @@ class TestTune:
         dev = result.device
         s = nr.scattering_at(dev, 0.0)
         roles = metrics.role_map(dev, nr.total_pump_phase(dev))
-        fwd_db = metrics.to_db(s.magnitude(roles.idler, roles.signal) ** 2)
+        fwd_db = metrics.to_db(s.magnitudes(roles.idler, roles.signal)[0] ** 2)
         assert abs(fwd_db - 14.0) <= 0.5
-        assert s.db(roles.signal, roles.signal) <= -16.0
-        assert s.db(roles.vacuum, roles.vacuum) <= -16.0
+        assert db(s, roles.signal, roles.signal) <= -16.0
+        assert db(s, roles.vacuum, roles.vacuum) <= -16.0
 
     def test_trace_monotone_non_increasing(self, diramp):
         objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=14.0)
