@@ -7,8 +7,8 @@ whose sense is set by the signed sum of the pump phases, two gains plus one
 conversion make a phase-preserving directional amplifier.  This package
 computes the frequency-dependent scattering matrix of any such pump
 configuration, derives the usual figures of merit (match, isolation,
-bandwidth, noise), and tunes pump parameters toward circulator or
-directional-amplifier objectives.
+bandwidth, noise), and tunes pump parameters to the closed-form working
+points of circulator or directional-amplifier objectives.
 """
 
 from .errors import (

@@ -15,10 +15,9 @@ increasing), needs the runs' leading axis values to match exactly and
 interpolates the reference along the last axis within each run; it compares
 the ``*_db`` columns by default and exits 2 when the tables cannot be lined up.
 
-``tune`` stops at the objective's closed-form working point when that meets
-the target and otherwise runs the simplex; its ``objective:`` line ends with
-the stop reason (``target_met``, ``simplex_collapsed`` or ``budget``).  Only
-the simplex imports ``scipy.optimize``, so no other command loads it.
+``tune`` puts the config at its objective's closed-form working point and
+scores it once; its ``objective:`` line ends with the stop reason
+(``target_met`` or ``target_missed``).  ``--budget`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -421,6 +420,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    if args.budget < 1:
+        raise ConfigError("--budget must be >= 1")
     cfg = load_config(args.config)
     kind = {
         "circulator-cw": tuner.ObjectiveKind.CIRCULATOR_CW,
@@ -428,15 +429,13 @@ def cmd_tune(args) -> int:
         "diramp": tuner.ObjectiveKind.DIRECTIONAL_AMP,
     }[args.objective]
     objective = tuner.Objective(kind=kind, target_gain_db=args.target_gain_db)
-    result = tuner.tune(cfg.device, objective, budget=args.budget)
+    result = tuner.tune(cfg.device, objective)
     out_path = args.out or (args.config + ".tuned")
     _write_tuned_config(cfg, result.device, out_path)
     print(f"objective: {result.objective_value:.6f} after {result.evaluations} evaluations "
-          f"({result.iterations} iterations, converged={result.converged}, "
-          f"stop_reason={result.stop_reason})")
-    if result.trace:
-        print(f"trace: start {result.trace[0]:.4f} -> best {result.trace[-1]:.4f} "
-              f"({len(result.trace)} improving steps)")
+          f"(converged={result.converged}, stop_reason={result.stop_reason})")
+    print(f"trace: start {result.trace[0]:.4f} -> best {result.trace[-1]:.4f} "
+          f"({len(result.trace)} improving steps)")
     phi = total_pump_phase(result.device)
     for c in result.device.couplings:
         print(f"  {c.kind.value} {c.pair}: rho = {c.rho:.9g}")
@@ -580,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", required=True,
                    choices=("circulator-cw", "circulator-ccw", "diramp"))
     p.add_argument("--target-gain-db", type=float, default=0.0)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=int, default=1, help="ignored; a tune scores one point")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("compare", help="compare a sweep file against a reference")

@@ -1,20 +1,15 @@
-"""Parameter sweeps, phase-offset calibration and pump-parameter optimization.
+"""Parameter sweeps, phase-offset calibration and pump tuning.
 
-The optimizer works on (rho_1..rho_k, phi_tot): scattering magnitudes depend
-on the individual pump phases only through their signed sum, so one phase
-variable suffices.  The objectives are cheap and smooth away from oscillation
-poles, which are handled with a large finite penalty to keep the simplex
-well-defined.
+A pump point is (rho_1..rho_k, phi_tot): scattering magnitudes depend on the
+individual pump phases only through their signed sum, so one phase variable
+suffices.  ``tune`` puts a template at the closed-form working point of its
+objective (Sliwa et al., PRX 5, 041020; Metelmann & Clerk, PRX 5, 021025) and
+scores it once.
 
 Objective evaluations, the calibration and the sweeps solve from parameter
-arrays (rho per coupling, phi_tot) with ``cmt.solve_batch``; no device is built
-or validated per point, only the one ``tune`` returns.  The sweeps and the
-calibration take magnitudes with ``np.abs``, as ``cmt.SweepResult.magnitudes``
-does; the objective takes Python ``abs`` of each complex entry.
-
-``tune`` starts at the closed-form working point of its objective and runs the
-simplex only when that point misses the target, so ``scipy.optimize`` (most of
-the package's import time) is imported only then.
+arrays (rho per coupling, phi_tot) with ``cmt.solve_batch`` and take
+magnitudes with ``np.abs``, as ``cmt.SweepResult.magnitudes`` does; no device
+is built or validated per point, only the one ``tune`` returns.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -30,7 +25,6 @@ from . import cmt, metrics
 from .errors import (
     AmbiguousMinimumError,
     DomainError,
-    SingularMatrixError,
     TopologyError,
 )
 from .model import (
@@ -45,11 +39,11 @@ from .model import (
 
 PENALTY_DB = 200.0
 RHO_GAIN_MAX = 1.0 - 1e-6
-RHO_CONVERSION_MAX = 4.0
-# Reflections below this no longer improve the directional-amp objective;
-# without the cap the match term is unbounded at perfect match (a flat
-# plateau in floating point) and the simplex stalls there with the gain
-# target still unmet.
+# the largest forward gain a directional-amp tune may target: both gains at RHO_GAIN_MAX
+G_MAX_DB = 10.0 * math.log10(cmt.gain_coefficient(RHO_GAIN_MAX) - 1.0)
+GAIN_TOLERANCE_ULPS = 16  # see _gain_tolerance_db
+# Reflections below this no longer improve the directional-amp objective, so
+# a matched working point scores exactly this floor plus its gain error.
 MATCH_REWARD_FLOOR_DB = -60.0
 # A circulator tune meets its target when the worst input match and the worst
 # reverse leakage are each at or below this (amplitude dB).
@@ -64,42 +58,45 @@ class ObjectiveKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Objective:
-    """Optimization target for tune().
+    """Target for tune(), scored lower-is-better.
 
-    Circulator objectives minimize the worst on-resonance input match plus
-    the worst reverse leakage (both amplitude dB); the directional-amp
-    objective minimizes the forward-gain error from target_gain_db plus the
-    worst input reflection.
+    Circulator objectives score the worst on-resonance input match plus the
+    worst reverse leakage (both amplitude dB); the directional-amp objective
+    scores the forward-gain error from target_gain_db plus the worst input
+    reflection.
     """
 
     kind: ObjectiveKind
-    target_gain_db: float = 0.0
+    target_gain_db: float = 0.0  # directional amp only; circulators ignore it
 
     def __post_init__(self):
-        if self.target_gain_db < 0:
-            raise DomainError("target_gain_db must be >= 0")
+        t = self.target_gain_db
+        if self.kind is ObjectiveKind.DIRECTIONAL_AMP and not (0.0 <= t <= G_MAX_DB):
+            raise DomainError(f"target_gain_db must be in [0, G_MAX_DB = {G_MAX_DB:.2f}] dB, "
+                              f"got {t:g}")
 
 
 @dataclass(frozen=True)
 class TuneResult:
-    """Outcome of a tune() run and why it stopped.
+    """The working point tune() returns and its score.
 
-    ``stop_reason`` is ``"target_met"`` (a start point met the objective's
-    target, see ``tune``), ``"simplex_collapsed"`` (a restart of the simplex
-    collapsed below its tolerances without improving) or ``"budget"`` (the
-    evaluation budget, or scipy's iteration cap of one simplex run, ran out).
+    ``stop_reason`` is ``"target_met"`` when the point meets the objective's
+    target and ``"target_missed"`` otherwise.  ``evaluations`` and ``trace``
+    (the best objective after each improving evaluation) record the one score.
     """
 
     device: ValidatedDevice
     objective_value: float
-    trace: tuple[float, ...]  # best objective after each improving evaluation
-    evaluations: int
-    iterations: int
-    stop_reason: Literal["target_met", "simplex_collapsed", "budget"]
+    stop_reason: Literal["target_met", "target_missed"]
+    evaluations = 1
+
+    @property
+    def trace(self) -> tuple[float, ...]:
+        return (self.objective_value,)
 
     @property
     def converged(self) -> bool:
-        return self.stop_reason != "budget"
+        return self.stop_reason == "target_met"
 
 
 @dataclass(frozen=True)
@@ -270,13 +267,15 @@ def _score_function(template: ValidatedDevice, objective: Objective):
     """``score(x) -> (objective value, target met)`` at x = (rho_1..rho_k, phi_tot).
 
     The target is read from the same solve as the value: a directional amp
-    meets it at the match floor with the gain on target, a circulator when its
-    worst match and worst reverse leakage are each at most CIRCULATOR_TARGET_DB.
+    meets it at the match floor with the gain within ``_gain_tolerance_db`` of
+    target, a circulator when its worst match and worst reverse leakage are
+    each at most CIRCULATOR_TARGET_DB.  A non-finite phi_tot scores PENALTY_DB
+    (its magnitudes would be nan and floor to a perfect score); a singular
+    dynamics matrix raises SingularMatrixError.
     """
-    caps = [RHO_GAIN_MAX if c.kind is ProcessKind.GAIN else RHO_CONVERSION_MAX
-            for c in template.couplings]
     floored = metrics._amp_db_floored
-    if objective.kind in (ObjectiveKind.CIRCULATOR_CW, ObjectiveKind.CIRCULATOR_CCW):
+    circulator = objective.kind is not ObjectiveKind.DIRECTIONAL_AMP
+    if circulator:
         # the reverse pairs of the wanted sense: the cycle's, or its forward ones for CCW
         cw = objective.kind is ObjectiveKind.CIRCULATOR_CW
         rev = metrics._cycle_pairs(template.mode_names)[cw]
@@ -287,39 +286,50 @@ def _score_function(template: ValidatedDevice, objective: Objective):
                  for up in (True, False)}
         ports = {up: [template.index(n) for n in (r.signal, r.idler, r.vacuum)]
                  for up, r in roles.items()}
+        tolerance = _gain_tolerance_db(objective.target_gain_db)
 
     def score(x: np.ndarray) -> tuple[float, bool]:
-        penalty = 0.0
-        for rho, cap in zip(x[:-1], caps):
-            if rho < 0.0:
-                penalty += PENALTY_DB * (1.0 + abs(rho))
-            elif rho > cap:
-                penalty += PENALTY_DB * (1.0 + rho - cap)
-        if penalty > 0.0:
-            return penalty, False
-        params = [float(v) for v in x]
-        if not all(map(math.isfinite, params)):  # no device has a non-finite rho or phi_tot
+        *rhos, phi = (float(v) for v in x)
+        if not math.isfinite(phi):
             return PENALTY_DB, False
-        *rhos, phi = params
-        try:
-            s = cmt.solve_batch(template, 0.0, rhos=rhos, phi_tot=phi)[0].tolist()
-        except SingularMatrixError:
-            return PENALTY_DB, False
-        if objective.kind is not ObjectiveKind.DIRECTIONAL_AMP:
-            match = max(floored(abs(s[k][k])) for k in range(3))
-            leak = max(floored(abs(s[o][i])) for o, i in leaks)
+        mag = np.abs(cmt.solve_batch(template, 0.0, rhos=rhos, phi_tot=phi)[0]).tolist()
+        if circulator:
+            match = max(floored(mag[k][k]) for k in range(3))
+            leak = max(floored(mag[o][i]) for o, i in leaks)
             return match + leak, max(match, leak) <= CIRCULATOR_TARGET_DB
         signal, idler, vacuum = ports[math.sin(phi) >= 0.0]
-        fwd = abs(s[idler][signal]) ** 2
+        fwd = mag[idler][signal] ** 2
         if fwd <= 0.0:
             return PENALTY_DB, False
         gain_err = abs(metrics.to_db(fwd) - objective.target_gain_db)
-        worst_refl = max(floored(abs(s[signal][signal])), floored(abs(s[vacuum][vacuum])),
+        worst_refl = max(floored(mag[signal][signal]), floored(mag[vacuum][vacuum]),
                          MATCH_REWARD_FLOOR_DB)
         value = gain_err + worst_refl
-        return value, value <= MATCH_REWARD_FLOOR_DB + 1e-9
+        return value, value <= MATCH_REWARD_FLOOR_DB + tolerance
 
     return score
+
+
+def _gain_rho(target_gain_db: float) -> float:
+    """Gain rho at which |S_signal->idler|^2 = 10**(t/10) with the conversion matched."""
+    return cmt.rho_for_gain(10.0 ** (target_gain_db / 10.0) + 1.0)
+
+
+def _gain_tolerance_db(target_gain_db: float) -> float:
+    """How far the gain read back at the working point may miss ``target_gain_db``.
+
+    G = ((1 + rho) / (1 - rho))**2, so one ulp of the gain rho moves the gain
+    by (20 / ln 10) * 2 / (1 - rho**2) * ulp(rho) dB: 9.6e-10 dB at
+    RHO_GAIN_MAX, so no gain there can be resolved to 1e-9 dB.  The working
+    point's rho carries the round-off of ``rho_for_gain``, and the solve of a
+    dynamics matrix whose condition grows as 1 / (1 - rho) adds more; the gain
+    it reads back has missed by up to 9.3 of these ulps over 43,000 random
+    devices.  The tolerance is GAIN_TOLERANCE_ULPS of them, and 1e-9 dB where
+    that is less (below about 102 dB).
+    """
+    rho = _gain_rho(target_gain_db)
+    ulp_db = 40.0 / math.log(10.0) / (1.0 - rho * rho) * math.ulp(rho)
+    return max(1e-9, GAIN_TOLERANCE_ULPS * ulp_db)
 
 
 def _working_point(template: ValidatedDevice, objective: Objective) -> np.ndarray:
@@ -327,13 +337,13 @@ def _working_point(template: ValidatedDevice, objective: Objective) -> np.ndarra
 
     Circulator: every conversion matched (rho = 1) at phi_tot = +pi/2 (CW) or
     -pi/2 (CCW).  Directional amp: the conversion matched and both gains at
-    rho_for_gain(10**(t/10) + 1), so that |S_signal->idler|^2 = 10**(t/10) and
+    ``_gain_rho`` of the target, so that |S_signal->idler|^2 = 10**(t/10) and
     both inputs are matched (S_bb = 0 in ``cmt.sbb_closed_form``); phi_tot =
     +-pi/2 with the sign of sin of the template's phi_tot (+ when that is 0),
     which keeps its signal and idler roles.
     """
     if objective.kind is ObjectiveKind.DIRECTIONAL_AMP:
-        rho_gain = cmt.rho_for_gain(10.0 ** (objective.target_gain_db / 10.0) + 1.0)
+        rho_gain = _gain_rho(objective.target_gain_db)
         rhos = [rho_gain if c.kind is ProcessKind.GAIN else 1.0 for c in template.couplings]
         up = math.sin(total_pump_phase(template)) >= 0.0
     else:
@@ -342,96 +352,23 @@ def _working_point(template: ValidatedDevice, objective: Objective) -> np.ndarra
     return np.array(rhos + [math.pi / 2 if up else -math.pi / 2])
 
 
-def tune(
-    template: ValidatedDevice,
-    objective: Objective,
-    initial: Optional[Sequence[float]] = None,
-    budget: int = 2000,
-) -> TuneResult:
-    """Tune (rho_1..rho_k, phi_tot) toward ``objective`` in at most ``budget``
-    objective evaluations; deterministic.
+def tune(template: ValidatedDevice, objective: Objective) -> TuneResult:
+    """``template`` at the closed-form working point of ``objective``
+    (``_working_point``), scored once; deterministic.
 
-    Without ``initial`` the closed-form working point (``_working_point``) is
-    evaluated first, then the template's own parameters; the first that meets
-    the objective's target is returned (``stop_reason`` "target_met", one
-    evaluation when the working point holds).  Otherwise a restarted
-    Nelder-Mead simplex runs from the better of the two on the remaining
-    budget.  With ``initial`` the simplex starts there at once.  The simplex
-    stops when a restart collapses below 1e-8 without improving
-    ("simplex_collapsed") or when the budget runs out ("budget", ``converged``
-    False), which is not an error.
+    ``stop_reason`` is "target_met" when the point meets the objective's
+    target and "target_missed" (``converged`` False) when it does not.  Raises
+    SingularMatrixError when the dynamics matrix is singular at the point.
     """
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
     if objective.kind is ObjectiveKind.DIRECTIONAL_AMP:
         if not template.is_directional_amp:
             raise TopologyError("directional-amp objective needs a directional-amp template")
     elif not template.is_circulator:
         raise TopologyError("circulator objective needs an all-conversion template")
-    if initial is not None:
-        starts = [np.asarray(initial, dtype=float)]
-        if len(starts[0]) != len(template.couplings) + 1:
-            raise DomainError("initial point must supply one rho per coupling plus phi_tot")
-    else:
-        starts = [_working_point(template, objective),
-                  np.array([c.rho for c in template.couplings]
-                           + [total_pump_phase(template)])]
-
-    score = _score_function(template, objective)
-    trace: list[float] = []
-    evaluations = 0
-
-    def tracked(x: np.ndarray) -> tuple[float, bool]:
-        nonlocal evaluations
-        evaluations += 1
-        value, met = score(x)
-        if not trace or value < trace[-1]:
-            trace.append(value)
-        return value, met
-
-    best_x, best_f = starts[0], math.inf
-    stop_reason = "budget"
-    if initial is None:
-        for x in starts[:budget]:
-            value, met = tracked(x)
-            if met:
-                best_x, best_f, stop_reason = x, value, "target_met"
-                break
-            if value < best_f:
-                best_x, best_f = x, value
-
-    # Restarted simplex: a collapsed simplex is re-expanded at the best point
-    # until the budget runs out or a restart stops improving.  Deterministic.
-    iterations = 0
-    while stop_reason == "budget" and evaluations < budget:
-        from scipy.optimize import minimize  # imported here: only the simplex needs scipy
-
-        result = minimize(
-            lambda x: tracked(x)[0],
-            best_x,
-            method="Nelder-Mead",
-            options={"maxfev": budget - evaluations, "xatol": 1e-8, "fatol": 1e-12},
-        )
-        iterations += int(result.nit)
-        improved = result.fun < best_f - 1e-10
-        if result.fun < best_f:
-            best_f = float(result.fun)
-            best_x = np.asarray(result.x, dtype=float)
-        if result.success and not improved:
-            stop_reason = "simplex_collapsed"
-        elif not result.success:
-            break
-
+    x = _working_point(template, objective)
+    value, met = _score_function(template, objective)(x)
     dev = template
-    for rho, c in zip(best_x[:-1], template.couplings):
-        cap = RHO_GAIN_MAX if c.kind is ProcessKind.GAIN else RHO_CONVERSION_MAX
-        dev = with_coupling(dev, c.pair, rho=float(min(max(rho, 0.0), cap)))
-    dev = with_total_phase(dev, float(best_x[-1]))
-    return TuneResult(
-        device=dev,
-        objective_value=best_f,
-        trace=tuple(trace),
-        evaluations=evaluations,
-        iterations=iterations,
-        stop_reason=stop_reason,
-    )
+    for rho, c in zip(x[:-1], template.couplings):
+        dev = with_coupling(dev, c.pair, rho=float(rho))
+    dev = with_total_phase(dev, float(x[-1]))
+    return TuneResult(dev, value, "target_met" if met else "target_missed")

@@ -277,8 +277,7 @@ def test_c09_tuner_and_calibration():
     start = make_circulator(phi_tot=math.pi / 2 + rng.uniform(-0.5, 0.5))
     for pair in (("a", "b"), ("a", "c"), ("b", "c")):
         start = nr.with_coupling(start, pair, rho=float(rng.uniform(0.8, 1.2)))
-    result = tuner.tune(start, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW),
-                        budget=2000)
+    result = tuner.tune(start, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW))
     s = nr.scattering_at(result.device, 0.0)
     match = max(db(s, n, n) for n in "abc")
     phi_err = abs(nr.total_pump_phase(result.device) - math.pi / 2)

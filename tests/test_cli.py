@@ -581,7 +581,7 @@ class TestTuneCmd:
     def test_writes_tuned_config(self, diramp_cfg, tmp_path, capsys):
         out = tmp_path / "tuned.cfg"
         assert run("tune", "--config", diramp_cfg, "--objective", "diramp",
-                   "--target-gain-db", 14, "--budget", 400, "--out", out) == 0
+                   "--target-gain-db", 14, "--out", out) == 0
         assert "objective:" in capsys.readouterr().out
         tuned = cli.load_config(str(out))
         assert tuned.device.is_directional_amp
@@ -594,13 +594,13 @@ class TestTuneCmd:
     def test_bundled_diramp_stdout_pinned(self, diramp_cfg, tmp_path, capsys):
         # the closed-form working point meets the target in one evaluation:
         # matched conversion, both gains at G = 10**1.4 + 1, phi_tot = -pi/2
-        # (the bundled config's sign); the simplex path is pinned in test_tuner
+        # (the bundled config's sign)
         out = tmp_path / "tuned.cfg"
         assert run("tune", "--config", diramp_cfg, "--objective", "diramp",
                    "--target-gain-db", 14, "--out", out) == 0
         assert capsys.readouterr().out.splitlines()[:6] == [
             "objective: -60.000000 after 1 evaluations "
-            "(0 iterations, converged=True, stop_reason=target_met)",
+            "(converged=True, stop_reason=target_met)",
             "trace: start -60.0000 -> best -60.0000 (1 improving steps)",
             "  conversion ('a', 'b'): rho = 1",
             "  gain ('a', 'c'): rho = 0.67270321",
@@ -611,7 +611,7 @@ class TestTuneCmd:
     def test_circulator_objective(self, circ_cfg, tmp_path):
         out = tmp_path / "tuned.cfg"
         assert run("tune", "--config", circ_cfg, "--objective", "circulator-cw",
-                   "--budget", 500, "--out", out) == 0
+                   "--out", out) == 0
         tuned = cli.load_config(str(out))
         assert abs(nr.total_pump_phase(tuned.device) - math.pi / 2) < 0.05
 
@@ -627,12 +627,34 @@ class TestTuneCmd:
         cfg_path.write_text(yaml.safe_dump(raw))
         out = tmp_path / "tuned.cfg"
         assert run("tune", "--config", cfg_path, "--objective", "circulator-cw",
-                   "--budget", 800, "--out", out) == 0
+                   "--out", out) == 0
         entries = yaml.safe_load(out.read_text())["device"]["couplings"]
         # a tuned rho > 1 is written as rho; any target_c left must load
         assert all(len([k for k in cli.STRENGTH_KEYS if k in e]) == 1 for e in entries)
         assert all(0.0 <= e["target_c"] <= 1.0 for e in entries if "target_c" in e)
         assert cli.load_config(str(out)).device.is_circulator
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "130"])
+    def test_unreachable_target_fails_before_any_solve(self, target, diramp_cfg, tmp_path,
+                                                       capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the target was checked")
+
+        monkeypatch.setattr(cmt, "solve_batch", no_solve)
+        out = tmp_path / "tuned.cfg"
+        assert run("tune", "--config", diramp_cfg, "--objective", "diramp",
+                   "--target-gain-db", target, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: DomainError: target_gain_db")
+        assert "126.02" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget, code", [("0", 1), ("1", 0)])
+    def test_budget_is_ignored_but_must_be_positive(self, budget, code, circ_cfg, tmp_path):
+        out = tmp_path / "tuned.cfg"
+        assert run("tune", "--config", circ_cfg, "--objective", "circulator-cw",
+                   "--budget", budget, "--out", out) == code
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("rho", [1.3, 1.0 - 3 * 2.0 ** -53])
     def test_tuned_conversion_reloads(self, rho, circ_cfg, tmp_path):
@@ -650,8 +672,7 @@ class TestTuneCmd:
 
 class TestImports:
     def test_commands_run_without_scipy_optimize(self, circ_cfg, diramp_cfg, tmp_path):
-        # scipy.optimize takes most of the start-up time and only the tuner's
-        # simplex needs it; a closed-form tune meets its target without it
+        # no command imports scipy, which is not a dependency
         script = f"""
 import sys
 from nonrecip import cli
@@ -665,6 +686,7 @@ for argv in (
     ["tune", "--config", {str(circ_cfg)!r}, "--objective", "circulator-ccw", "--out", "c.cfg"],
 ):
     assert cli.main(argv) == 0, argv
+    assert not any(m.split(".")[0] == "scipy" for m in sys.modules), argv
 print("scipy.optimize" in sys.modules)
 """
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nr.__file__)))

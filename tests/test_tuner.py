@@ -180,7 +180,7 @@ def tuning_problems(draw):
         couplings = tuple(nr.PumpedCoupling(p, "conversion" if p == topology else "gain", 0.3)
                           for p in PAIRS)
         objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP,
-                                    target_gain_db=draw(st.floats(0.0, 30.0)))
+                                    target_gain_db=draw(st.floats(0.0, tuner.G_MAX_DB)))
     device = nr.validate_device(nr.DeviceConfig(modes, couplings))
     phi = draw(st.one_of(st.just(0.0), st.floats(-7.0, 7.0)))
     return nr.with_total_phase(device, phi), objective
@@ -195,10 +195,8 @@ class TestWorkingPoint:
         template, objective = problem
         x = tuner._working_point(template, objective)
         assert tuner._score_function(template, objective)(x)[1]
-        for budget in (1, 2, 2000):
-            result = tuner.tune(template, objective, budget=budget)
-            assert result.evaluations <= budget
-            assert (result.evaluations, result.stop_reason) == (1, "target_met")
+        result = tuner.tune(template, objective)
+        assert (result.evaluations, result.stop_reason) == (1, "target_met")
         # the device tune returns is the working point, and it does not oscillate
         assert [c.rho for c in result.device.couplings] == list(x[:-1])
         poles = np.linalg.eigvals(cmt.build_dynamics_matrix(result.device, 0.0))
@@ -213,23 +211,27 @@ class TestWorkingPoint:
         )).frame.conjugated for pair in TOPOLOGIES[1:]]
         assert frames == [(False, False, True), (False, True, False), (False, True, True)]
 
-    @pytest.mark.parametrize("budget, evaluations", [(1, 1), (2, 2), (40, 40)])
-    def test_missed_target_runs_the_simplex_within_budget(self, diramp, budget, evaluations):
-        # at 130 dB the working point's gain rho is past RHO_GAIN_MAX: penalized, missed
-        objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=130.0)
-        assert not tuner._score_function(diramp, objective)(
-            tuner._working_point(diramp, objective))[1]
-        result = tuner.tune(diramp, objective, budget=budget)
-        assert (result.evaluations, result.stop_reason, result.converged) == (
-            evaluations, "budget", False)
-        assert result.trace[0] >= tuner.PENALTY_DB  # the working point was scored first
+    def test_bundled_diramp_meets_every_target_to_g_max(self):
+        # 0 to 126 dB in 0.05 dB steps; near RHO_GAIN_MAX one ulp of the gain rho
+        # moves the gain by ~1e-9 dB, which the met tolerance has to allow
+        diramp = cli.load_config(str(cli.bundled_config_path("diramp"))).device
+        for k in range(2521):
+            objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP,
+                                        target_gain_db=0.05 * k)
+            result = tuner.tune(diramp, objective)
+            assert (result.evaluations, result.stop_reason) == (1, "target_met"), 0.05 * k
 
-    def test_simplex_collapses_at_an_optimum(self):
-        dev = make_circulator(1.0, 1.0, 1.0, phi_tot=math.pi / 2)
-        result = tuner.tune(dev, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW),
-                            initial=[1.0, 1.0, 1.0, math.pi / 2])
-        assert (result.stop_reason, result.converged) == ("simplex_collapsed", True)
-        assert result.evaluations < 2000
+    def test_gain_tolerance_has_a_1e9_db_floor(self):
+        assert tuner._gain_tolerance_db(0.0) == tuner._gain_tolerance_db(90.0) == 1e-9
+        # 16 ulps of rho at RHO_GAIN_MAX, each ~9.6e-10 dB
+        assert 1.5e-8 < tuner._gain_tolerance_db(tuner.G_MAX_DB) < 1.6e-8
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, 130.0, -1.0])
+    def test_unreachable_target_names_the_limit(self, target):
+        with pytest.raises(DomainError, match=r"G_MAX_DB = 126\.02\] dB"):
+            tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=target)
+        # circulators do not read the target
+        tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW, target_gain_db=target)
 
 
 class TestTune:
@@ -240,7 +242,7 @@ class TestTune:
         start = make_circulator(phi_tot=math.pi / 2 + rng.uniform(-0.5, 0.5))
         for pair, rho in zip(((("a", "b")), ("a", "c"), ("b", "c")), pert):
             start = nr.with_coupling(start, pair, rho=float(rho))
-        result = tuner.tune(start, objective, budget=2000)
+        result = tuner.tune(start, objective)
         assert result.evaluations <= 2000
         s = nr.scattering_at(result.device, 0.0)
         assert max(db(s, n, n) for n in "abc") <= -30.0
@@ -248,20 +250,18 @@ class TestTune:
 
     def test_start_at_optimum_stays(self):
         dev = make_circulator(1.0, 1.0, 1.0, phi_tot=math.pi / 2)
-        result = tuner.tune(dev, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW),
-                            budget=2000)
+        result = tuner.tune(dev, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW))
         assert result.converged
         assert result.objective_value <= -600.0
 
     def test_ccw_objective_lands_on_minus_half_pi(self):
         start = make_circulator(phi_tot=-math.pi / 2 + 0.3)
-        result = tuner.tune(start, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CCW),
-                            budget=2000)
+        result = tuner.tune(start, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CCW))
         assert abs(nr.total_pump_phase(result.device) + math.pi / 2) <= 1e-3
 
     def test_diramp_target_14db(self, diramp):
         objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=14.0)
-        result = tuner.tune(diramp, objective, budget=2000)
+        result = tuner.tune(diramp, objective)
         dev = result.device
         s = nr.scattering_at(dev, 0.0)
         roles = metrics.role_map(dev, nr.total_pump_phase(dev))
@@ -272,19 +272,19 @@ class TestTune:
 
     def test_trace_monotone_non_increasing(self, diramp):
         objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=14.0)
-        result = tuner.tune(diramp, objective, budget=500)
+        result = tuner.tune(diramp, objective)
         assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
 
     def test_deterministic(self, circulator):
         objective = tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW)
-        r1 = tuner.tune(circulator, objective, budget=300)
-        r2 = tuner.tune(circulator, objective, budget=300)
+        r1 = tuner.tune(circulator, objective)
+        r2 = tuner.tune(circulator, objective)
         assert r1.trace == r2.trace
         assert r1.device.couplings == r2.device.couplings
 
     def test_tuned_parameters_respect_invariants(self, diramp):
         objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=20.0)
-        result = tuner.tune(diramp, objective, budget=800)
+        result = tuner.tune(diramp, objective)
         for c in result.device.couplings:
             if c.kind is nr.ProcessKind.GAIN:
                 assert 0.0 <= c.rho < 1.0
@@ -298,38 +298,14 @@ class TestTune:
         with pytest.raises(TopologyError):
             tuner.tune(diramp, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW))
 
-    def test_bad_budget(self, circulator):
-        with pytest.raises(DomainError):
-            tuner.tune(circulator, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW),
-                       budget=0)
-
     def test_objective_validation(self):
         with pytest.raises(DomainError):
             tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=-1.0)
 
-    def test_bundled_diramp_simplex_pinned(self):
-        # the whole simplex path from the config's own point: any change in an
-        # objective value's last bit moves the simplex and shows here
-        diramp = cli.load_config(str(cli.bundled_config_path("diramp"))).device
-        objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=14.0)
-        start = [c.rho for c in diramp.couplings] + [nr.total_pump_phase(diramp)]
-        result = tuner.tune(diramp, objective, initial=start)
-        assert f"{result.objective_value:.6f}" == "-60.000000"
-        assert (result.evaluations, result.iterations, len(result.trace)) == (2000, 1154, 595)
-        assert f"{result.trace[0]:.4f}" == "-14.0667"
-        assert (result.stop_reason, result.converged) == ("budget", False)
-        assert [f"{c.rho:.9g}" for c in result.device.couplings] == [
-            "0.999961396", "0.672474904", "0.672905671"]
-        assert f"{nr.total_pump_phase(result.device):+.9g}" == "-1.57047908"
-
     @pytest.mark.parametrize("kind", list(tuner.ObjectiveKind))
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the simplex
     def test_non_finite_phase_scores_penalty(self, kind, phi, circulator, diramp):
         template = diramp if kind is tuner.ObjectiveKind.DIRECTIONAL_AMP else circulator
         objective = tuner.Objective(kind, target_gain_db=14.0)
         x0 = [c.rho for c in template.couplings] + [phi]
         assert tuner._score_function(template, objective)(np.array(x0))[0] == tuner.PENALTY_DB
-        # every simplex vertex keeps the non-finite phase, so nothing beats the penalty
-        result = tuner.tune(template, objective, initial=x0, budget=50)
-        assert result.objective_value == tuner.PENALTY_DB
