@@ -163,8 +163,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"sweep.points must be an integer, got {points!r}")
     if points < 1:
         raise ConfigError("sweep.points must be >= 1")
-    if span <= 0:
-        raise ConfigError("sweep.delta_span_mhz must be > 0")
+    if not (0 < span < math.inf):
+        raise ConfigError(f"sweep.delta_span_mhz must be finite and > 0, got {span / 1e6:g}")
 
     outputs = _mapping(raw.get("outputs", {}), "outputs")
     out_format = str(outputs.get("format", "csv")).lower()
@@ -381,6 +381,8 @@ def cmd_sparams(args) -> int:
 def cmd_phase_sweep(args) -> int:
     cfg = load_config(args.config)
     pairs = _parse_pairs(args.pairs, cfg.device)
+    if not (math.isfinite(args.phi_min) and math.isfinite(args.phi_max)):
+        raise ConfigError("--phi-min and --phi-max must be finite")
     phis = np.linspace(args.phi_min, args.phi_max, args.phi_points)
     ps = tuner.phase_sweep(cfg.device, phis, cfg.delta_grid)
     columns = ["phi_rad", "delta_hz"] + [f"S_{o}{i}_db" for o, i in pairs]

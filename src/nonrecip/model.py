@@ -64,10 +64,9 @@ class ModeSpec:
     def __post_init__(self):
         if not self.name or not str(self.name).strip():
             raise DeviceValidationError("mode name must be a non-empty identifier")
-        if not (self.resonance_freq > 0):
-            raise DeviceValidationError(f"mode {self.name}: resonance_freq must be > 0")
-        if not (self.kappa > 0):
-            raise DeviceValidationError(f"mode {self.name}: kappa must be > 0")
+        for key in ("resonance_freq", "kappa"):
+            if not (0 < getattr(self, key) < math.inf):
+                raise DeviceValidationError(f"mode {self.name}: {key} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,8 @@ class PumpedCoupling:
         object.__setattr__(self, "phase", wrap_phase(self.phase))
         if not math.isfinite(self.rho) or self.rho < 0:
             raise DeviceValidationError(f"coupling {self.pair}: rho must be finite and >= 0")
+        if not math.isfinite(self.phase):  # wrap_phase turns +-inf into nan
+            raise DeviceValidationError(f"coupling {self.pair}: phase must be finite")
         if self.kind is ProcessKind.GAIN and self.rho >= 1.0:
             raise GainAboveThresholdError(
                 f"GainAboveThreshold: gain coupling {self.pair} has rho={self.rho:g} >= 1 "

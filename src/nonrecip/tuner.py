@@ -1,22 +1,23 @@
 """Parameter sweeps, phase-offset calibration and pump tuning.
 
-A pump point is (rho_1..rho_k, phi_tot): scattering magnitudes depend on the
-individual pump phases only through their signed sum, so one phase variable
-suffices.  ``tune`` puts a template at the closed-form working point of its
-objective (Sliwa et al., PRX 5, 041020; Metelmann & Clerk, PRX 5, 021025) and
-scores it once.
+Scattering magnitudes depend on the individual pump phases only through their
+signed sum phi_tot, so one phase variable suffices.  ``tune`` puts a template
+at the closed-form working point of its objective (Sliwa et al., PRX 5,
+041020; Metelmann & Clerk, PRX 5, 021025) and scores that one device;
+``calibrate_phase_offset`` reads its two minima off one solve at the cardinal
+phases.
 
-Objective evaluations, the calibration and the sweeps solve from parameter
-arrays (rho per coupling, phi_tot) with ``cmt.solve_batch`` and take
-magnitudes with ``np.abs``, as ``cmt.SweepResult.magnitudes`` does; no device
-is built or validated per point, only the one ``tune`` returns.
+The calibration and the sweeps solve from parameter arrays (rho per coupling,
+phi_tot) with ``cmt.solve_batch`` and take magnitudes with ``np.abs``, as
+``cmt.SweepResult.magnitudes`` does; no device is built or validated per
+point, only the one ``tune`` returns.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -28,16 +29,16 @@ from .errors import (
     TopologyError,
 )
 from .model import (
+    DeviceConfig,
     ProcessKind,
     ValidatedDevice,
     directional_amp_parts,
+    phase_signs,
     total_pump_phase,
-    with_coupling,
-    with_total_phase,
+    validate_device,
     wrap_signed,
 )
 
-PENALTY_DB = 200.0
 RHO_GAIN_MAX = 1.0 - 1e-6
 # the largest forward gain a directional-amp tune may target: both gains at RHO_GAIN_MAX
 G_MAX_DB = 10.0 * math.log10(cmt.gain_coefficient(RHO_GAIN_MAX) - 1.0)
@@ -189,33 +190,30 @@ def conversion_sweep(
                                  threshold_c=threshold, device=device_template)
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section minimum of a unimodal objective on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def calibrate_phase_offset(
     device: ValidatedDevice, coarse_points: int = 720
 ) -> PhaseCalibration:
     """Locate the two phase-control values (differing by pi) that minimize the
-    calibration response: the middle mode's reflection for a circulator, the
-    idler reflection for a directional amplifier.
+    calibration response |S_kk| at delta = 0: the middle mode's reflection for
+    a circulator, the idler reflection for a directional amplifier.
 
-    Raises AmbiguousMinimumError when the response is flat (e.g. pumps off).
+    No search is needed.  At delta = 0 every reverse entry of M is +- the
+    conjugate of its forward entry (+ for a gain, - for a conversion), and both
+    topologies have an odd number of conversions, so phi_tot (a loop gauge
+    flux) enters det M only as 2i Im P, P the one loop product, and the
+    numerator of S_kk, kappa_k adj_kk - det M, is a real number minus the same
+    2i Im P.  Hence |S_kk|^2 = (n^2 + t^2) / (r^2 + t^2) with t = 2 Im P, which
+    is proportional to sin(phi_tot + m pi/2) for an integer m.  That is
+    monotone in t^2, so the minima are exactly the pair {0, pi} or the pair
+    {+-pi/2}.  One batch solves phi_tot in {0, pi/2}; the lower response's pair
+    {base, base + pi}, less the device's own phi_tot, gives the candidates,
+    wrapped to (-pi, pi] by ``wrap_signed``.  An exact half-turn reads +pi, so
+    the bundled circulator (phi_tot = pi/2) gives (0.0, pi).  Both candidates
+    share one objective value, since t^2 has period pi.
+
+    ``coarse_points`` is accepted and ignored.  Raises AmbiguousMinimumError
+    when the two responses differ by less than 1e-12 (e.g. pumps off): the
+    response does not vary with the pump phase.
     """
     names = device.mode_names
     if device.is_circulator:
@@ -224,90 +222,30 @@ def calibrate_phase_offset(
         port = directional_amp_parts(device)[3]
     else:
         raise TopologyError("phase calibration needs a circulator or directional amplifier")
-    t0 = total_pump_phase(device)
     k = device.index(port)
-
-    def responses(offsets) -> np.ndarray:
-        return np.abs(cmt.solve_batch(device, 0.0, phi_tot=t0 + offsets)[:, k, k])
-
-    def objective(offset: float) -> float:
-        return float(responses(offset)[0])
-
-    grid = np.linspace(0.0, 2.0 * math.pi, coarse_points, endpoint=False)
-    values = responses(grid)
-    if float(values.max() - values.min()) < 1e-12:
+    s = cmt.solve_batch(device, 0.0, phi_tot=np.array([0.0, math.pi / 2.0]))
+    response = np.abs(s[:, k, k])
+    if abs(float(response[1] - response[0])) < 1e-12:
         raise AmbiguousMinimumError(
             f"|S_{port}{port}| does not vary with pump phase; nothing to calibrate"
         )
-    step = 2.0 * math.pi / coarse_points
-    best = float(grid[int(np.argmin(values))])
-    m1 = _golden_minimize(objective, best - 2 * step, best + 2 * step)
-    m2 = _golden_minimize(objective, m1 + math.pi - 2 * step, m1 + math.pi + 2 * step)
-    m1, m2 = wrap_signed(m1), wrap_signed(m2)
+    lo = int(response[1] < response[0])
+    base, t0 = lo * math.pi / 2.0, total_pump_phase(device)
+    m1 = wrap_signed(base - t0)
+    m2 = wrap_signed(m1 + math.pi)
 
     if device.is_circulator:
-        # S at phi_tot = t0 + m1; the sense reads only the mode names from the device
-        s = cmt.SweepResult(np.zeros(1), cmt.solve_batch(device, 0.0, phi_tot=t0 + m1), device)
-        first_is_primary = metrics.circulation_sense(s) is metrics.CirculationSense.CW
+        # the sense at phi_tot = base = t0 + m1, from the same solve
+        sense = metrics.circulation_sense(cmt.SweepResult(np.zeros(1), s[lo:lo + 1], device))
+        first_is_primary = sense is metrics.CirculationSense.CW
     else:
         # anchor whose +pi/2 branch puts the signal role on the head mode
         head = directional_amp_parts(device)[1]
-        roles = metrics.role_map(device, t0 + m1 + math.pi / 2.0)
-        first_is_primary = roles.signal == head
+        first_is_primary = metrics.role_map(device, base + math.pi / 2.0).signal == head
     if not first_is_primary:
         m1, m2 = m2, m1
-    return PhaseCalibration(
-        candidates=(m1, m2),
-        primary=m1,
-        objective_values=(objective(m1), objective(m2)),
-    )
-
-
-def _score_function(template: ValidatedDevice, objective: Objective):
-    """``score(x) -> (objective value, target met)`` at x = (rho_1..rho_k, phi_tot).
-
-    The target is read from the same solve as the value: a directional amp
-    meets it at the match floor with the gain within ``_gain_tolerance_db`` of
-    target, a circulator when its worst match and worst reverse leakage are
-    each at most CIRCULATOR_TARGET_DB.  A non-finite phi_tot scores PENALTY_DB
-    (its magnitudes would be nan and floor to a perfect score); a singular
-    dynamics matrix raises SingularMatrixError.
-    """
-    floored = metrics._amp_db_floored
-    circulator = objective.kind is not ObjectiveKind.DIRECTIONAL_AMP
-    if circulator:
-        # the reverse pairs of the wanted sense: the cycle's, or its forward ones for CCW
-        cw = objective.kind is ObjectiveKind.CIRCULATOR_CW
-        rev = metrics._cycle_pairs(template.mode_names)[cw]
-        leaks = [(template.index(o), template.index(i)) for o, i in rev]
-    else:
-        # the roles depend on phi_tot only through the sign of sin(phi_tot)
-        roles = {up: metrics.role_map(template, math.pi / 2 if up else -math.pi / 2)
-                 for up in (True, False)}
-        ports = {up: [template.index(n) for n in (r.signal, r.idler, r.vacuum)]
-                 for up, r in roles.items()}
-        tolerance = _gain_tolerance_db(objective.target_gain_db)
-
-    def score(x: np.ndarray) -> tuple[float, bool]:
-        *rhos, phi = (float(v) for v in x)
-        if not math.isfinite(phi):
-            return PENALTY_DB, False
-        mag = np.abs(cmt.solve_batch(template, 0.0, rhos=rhos, phi_tot=phi)[0]).tolist()
-        if circulator:
-            match = max(floored(mag[k][k]) for k in range(3))
-            leak = max(floored(mag[o][i]) for o, i in leaks)
-            return match + leak, max(match, leak) <= CIRCULATOR_TARGET_DB
-        signal, idler, vacuum = ports[math.sin(phi) >= 0.0]
-        fwd = mag[idler][signal] ** 2
-        if fwd <= 0.0:
-            return PENALTY_DB, False
-        gain_err = abs(metrics.to_db(fwd) - objective.target_gain_db)
-        worst_refl = max(floored(mag[signal][signal]), floored(mag[vacuum][vacuum]),
-                         MATCH_REWARD_FLOOR_DB)
-        value = gain_err + worst_refl
-        return value, value <= MATCH_REWARD_FLOOR_DB + tolerance
-
-    return score
+    value = float(response[lo])
+    return PhaseCalibration(candidates=(m1, m2), primary=m1, objective_values=(value, value))
 
 
 def _gain_rho(target_gain_db: float) -> float:
@@ -332,32 +270,41 @@ def _gain_tolerance_db(target_gain_db: float) -> float:
     return max(1e-9, GAIN_TOLERANCE_ULPS * ulp_db)
 
 
-def _working_point(template: ValidatedDevice, objective: Objective) -> np.ndarray:
-    """The closed-form working point (rho_1..rho_k, phi_tot) of ``objective``.
+def _working_point(template: ValidatedDevice, objective: Objective) -> ValidatedDevice:
+    """``template`` at the closed-form working point of ``objective``.
 
     Circulator: every conversion matched (rho = 1) at phi_tot = +pi/2 (CW) or
     -pi/2 (CCW).  Directional amp: the conversion matched and both gains at
     ``_gain_rho`` of the target, so that |S_signal->idler|^2 = 10**(t/10) and
     both inputs are matched (S_bb = 0 in ``cmt.sbb_closed_form``); phi_tot =
     +-pi/2 with the sign of sin of the template's phi_tot (+ when that is 0),
-    which keeps its signal and idler roles.
+    which keeps its signal and idler roles.  The phase sits on the first pair,
+    as ``with_total_phase`` puts it.
     """
     if objective.kind is ObjectiveKind.DIRECTIONAL_AMP:
         rho_gain = _gain_rho(objective.target_gain_db)
-        rhos = [rho_gain if c.kind is ProcessKind.GAIN else 1.0 for c in template.couplings]
         up = math.sin(total_pump_phase(template)) >= 0.0
     else:
-        rhos = [1.0] * len(template.couplings)
-        up = objective.kind is ObjectiveKind.CIRCULATOR_CW
-    return np.array(rhos + [math.pi / 2 if up else -math.pi / 2])
+        rho_gain, up = None, objective.kind is ObjectiveKind.CIRCULATOR_CW
+    phi = math.pi / 2 if up else -math.pi / 2
+    signs, control = phase_signs(template), template.couplings[0].pair
+    couplings = tuple(
+        replace(c, rho=rho_gain if c.kind is ProcessKind.GAIN else 1.0,
+                phase=signs[control] * phi if c.pair == control else 0.0)
+        for c in template.couplings)
+    return validate_device(DeviceConfig(template.modes, couplings,
+                                        template.pump_detuning_tolerance))
 
 
 def tune(template: ValidatedDevice, objective: Objective) -> TuneResult:
     """``template`` at the closed-form working point of ``objective``
-    (``_working_point``), scored once; deterministic.
+    (``_working_point``), solved once at delta = 0 and scored; deterministic.
 
-    ``stop_reason`` is "target_met" when the point meets the objective's
-    target and "target_missed" (``converged`` False) when it does not.  Raises
+    A circulator meets its target when its worst input match and worst
+    reverse leakage are each at most CIRCULATOR_TARGET_DB; a directional amp
+    (port roles from ``metrics.role_map``) when it is matched to the floor and
+    its gain is within ``_gain_tolerance_db`` of target.  ``stop_reason`` is
+    "target_met" or "target_missed" (``converged`` False).  Raises
     SingularMatrixError when the dynamics matrix is singular at the point.
     """
     if objective.kind is ObjectiveKind.DIRECTIONAL_AMP:
@@ -365,10 +312,22 @@ def tune(template: ValidatedDevice, objective: Objective) -> TuneResult:
             raise TopologyError("directional-amp objective needs a directional-amp template")
     elif not template.is_circulator:
         raise TopologyError("circulator objective needs an all-conversion template")
-    x = _working_point(template, objective)
-    value, met = _score_function(template, objective)(x)
-    dev = template
-    for rho, c in zip(x[:-1], template.couplings):
-        dev = with_coupling(dev, c.pair, rho=float(rho))
-    dev = with_total_phase(dev, float(x[-1]))
-    return TuneResult(dev, value, "target_met" if met else "target_missed")
+    device = _working_point(template, objective)
+    mag = np.abs(cmt.scattering_at(device, 0.0).entries[0]).tolist()
+
+    def floored(out_mode: str, in_mode: str) -> float:
+        return metrics._amp_db_floored(mag[device.index(out_mode)][device.index(in_mode)])
+
+    if objective.kind is ObjectiveKind.DIRECTIONAL_AMP:
+        signal, idler, vacuum = metrics.role_map(device, total_pump_phase(device))
+        fwd = mag[device.index(idler)][device.index(signal)] ** 2
+        value = abs(metrics.to_db(fwd) - objective.target_gain_db) + max(
+            floored(signal, signal), floored(vacuum, vacuum), MATCH_REWARD_FLOOR_DB)
+        met = value <= MATCH_REWARD_FLOOR_DB + _gain_tolerance_db(objective.target_gain_db)
+    else:
+        # the reverse pairs of the wanted sense: the cycle's, or its forward ones for CCW
+        rev = metrics._cycle_pairs(device.mode_names)[objective.kind is ObjectiveKind.CIRCULATOR_CW]
+        match = max(floored(n, n) for n in device.mode_names)
+        leak = max(floored(o, i) for o, i in rev)
+        value, met = match + leak, max(match, leak) <= CIRCULATOR_TARGET_DB
+    return TuneResult(device, value, "target_met" if met else "target_missed")

@@ -23,6 +23,20 @@ def db(s, out_mode, in_mode):
     return 20.0 * math.log10(s.magnitudes(out_mode, in_mode)[0])
 
 
+def count_calls(monkeypatch, name, *modules):
+    """Wrap the function ``name`` bound on each of ``modules``; the returned
+    list gets each call's return value, in call order."""
+    returned = []
+    for module in modules:
+        def counting(*args, _real=getattr(module, name), **kwargs):
+            out = _real(*args, **kwargs)
+            returned.append(out)
+            return out
+
+        monkeypatch.setattr(module, name, counting)
+    return returned
+
+
 def make_circulator(c_ab=0.97, c_bc=0.98, c_ac=0.99, phi_tot=math.pi / 2):
     """All-conversion device at the standard working point."""
     device = nr.validate_device(

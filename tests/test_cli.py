@@ -68,6 +68,15 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(bad))
 
+    @pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf])
+    def test_non_finite_span_names_the_key(self, span, tmp_path, circ_cfg):
+        raw = yaml.safe_load(circ_cfg.read_text())
+        raw["sweep"]["delta_span_mhz"] = span
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(yaml.safe_dump(raw))
+        with pytest.raises(cli.ConfigError, match="sweep.delta_span_mhz must be finite"):
+            cli.load_config(str(bad))
+
     @pytest.mark.parametrize("points", ["2.7", "yes"])
     def test_non_integer_points_rejected(self, points, tmp_path, circ_cfg, capsys):
         # a count must be an int: 2.7 is not truncated to 2, nor YAML's yes (True) read as 1
@@ -727,11 +736,16 @@ class TestErrorExits:
         ["threshold", "--config", "{diramp}", "--c-points", "0", "--out", "{tmp}/x.csv"],
         ["threshold", "--config", "{diramp}", "--c-max", "1.5", "--out", "{tmp}/x.csv"],
         ["sparams", "--config", "{circ}", "--out", "{tmp}/no-such-dir/x.csv"],
-    ], ids=["no-phi-points", "negative-phi-points", "no-c-points", "c-above-1", "missing-out-dir"])
+        ["phase-sweep", "--config", "{circ}", "--phi-min=nan", "--out", "{tmp}/x.csv"],
+        ["phase-sweep", "--config", "{circ}", "--phi-max=inf", "--out", "{tmp}/x.csv"],
+        ["phase-sweep", "--config", "{circ}", "--phi-min=-inf", "--out", "{tmp}/x.csv"],
+    ], ids=["no-phi-points", "negative-phi-points", "no-c-points", "c-above-1", "missing-out-dir",
+            "phi-min-nan", "phi-max-inf", "phi-min--inf"])
     def test_command_argument(self, argv, circ_cfg, diramp_cfg, tmp_path, capsys):
         assert run(*[a.format(circ=circ_cfg, diramp=diramp_cfg, tmp=tmp_path) for a in argv]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("config, path, value", [
         ("circulator", ("device",), 5),
@@ -772,15 +786,24 @@ class TestErrorExits:
         assert len(err) == 1 and err[0].startswith("error: ConfigError: "), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("section, key, value", [
-        ("couplings", "kind", "convert"),
-        ("modes", "kappa_mhz", "abc"),
-    ])
-    def test_config_value(self, section, key, value, circ_cfg, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key, value, error", [
+        ("couplings", "kind", "convert", "ValueError"),
+        ("modes", "kappa_mhz", "abc", "ValueError"),
+        ("couplings", "phase_deg", math.nan, "DeviceValidationError"),
+        ("couplings", "phase_deg", math.inf, "DeviceValidationError"),
+        ("couplings", "phase_deg", "-inf", "DeviceValidationError"),
+        ("modes", "kappa_mhz", math.inf, "DeviceValidationError"),
+        ("modes", "freq_ghz", math.inf, "DeviceValidationError"),
+    ], ids=["couplings-kind-convert", "modes-kappa_mhz-abc", "couplings-phase_deg-nan",
+            "couplings-phase_deg-inf", "couplings-phase_deg--inf", "modes-kappa_mhz-inf",
+            "modes-freq_ghz-inf"])
+    def test_config_value(self, section, key, value, error, circ_cfg, tmp_path, capsys):
         raw = yaml.safe_load(circ_cfg.read_text())
         raw["device"][section][0][key] = value
-        cfg = tmp_path / "bad.cfg"
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
         cfg.write_text(yaml.safe_dump(raw))
-        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ValueError: ")
+        for argv in (["sparams"], ["tune", "--objective", "circulator-cw"]):
+            assert run(*argv, "--config", cfg, "--out", out) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {error}: ")
+            assert not out.exists()
