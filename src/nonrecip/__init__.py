@@ -23,8 +23,6 @@ from .errors import (
     TopologyError,
 )
 from .model import (
-    ChannelFrame,
-    DeviceConfig,
     ModeSpec,
     ProcessKind,
     PumpedCoupling,
@@ -76,9 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousMinimumError",
-    "ChannelFrame",
     "CirculationSense",
-    "DeviceConfig",
     "DeviceValidationError",
     "DomainError",
     "DuplicatePairError",

@@ -40,7 +40,6 @@ import yaml
 from . import cmt, metrics, tuner
 from .errors import EmptyBandError, SingularMatrixError, TopologyError
 from .model import (
-    DeviceConfig,
     ModeSpec,
     ProcessKind,
     PumpedCoupling,
@@ -153,8 +152,8 @@ def parse_config(raw: dict) -> RunConfig:
     couplings = _list(device_doc.get("couplings", []), "device.couplings")
     tol = _number(device_doc.get("pump_detuning_tolerance_mhz", 10.0),
                   "device.pump_detuning_tolerance_mhz") * 1e6
-    device = validate_device(DeviceConfig(tuple(map(_mode_from_entry, modes)),
-                                          tuple(map(_coupling_from_entry, couplings)), tol))
+    device = validate_device(map(_mode_from_entry, modes), map(_coupling_from_entry, couplings),
+                             tol)
 
     sweep_doc = _mapping(raw.get("sweep", {}), "sweep")
     span = _number(sweep_doc.get("delta_span_mhz", 60.0), "sweep.delta_span_mhz") * 1e6

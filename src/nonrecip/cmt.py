@@ -133,7 +133,7 @@ def _template(device: ValidatedDevice) -> _Template:
     with M[r, c] = a g / exp(i phase) and M[c, r] = b g exp(i phase), the stored
     phases and the sign of the first pair in phi_tot (None without).  Strengths stay
     out: the cache matches equal devices, and rho = -0.0 equals 0.0."""
-    kappas, sig = device.kappas, device.frame.detuning_signs
+    kappas, sig = device.kappas, device.detuning_signs
     slots = []
     for c in device.couplings:
         i, j = (device.index(n) for n in c.pair)
@@ -145,28 +145,37 @@ def _template(device: ValidatedDevice) -> _Template:
             # both channels conjugated: the conjugate envelope equations
             slot = (p, q, 1j, 1j) if sig[i] == +1 else (q, p, -1j, -1j)
         slots.append((kappas[i], kappas[j]) + slot)
-    loop = device.is_circulator or device.is_directional_amp
+    loop = len(device.couplings) == 3  # a circulator or a directional amp
     root_k = np.sqrt(np.asarray(kappas))
     return _Template(np.asarray(kappas) / 2.0, root_k, np.outer(root_k, root_k) / 2.0,
                      tuple(slots), tuple(c.phase for c in device.couplings),
                      phase_signs(device)[device.couplings[0].pair] if loop else None)
 
 
+def _finite(values, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DomainError(f"{name} must be finite")
+    return values
+
+
 def _dynamics_batch(template: _Template, deltas, rhos, phi_tot=None) -> np.ndarray:
     """Dynamics matrices of n points, shape (n, 3, 3): ``deltas``, ``phi_tot``
     and each of ``rhos`` (one per coupling), scalars or 1-D, broadcast to n.
     Without ``phi_tot`` the device's stored phases are used; with it the
-    phases of ``with_total_phase(device, phi_tot)``."""
+    phases of ``with_total_phase(device, phi_tot)``.  Raises DomainError on a
+    non-finite value or a negative rho."""
+    deltas = _finite(deltas, "deltas")
+    rhos = [_finite(rho, "rhos") for rho in rhos]
+    if any((rho < 0).any() for rho in rhos):
+        raise DomainError("rhos must be >= 0")
     phases = template.phases
     if phi_tot is not None:
         if template.control_sign is None:
             raise TopologyError("phi_tot needs a circulator or directional-amp device")
-        # all on the first pair, wrapped twice as with_total_phase and
-        # PumpedCoupling do; an infinite total wraps to nan
-        with np.errstate(invalid="ignore"):
-            first = np.mod(template.control_sign * np.asarray(phi_tot, dtype=float), TWO_PI)
-            phases = [np.mod(first, TWO_PI)] + [0.0] * (len(phases) - 1)
-    deltas = np.asarray(deltas, dtype=float)
+        # all on the first pair, wrapped twice as with_total_phase and PumpedCoupling do
+        first = np.mod(template.control_sign * _finite(phi_tot, "phi_tot"), TWO_PI)
+        phases = [np.mod(first, TWO_PI)] + [0.0] * (len(phases) - 1)
     shape = np.broadcast(deltas, *phases, *rhos).shape
     if len(shape) > 1:
         raise DomainError("parameter arrays must be scalars or one-dimensional")

@@ -184,7 +184,7 @@ def added_noise(sweep: SweepResult, signal_port: str, output_port: str) -> float
 def symplectic_defect(sweep: SweepResult) -> float:
     """Largest |element| of S Sigma S^dag - Sigma over every point of the
     sweep, in one stacked evaluation; zero for a lossless device."""
-    sigma = np.diag(sweep.device.frame.detuning_signs).astype(complex)
+    sigma = np.diag(sweep.device.detuning_signs).astype(complex)
     s = sweep.entries
     return float(np.max(np.abs(s @ sigma @ np.swapaxes(s.conj(), -1, -2) - sigma)))
 

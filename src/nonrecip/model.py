@@ -101,58 +101,27 @@ class PumpedCoupling:
 
 
 @dataclass(frozen=True)
-class DeviceConfig:
-    """Raw device description: exactly three modes, up to three couplings."""
-
-    modes: tuple[ModeSpec, ...]
-    couplings: tuple[PumpedCoupling, ...] = ()
-    pump_detuning_tolerance: float = 10e6
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "couplings", tuple(self.couplings))
-
-
-@dataclass(frozen=True)
-class ChannelFrame:
-    """Per-channel conjugation bookkeeping of a validated device.
-
-    Conjugated channels carry the conjugate envelope (idler side of a gain
-    process); they enter the photon-flux metric with sign -1 and respond at
-    detuning -delta relative to their carrier.
-    """
-
-    names: tuple[str, str, str]
-    conjugated: tuple[bool, bool, bool]
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
-    @property
-    def detuning_signs(self) -> tuple[int, int, int]:
-        return tuple(-1 if c else +1 for c in self.conjugated)  # type: ignore[return-value]
-
-    def flipped(self) -> "ChannelFrame":
-        """Globally flipped assignment (the other valid 2-coloring)."""
-        return ChannelFrame(self.names, tuple(not c for c in self.conjugated))
-
-
-@dataclass(frozen=True)
 class ValidatedDevice:
     """A device whose couplings satisfy every structural invariant.
 
-    Modes are sorted by name; couplings are sorted by pair.  Immutable; safe
-    to share across parallel workers.
+    Modes are sorted by name; couplings are sorted by pair.  ``conjugated``
+    flags, per mode, the channels that carry the conjugate envelope (idler
+    side of a gain process); they enter the photon-flux metric with sign -1
+    and respond at detuning -delta relative to their carrier.
     """
 
     modes: tuple[ModeSpec, ModeSpec, ModeSpec]
     couplings: tuple[PumpedCoupling, ...]
-    frame: ChannelFrame
+    conjugated: tuple[bool, bool, bool]
     pump_detuning_tolerance: float = 10e6
 
     @property
     def mode_names(self) -> tuple[str, str, str]:
         return tuple(m.name for m in self.modes)  # type: ignore[return-value]
+
+    @property
+    def detuning_signs(self) -> tuple[int, int, int]:
+        return tuple(-1 if c else +1 for c in self.conjugated)  # type: ignore[return-value]
 
     @property
     def kappas(self) -> tuple[float, float, float]:
@@ -163,10 +132,7 @@ class ValidatedDevice:
 
     def coupling_for(self, pair: Iterable[str]) -> Optional[PumpedCoupling]:
         key = tuple(sorted(pair))
-        for c in self.couplings:
-            if c.pair == key:
-                return c
-        return None
+        return next((c for c in self.couplings if c.pair == key), None)
 
     @property
     def is_circulator(self) -> bool:
@@ -176,8 +142,8 @@ class ValidatedDevice:
 
     @property
     def is_directional_amp(self) -> bool:
-        kinds = sorted(c.kind.value for c in self.couplings)
-        return len(self.couplings) == 3 and kinds == ["conversion", "gain", "gain"]
+        # validation leaves one conversion and two gains as the only other loop
+        return len(self.couplings) == 3 and not self.is_circulator
 
 
 def conversion_head(device: ValidatedDevice, pair: Iterable[str]) -> str:
@@ -216,29 +182,19 @@ def directional_amp_parts(device: ValidatedDevice) -> tuple[tuple[str, str], str
 
 def phase_signs(device: ValidatedDevice) -> dict[tuple[str, str], int]:
     """Sign with which each coupling's phase enters the total pump phase."""
-    names = device.mode_names
-    pairs = {c.pair for c in device.couplings}
-    all_pairs = {
-        (names[0], names[1]),
-        (names[0], names[2]),
-        (names[1], names[2]),
-    }
-    if pairs != all_pairs:
+    if len(device.couplings) != 3:
         raise TopologyError("total pump phase requires one process on every mode pair")
+    names = device.mode_names
     if device.is_circulator:
         return {
             (names[0], names[1]): -1,
             (names[0], names[2]): +1,
             (names[1], names[2]): +1,
         }
-    if device.is_directional_amp:
-        conv_pair, head, _other, idler = directional_amp_parts(device)
-        signs = {conv_pair: +1}
-        for c in device.couplings:
-            if c.kind is ProcessKind.GAIN:
-                signs[c.pair] = -1 if head in c.pair else +1
-        return signs
-    raise TopologyError("total pump phase defined only for circulator or directional-amp devices")
+    _pair, head, _other, idler = directional_amp_parts(device)
+    signs = {c.pair: +1 for c in device.couplings}
+    signs[_canonical_pair((head, idler))] = -1
+    return signs
 
 
 def total_pump_phase(device: ValidatedDevice) -> float:
@@ -256,13 +212,10 @@ def with_total_phase(device: ValidatedDevice, value: float) -> ValidatedDevice:
     """Device with all coupling phases zeroed except the first pair, set so the
     total pump phase equals ``value``.  Gauge freedom makes this representative
     of every phase split with the same signed sum."""
-    signs = phase_signs(device)
-    control = device.couplings[0].pair
-    new = []
-    for c in device.couplings:
-        phi = signs[control] * value if c.pair == control else 0.0
-        new.append(replace(c, phase=wrap_phase(phi)))
-    return validate_device(DeviceConfig(device.modes, tuple(new), device.pump_detuning_tolerance))
+    signs, control = phase_signs(device), device.couplings[0].pair
+    return validate_device(device.modes, (
+        replace(c, phase=wrap_phase(signs[control] * value if c.pair == control else 0.0))
+        for c in device.couplings), device.pump_detuning_tolerance)
 
 
 def with_coupling(
@@ -273,20 +226,12 @@ def with_coupling(
 ) -> ValidatedDevice:
     """Copy of the device with one coupling's rho and/or phase replaced."""
     key = tuple(sorted(pair))
-    new = []
-    found = False
-    for c in device.couplings:
-        if c.pair == key:
-            found = True
-            c = replace(
-                c,
-                rho=c.rho if rho is None else rho,
-                phase=c.phase if phase is None else wrap_phase(phase),
-            )
-        new.append(c)
-    if not found:
+    if device.coupling_for(key) is None:
         raise DeviceValidationError(f"device has no coupling on pair {key!r}")
-    return validate_device(DeviceConfig(device.modes, tuple(new), device.pump_detuning_tolerance))
+    return validate_device(device.modes, (
+        replace(c, rho=c.rho if rho is None else rho,
+                phase=c.phase if phase is None else wrap_phase(phase)) if c.pair == key else c
+        for c in device.couplings), device.pump_detuning_tolerance)
 
 
 def _assign_conjugation(
@@ -322,18 +267,26 @@ def _assign_conjugation(
     return tuple(color[n] for n in names)  # type: ignore[return-value]
 
 
-def validate_device(config: DeviceConfig) -> ValidatedDevice:
-    """Check every structural invariant and return an immutable device.
+def validate_device(
+    modes: Iterable[ModeSpec],
+    couplings: Iterable[PumpedCoupling] = (),
+    pump_detuning_tolerance: float = 10e6,
+) -> ValidatedDevice:
+    """Check every structural invariant and return an immutable device:
+    exactly three modes, up to three couplings.
 
     Rejects duplicate pairs, non-member pairs, gain couplings at rho >= 1
     (enforced by PumpedCoupling itself) and coupling graphs with no
-    consistent conjugation 2-coloring.  Idempotent: re-validating a
-    ValidatedDevice's modes, couplings and tolerance yields an equivalent
-    device.
+    consistent conjugation 2-coloring.  An odd number of gains on the mode
+    triangle has none, so a device with three couplings is a circulator
+    (three conversions) or a directional amp (one conversion, two gains).
+    Idempotent: re-validating a ValidatedDevice's modes, couplings and
+    tolerance yields an equivalent device.
     """
-    if len(config.modes) != 3:
-        raise DeviceValidationError(f"device needs exactly 3 modes, got {len(config.modes)}")
-    modes = tuple(sorted(config.modes, key=lambda m: m.name))
+    modes, couplings = tuple(modes), tuple(couplings)
+    if len(modes) != 3:
+        raise DeviceValidationError(f"device needs exactly 3 modes, got {len(modes)}")
+    modes = tuple(sorted(modes, key=lambda m: m.name))
     names = tuple(m.name for m in modes)
     if len(set(names)) != 3:
         raise DeviceValidationError(f"mode names must be pairwise distinct, got {names!r}")
@@ -341,10 +294,10 @@ def validate_device(config: DeviceConfig) -> ValidatedDevice:
     if len({f for f in freqs}) != 3:
         raise DeviceValidationError("mode resonance frequencies must be pairwise distinct")
 
-    if len(config.couplings) > 3:
+    if len(couplings) > 3:
         raise DeviceValidationError("at most three pairwise couplings are possible")
     seen: set[tuple[str, str]] = set()
-    for c in config.couplings:
+    for c in couplings:
         if not set(c.pair) <= set(names):
             raise DeviceValidationError(
                 f"coupling pair {c.pair!r} references modes outside {names!r}"
@@ -354,14 +307,13 @@ def validate_device(config: DeviceConfig) -> ValidatedDevice:
                 f"DuplicatePair: more than one process declared on pair {c.pair!r}"
             )
         seen.add(c.pair)
-    couplings = tuple(sorted(config.couplings, key=lambda c: c.pair))
+    couplings = tuple(sorted(couplings, key=lambda c: c.pair))
 
     conjugated = _assign_conjugation(names, couplings)  # type: ignore[arg-type]
-    frame = ChannelFrame(names, conjugated)  # type: ignore[arg-type]
-    tol = float(config.pump_detuning_tolerance)
+    tol = float(pump_detuning_tolerance)
     if not (tol >= 0):
         raise DeviceValidationError("pump_detuning_tolerance must be >= 0")
-    return ValidatedDevice(modes, couplings, frame, tol)  # type: ignore[arg-type]
+    return ValidatedDevice(modes, couplings, conjugated, tol)  # type: ignore[arg-type]
 
 
 def pump_frequency_for(coupling: PumpedCoupling, modes: Iterable[ModeSpec]) -> float:

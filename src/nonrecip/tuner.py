@@ -29,7 +29,6 @@ from .errors import (
     TopologyError,
 )
 from .model import (
-    DeviceConfig,
     ProcessKind,
     ValidatedDevice,
     directional_amp_parts,
@@ -288,12 +287,11 @@ def _working_point(template: ValidatedDevice, objective: Objective) -> Validated
         rho_gain, up = None, objective.kind is ObjectiveKind.CIRCULATOR_CW
     phi = math.pi / 2 if up else -math.pi / 2
     signs, control = phase_signs(template), template.couplings[0].pair
-    couplings = tuple(
+    couplings = (
         replace(c, rho=rho_gain if c.kind is ProcessKind.GAIN else 1.0,
                 phase=signs[control] * phi if c.pair == control else 0.0)
         for c in template.couplings)
-    return validate_device(DeviceConfig(template.modes, couplings,
-                                        template.pump_detuning_tolerance))
+    return validate_device(template.modes, couplings, template.pump_detuning_tolerance)
 
 
 def tune(template: ValidatedDevice, objective: Objective) -> TuneResult:

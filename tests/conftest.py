@@ -40,14 +40,12 @@ def count_calls(monkeypatch, name, *modules):
 def make_circulator(c_ab=0.97, c_bc=0.98, c_ac=0.99, phi_tot=math.pi / 2):
     """All-conversion device at the standard working point."""
     device = nr.validate_device(
-        nr.DeviceConfig(
-            standard_modes(),
-            (
-                nr.PumpedCoupling(("a", "b"), "conversion", cmt.rho_for_conversion(c_ab)),
-                nr.PumpedCoupling(("b", "c"), "conversion", cmt.rho_for_conversion(c_bc)),
-                nr.PumpedCoupling(("a", "c"), "conversion", cmt.rho_for_conversion(c_ac)),
-            ),
-        )
+        standard_modes(),
+        (
+            nr.PumpedCoupling(("a", "b"), "conversion", cmt.rho_for_conversion(c_ab)),
+            nr.PumpedCoupling(("b", "c"), "conversion", cmt.rho_for_conversion(c_bc)),
+            nr.PumpedCoupling(("a", "c"), "conversion", cmt.rho_for_conversion(c_ac)),
+        ),
     )
     return nr.with_total_phase(device, phi_tot)
 
@@ -55,23 +53,19 @@ def make_circulator(c_ab=0.97, c_bc=0.98, c_ac=0.99, phi_tot=math.pi / 2):
 def make_diramp(c_ab=0.998, g_ac_db=13.0, g_bc_db=12.0, phi_tot=-math.pi / 2):
     """Two gains plus one conversion at the standard working point."""
     device = nr.validate_device(
-        nr.DeviceConfig(
-            standard_modes(),
-            (
-                nr.PumpedCoupling(("a", "b"), "conversion", cmt.rho_for_conversion(c_ab)),
-                nr.PumpedCoupling(("a", "c"), "gain", cmt.rho_for_gain(10 ** (g_ac_db / 10))),
-                nr.PumpedCoupling(("b", "c"), "gain", cmt.rho_for_gain(10 ** (g_bc_db / 10))),
-            ),
-        )
+        standard_modes(),
+        (
+            nr.PumpedCoupling(("a", "b"), "conversion", cmt.rho_for_conversion(c_ab)),
+            nr.PumpedCoupling(("a", "c"), "gain", cmt.rho_for_gain(10 ** (g_ac_db / 10))),
+            nr.PumpedCoupling(("b", "c"), "gain", cmt.rho_for_gain(10 ** (g_bc_db / 10))),
+        ),
     )
     return nr.with_total_phase(device, phi_tot)
 
 
 def make_single(kind, pair, rho, phase=0.0):
     """Three modes with a single pumped pair (two-mode sub-device)."""
-    return nr.validate_device(
-        nr.DeviceConfig(standard_modes(), (nr.PumpedCoupling(pair, kind, rho, phase),))
-    )
+    return nr.validate_device(standard_modes(), (nr.PumpedCoupling(pair, kind, rho, phase),))
 
 
 @pytest.fixture
@@ -86,4 +80,4 @@ def diramp():
 
 @pytest.fixture
 def bare_device():
-    return nr.validate_device(nr.DeviceConfig(standard_modes()))
+    return nr.validate_device(standard_modes())

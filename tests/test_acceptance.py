@@ -210,7 +210,7 @@ def _random_valid_device(rng):
             for nm, f, k in zip("abc", rng.uniform(4e9, 12e9, 3), rng.uniform(5e6, 80e6, 3))
         )
         try:
-            dev = nr.validate_device(nr.DeviceConfig(modes, tuple(coups)))
+            dev = nr.validate_device(modes, tuple(coups))
         except nr.FrustratedConjugationError:
             continue
         try:

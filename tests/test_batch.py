@@ -35,7 +35,7 @@ def diramp_converting(pair, phi_tot=-math.pi / 2):
         else nr.PumpedCoupling(p, "gain", cmt.rho_for_gain(10 ** 1.2))
         for p in PAIRS
     )
-    device = nr.validate_device(nr.DeviceConfig(standard_modes(), couplings))
+    device = nr.validate_device(standard_modes(), couplings)
     return nr.with_total_phase(device, phi_tot)
 
 
@@ -105,6 +105,21 @@ class TestSolveBatch:
     def test_rejects_two_dimensional_parameters(self, circulator):
         with pytest.raises(nr.DomainError):
             cmt.solve_batch(circulator, np.zeros((2, 2)))
+
+    @pytest.mark.filterwarnings("error")  # rejected before numpy computes a nan
+    @pytest.mark.parametrize("name, call", [
+        ("deltas", lambda dev: cmt.solve_batch(dev, [0.0, math.nan])),
+        ("rhos", lambda dev: cmt.solve_batch(dev, 0.0, rhos=[0.5, math.inf, 0.5])),
+        ("rhos", lambda dev: cmt.solve_batch(dev, 0.0, rhos=[0.5, [0.1, -0.1], 0.5])),
+        ("phi_tot", lambda dev: cmt.solve_batch(dev, 0.0, phi_tot=-math.inf)),
+        ("phi_tot", lambda dev: tuner.phase_sweep(dev, [math.nan, math.inf], [0.0])),
+        ("deltas", lambda dev: nr.sweep(dev, [0.0, math.inf])),
+        ("deltas", lambda dev: nr.scattering_at(dev, math.nan)),
+    ], ids=["solve_batch-deltas", "solve_batch-rhos-inf", "solve_batch-rhos-negative",
+            "solve_batch-phi_tot", "phase_sweep", "sweep", "scattering_at"])
+    def test_rejects_invalid_kernel_input(self, circulator, name, call):
+        with pytest.raises(nr.DomainError, match=name):
+            call(circulator)
 
 
 class TestCallers:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -68,31 +69,32 @@ class TestPumpedCoupling:
 class TestValidateDevice:
     def test_all_conversion_device_unconjugated(self):
         dev = make_circulator()
-        assert dev.frame.conjugated == (False, False, False)
-        assert dev.frame.detuning_signs == (1, 1, 1)
+        assert dev.conjugated == (False, False, False)
+        assert dev.detuning_signs == (1, 1, 1)
 
     def test_diramp_conjugates_doubly_gain_coupled_mode(self):
         dev = make_diramp()
-        assert dev.frame.conjugated == (False, False, True)
-        assert dev.frame.detuning_signs[2] == -1
+        assert dev.conjugated == (False, False, True)
+        assert dev.detuning_signs[2] == -1
 
-    def test_three_gains_frustrated(self):
-        coups = tuple(
-            nr.PumpedCoupling(p, "gain", 0.5)
-            for p in (("a", "b"), ("b", "c"), ("a", "c"))
-        )
-        with pytest.raises(FrustratedConjugationError):
-            nr.validate_device(nr.DeviceConfig(standard_modes(), coups))
-
-    def test_one_gain_two_conversions_frustrated(self):
-        # odd number of conjugation flips around the triangle
-        coups = (
-            nr.PumpedCoupling(("a", "b"), "gain", 0.5),
-            nr.PumpedCoupling(("b", "c"), "conversion", 0.5),
-            nr.PumpedCoupling(("a", "c"), "conversion", 0.5),
-        )
-        with pytest.raises(FrustratedConjugationError):
-            nr.validate_device(nr.DeviceConfig(standard_modes(), coups))
+    @pytest.mark.parametrize("kinds", list(itertools.product(("conversion", "gain"), repeat=3)),
+                             ids="-".join)
+    def test_kind_assignment(self, kinds):
+        # kinds on (a,b), (b,c), (a,c); a gain flips conjugation, so an odd
+        # number of them around the triangle has no consistent assignment
+        coups = tuple(nr.PumpedCoupling(p, k, 0.5)
+                      for p, k in zip((("a", "b"), ("b", "c"), ("a", "c")), kinds))
+        if kinds.count("gain") % 2:
+            with pytest.raises(FrustratedConjugationError):
+                nr.validate_device(standard_modes(), coups)
+            return
+        dev = nr.validate_device(standard_modes(), coups)
+        assert dev.is_circulator == (kinds.count("gain") == 0)
+        assert dev.is_directional_amp == (kinds.count("gain") == 2)
+        assert set(phase_signs(dev).values()) <= {-1, +1}
+        for n in range(3):
+            with pytest.raises(TopologyError):
+                phase_signs(nr.validate_device(standard_modes(), coups[:n]))
 
     def test_duplicate_pair_rejected(self):
         coups = (
@@ -100,16 +102,16 @@ class TestValidateDevice:
             nr.PumpedCoupling(("b", "a"), "gain", 0.5),
         )
         with pytest.raises(DuplicatePairError):
-            nr.validate_device(nr.DeviceConfig(standard_modes(), coups))
+            nr.validate_device(standard_modes(), coups)
 
     def test_pair_outside_modes_rejected(self):
         coups = (nr.PumpedCoupling(("a", "x"), "conversion", 0.5),)
         with pytest.raises(DeviceValidationError):
-            nr.validate_device(nr.DeviceConfig(standard_modes(), coups))
+            nr.validate_device(standard_modes(), coups)
 
     def test_wrong_mode_count_rejected(self):
         with pytest.raises(DeviceValidationError):
-            nr.validate_device(nr.DeviceConfig(standard_modes()[:2]))
+            nr.validate_device(standard_modes()[:2])
 
     def test_duplicate_names_rejected(self):
         modes = (
@@ -118,7 +120,7 @@ class TestValidateDevice:
             nr.ModeSpec("c", 7.0e9, 50e6),
         )
         with pytest.raises(DeviceValidationError):
-            nr.validate_device(nr.DeviceConfig(modes))
+            nr.validate_device(modes)
 
     def test_duplicate_frequencies_rejected(self):
         modes = (
@@ -127,19 +129,16 @@ class TestValidateDevice:
             nr.ModeSpec("c", 7.0e9, 50e6),
         )
         with pytest.raises(DeviceValidationError):
-            nr.validate_device(nr.DeviceConfig(modes))
+            nr.validate_device(modes)
 
     def test_idempotent(self):
         dev = make_diramp()
-        again = nr.validate_device(
-            nr.DeviceConfig(dev.modes, dev.couplings, dev.pump_detuning_tolerance))
-        assert again.modes == dev.modes
-        assert again.couplings == dev.couplings
-        assert again.frame == dev.frame
+        again = nr.validate_device(dev.modes, dev.couplings, dev.pump_detuning_tolerance)
+        assert again == dev
 
     def test_modes_sorted_by_name(self):
         modes = standard_modes()
-        dev = nr.validate_device(nr.DeviceConfig((modes[2], modes[0], modes[1])))
+        dev = nr.validate_device((modes[2], modes[0], modes[1]))
         assert dev.mode_names == ("a", "b", "c")
 
     def test_anchor_component_unconjugated(self):
@@ -148,8 +147,8 @@ class TestValidateDevice:
             nr.PumpedCoupling(("a", "b"), "gain", 0.5),
             nr.PumpedCoupling(("a", "c"), "gain", 0.5),
         )
-        dev = nr.validate_device(nr.DeviceConfig(standard_modes(), coups))
-        assert dev.frame.conjugated == (False, True, True)
+        dev = nr.validate_device(standard_modes(), coups)
+        assert dev.conjugated == (False, True, True)
 
 
 class TestTopologyHelpers:
@@ -176,27 +175,23 @@ class TestTopologyHelpers:
 class TestTotalPumpPhase:
     def test_circulator_signed_sum(self):
         dev = nr.validate_device(
-            nr.DeviceConfig(
-                standard_modes(),
-                (
-                    nr.PumpedCoupling(("a", "b"), "conversion", 0.9, phase=0.2),
-                    nr.PumpedCoupling(("b", "c"), "conversion", 0.9, phase=0.5),
-                    nr.PumpedCoupling(("a", "c"), "conversion", 0.9, phase=0.1),
-                ),
-            )
+            standard_modes(),
+            (
+                nr.PumpedCoupling(("a", "b"), "conversion", 0.9, phase=0.2),
+                nr.PumpedCoupling(("b", "c"), "conversion", 0.9, phase=0.5),
+                nr.PumpedCoupling(("a", "c"), "conversion", 0.9, phase=0.1),
+            ),
         )
         assert math.isclose(total_pump_phase(dev), 0.5 + 0.1 - 0.2)
 
     def test_diramp_signed_sum(self):
         dev = nr.validate_device(
-            nr.DeviceConfig(
-                standard_modes(),
-                (
-                    nr.PumpedCoupling(("a", "b"), "conversion", 0.9, phase=0.2),
-                    nr.PumpedCoupling(("b", "c"), "gain", 0.5, phase=0.5),
-                    nr.PumpedCoupling(("a", "c"), "gain", 0.5, phase=0.1),
-                ),
-            )
+            standard_modes(),
+            (
+                nr.PumpedCoupling(("a", "b"), "conversion", 0.9, phase=0.2),
+                nr.PumpedCoupling(("b", "c"), "gain", 0.5, phase=0.5),
+                nr.PumpedCoupling(("a", "c"), "gain", 0.5, phase=0.1),
+            ),
         )
         assert math.isclose(total_pump_phase(dev), 0.2 + 0.5 - 0.1)
 
@@ -222,9 +217,9 @@ class TestTotalPumpPhase:
         pairs = (("a", "b"), ("b", "c"), ("a", "c"))
         for phases, wrapped in (((0.5, 5.0, 4.0), 8.5 - 2 * math.pi),
                                 ((6.0, 0.1, 0.2), -5.7 + 2 * math.pi)):
-            dev = nr.validate_device(nr.DeviceConfig(standard_modes(), tuple(
+            dev = nr.validate_device(standard_modes(), tuple(
                 nr.PumpedCoupling(p, "conversion", 0.9, phase=phi)
-                for p, phi in zip(pairs, phases))))
+                for p, phi in zip(pairs, phases)))
             tot = total_pump_phase(dev)
             assert -math.pi < tot <= math.pi
             assert math.isclose(tot, wrapped)

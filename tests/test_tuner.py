@@ -153,14 +153,12 @@ class TestCalibratePhaseOffset:
 
     def test_pumps_off_ambiguous(self, bare_device):
         dev = nr.validate_device(
-            nr.DeviceConfig(
-                bare_device.modes,
-                (
-                    nr.PumpedCoupling(("a", "b"), "conversion", 0.0),
-                    nr.PumpedCoupling(("b", "c"), "conversion", 0.0),
-                    nr.PumpedCoupling(("a", "c"), "conversion", 0.0),
-                ),
-            )
+            bare_device.modes,
+            (
+                nr.PumpedCoupling(("a", "b"), "conversion", 0.0),
+                nr.PumpedCoupling(("b", "c"), "conversion", 0.0),
+                nr.PumpedCoupling(("a", "c"), "conversion", 0.0),
+            ),
         )
         with pytest.raises(AmbiguousMinimumError):
             tuner.calibrate_phase_offset(dev)
@@ -191,7 +189,7 @@ def tuning_problems(draw):
                           for p in PAIRS)
         objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP,
                                     target_gain_db=draw(st.floats(0.0, tuner.G_MAX_DB)))
-    device = nr.validate_device(nr.DeviceConfig(modes, couplings))
+    device = nr.validate_device(modes, couplings)
     phi = draw(st.one_of(st.just(0.0), st.floats(-7.0, 7.0)))
     return nr.with_total_phase(device, phi), objective
 
@@ -210,7 +208,7 @@ def calibrated_devices(draw):
         if topology in ("circulator", p)
         else nr.PumpedCoupling(p, "gain", draw(st.floats(0.0, 0.3)), draw(phases))
         for p in PAIRS)
-    return nr.validate_device(nr.DeviceConfig(modes, couplings))
+    return nr.validate_device(modes, couplings)
 
 
 class TestCalibrationStructure:
@@ -267,9 +265,9 @@ class TestWorkingPoint:
         # the gain-coupled idler is conjugated; a conversion on (b, c) links two
         # conjugated channels
         modes = (nr.ModeSpec("a", 9e9, 4e7), nr.ModeSpec("b", 5e9, 2e7), nr.ModeSpec("c", 7e9, 5e7))
-        frames = [nr.validate_device(nr.DeviceConfig(modes, tuple(
+        frames = [nr.validate_device(modes, tuple(
             nr.PumpedCoupling(p, "conversion" if p == pair else "gain", 0.3) for p in PAIRS)
-        )).frame.conjugated for pair in TOPOLOGIES[1:]]
+        ).conjugated for pair in TOPOLOGIES[1:]]
         assert frames == [(False, False, True), (False, True, False), (False, True, True)]
 
     def test_bundled_diramp_meets_every_target_to_g_max(self):
