@@ -225,6 +225,12 @@ class SweepTable:
         return np.split(self.rows, np.flatnonzero(ends) + 1)
 
 
+def _db(mag):
+    """Amplitude to dB, 20 log10 |S|; an exact zero is -inf dB."""
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(mag)
+
+
 def sweep_table(result: cmt.SweepResult) -> SweepTable:
     """Tabulate a sweep: delta, re/im for every (out, in) pair, then dB."""
     names = result.device.mode_names
@@ -232,8 +238,7 @@ def sweep_table(result: cmt.SweepResult) -> SweepTable:
     columns = (["delta_hz"] + [f"S_{p}_{part}" for p in pairs for part in ("re", "im")]
                + [f"S_{p}_db" for p in pairs])
     s = np.ascontiguousarray(result.entries.reshape(len(result), 9))
-    with np.errstate(divide="ignore"):
-        rows = np.column_stack([result.deltas, s.view(float), 20.0 * np.log10(np.abs(s))])
+    rows = np.column_stack([result.deltas, s.view(float), _db(np.abs(s))])
     return SweepTable(columns, rows)
 
 
@@ -317,8 +322,7 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
     device = cfg.device
     names = device.mode_names
     center = result.center_index
-    with np.errstate(divide="ignore"):  # an exact zero is -inf dB
-        db = 20.0 * np.log10(np.abs(result.entries[center]))
+    db = _db(np.abs(result.entries[center]))
     print(f"on-resonance |S| (dB) at delta=0 Hz, modes {names}:")
     for o, row in zip(names, db):
         cells = "  ".join(f"{v:8.2f}" for v in row)
@@ -369,7 +373,7 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
 def cmd_sparams(args) -> int:
     cfg = load_config(args.config)
     out_path = args.out or cfg.out_path
-    fmt = (args.format or cfg.out_format).lower()
+    fmt = args.format or cfg.out_format
     result = cmt.sweep(cfg.device, cfg.delta_grid)
     write_table(sweep_table(result), out_path, fmt)
     print(f"wrote {len(result)} detuning points to {out_path} ({fmt})")
@@ -389,11 +393,11 @@ def cmd_phase_sweep(args) -> int:
     rows = np.empty((n_phi * n_delta, len(columns)))  # phi-major: row r * n_delta + c
     rows[:, 0] = np.repeat(ps.phis, n_delta)
     rows[:, 1] = np.tile(ps.deltas, n_phi)
-    with np.errstate(divide="ignore"):
-        for n, pair in enumerate(pairs):
-            rows[:, 2 + n] = 20.0 * np.log10(ps.magnitude(*pair).ravel())
-    out_path = args.out or "phase_sweep." + (args.format or cfg.out_format)
-    write_table(SweepTable(columns, rows), out_path, (args.format or cfg.out_format).lower())
+    for n, pair in enumerate(pairs):
+        rows[:, 2 + n] = _db(ps.magnitude(*pair).ravel())
+    fmt = args.format or cfg.out_format
+    out_path = args.out or "phase_sweep." + fmt
+    write_table(SweepTable(columns, rows), out_path, fmt)
     print(f"wrote {rows.shape[0]} (phi, delta) points to {out_path}")
     return EXIT_OK
 
@@ -407,14 +411,13 @@ def cmd_threshold(args) -> int:
     q, z = res.reflection_port, res.idler_port
     columns = ["c", "rho_conv", f"S_{q}{q}_abs", f"S_{z}{q}_abs",
                f"S_{q}{q}_db", f"S_{z}{q}_db", "c_threshold"]
-    with np.errstate(divide="ignore"):
-        rows = np.column_stack([
-            res.c_values, res.rho_values, res.reflection_mag, res.forward_mag,
-            20.0 * np.log10(res.reflection_mag), 20.0 * np.log10(res.forward_mag),
-            np.full(len(cs), res.threshold_c),
-        ])
-    out_path = args.out or "threshold." + (args.format or cfg.out_format)
-    write_table(SweepTable(columns, rows), out_path, (args.format or cfg.out_format).lower())
+    rows = np.column_stack([
+        res.c_values, res.rho_values, res.reflection_mag, res.forward_mag,
+        _db(res.reflection_mag), _db(res.forward_mag), np.full(len(cs), res.threshold_c),
+    ])
+    fmt = args.format or cfg.out_format
+    out_path = args.out or "threshold." + fmt
+    write_table(SweepTable(columns, rows), out_path, fmt)
     print(f"wrote {len(cs)} conversion points to {out_path}; "
           f"analytic threshold C = {res.threshold_c:.6f} (|S_{q}{q}| crosses 1, delta=0)")
     return EXIT_OK

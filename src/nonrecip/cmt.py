@@ -6,6 +6,8 @@ from input-output theory as S = K M^{-1} K - I with K = diag(sqrt(kappa)).
 Everything is expressed in ordinary frequencies (Hz), so the mode
 susceptibility is (kappa/2 - i*delta)^{-1}.  Every solve comes back as a
 ``SweepResult``; ``scattering_at`` is the one-point sweep at a single detuning.
+The kernel takes one phase per coupling; a total pump phase phi_tot is put on
+the couplings by ``model.split_total_phase``.
 
 Closed forms provided as independent oracles:
   sqrt(G) = (1+rho)/(1-rho)          zero-detuning gain of one pumped pair
@@ -25,14 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError, TopologyError
-from .model import (
-    TWO_PI,
-    ProcessKind,
-    ValidatedDevice,
-    conversion_head,
-    phase_signs,
-)
+from .errors import DomainError, SingularMatrixError
+from .model import ProcessKind, ValidatedDevice, conversion_head, split_total_phase
 
 _DET_TOL = 1e-12  # on the dimensionless (normalized) dynamics matrix
 
@@ -123,16 +119,16 @@ class SweepResult:
 
 
 _DIAG = np.arange(3)
-_Template = namedtuple("_Template", "half_kappas root_k scale slots phases control_sign")
+_Template = namedtuple("_Template", "half_kappas root_k scale slots gains")
 
 
 @functools.lru_cache(maxsize=32)
 def _template(device: ValidatedDevice) -> _Template:
-    """What the kernel takes from a device, once per device: kappa/2, sqrt(kappa),
-    the scale K K / 2 of the dimensionless M, per coupling (kappa_i, kappa_j, r, c, a, b)
-    with M[r, c] = a g / exp(i phase) and M[c, r] = b g exp(i phase), the stored
-    phases and the sign of the first pair in phi_tot (None without).  Strengths stay
-    out: the cache matches equal devices, and rho = -0.0 equals 0.0."""
+    """What the kernel takes from a device's structure, once per device: kappa/2,
+    sqrt(kappa), the scale K K / 2 of the dimensionless M, per coupling
+    (kappa_i, kappa_j, r, c, a, b) with M[r, c] = a g / exp(i phase) and
+    M[c, r] = b g exp(i phase), and which couplings are gains.  Strengths and
+    phases stay out: the cache matches equal devices, and rho = -0.0 equals 0.0."""
     kappas, sig = device.kappas, device.detuning_signs
     slots = []
     for c in device.couplings:
@@ -145,11 +141,9 @@ def _template(device: ValidatedDevice) -> _Template:
             # both channels conjugated: the conjugate envelope equations
             slot = (p, q, 1j, 1j) if sig[i] == +1 else (q, p, -1j, -1j)
         slots.append((kappas[i], kappas[j]) + slot)
-    loop = len(device.couplings) == 3  # a circulator or a directional amp
     root_k = np.sqrt(np.asarray(kappas))
     return _Template(np.asarray(kappas) / 2.0, root_k, np.outer(root_k, root_k) / 2.0,
-                     tuple(slots), tuple(c.phase for c in device.couplings),
-                     phase_signs(device)[device.couplings[0].pair] if loop else None)
+                     tuple(slots), tuple(c.kind is ProcessKind.GAIN for c in device.couplings))
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -159,23 +153,17 @@ def _finite(values, name: str) -> np.ndarray:
     return values
 
 
-def _dynamics_batch(template: _Template, deltas, rhos, phi_tot=None) -> np.ndarray:
-    """Dynamics matrices of n points, shape (n, 3, 3): ``deltas``, ``phi_tot``
-    and each of ``rhos`` (one per coupling), scalars or 1-D, broadcast to n.
-    Without ``phi_tot`` the device's stored phases are used; with it the
-    phases of ``with_total_phase(device, phi_tot)``.  Raises DomainError on a
-    non-finite value or a negative rho."""
+def _dynamics_batch(template: _Template, deltas, rhos, phases) -> np.ndarray:
+    """Dynamics matrices of n points, shape (n, 3, 3): ``deltas`` and each of
+    ``rhos`` and ``phases`` (one per coupling), scalars or 1-D, broadcast to n.
+    Raises DomainError on a non-finite delta or rho, on a ``rhos`` of the wrong
+    length, or on a rho outside [0, 1) for a gain and [0, inf) for a conversion."""
     deltas = _finite(deltas, "deltas")
+    if len(rhos) != len(template.slots):
+        raise DomainError(f"rhos needs {len(template.slots)} values, got {len(rhos)}")
     rhos = [_finite(rho, "rhos") for rho in rhos]
-    if any((rho < 0).any() for rho in rhos):
-        raise DomainError("rhos must be >= 0")
-    phases = template.phases
-    if phi_tot is not None:
-        if template.control_sign is None:
-            raise TopologyError("phi_tot needs a circulator or directional-amp device")
-        # all on the first pair, wrapped twice as with_total_phase and PumpedCoupling do
-        first = np.mod(template.control_sign * _finite(phi_tot, "phi_tot"), TWO_PI)
-        phases = [np.mod(first, TWO_PI)] + [0.0] * (len(phases) - 1)
+    if any(((rho < 0) | (gain & (rho >= 1))).any() for gain, rho in zip(template.gains, rhos)):
+        raise DomainError("rhos must be >= 0, and < 1 on a gain coupling")
     shape = np.broadcast(deltas, *phases, *rhos).shape
     if len(shape) > 1:
         raise DomainError("parameter arrays must be scalars or one-dimensional")
@@ -197,18 +185,23 @@ def build_dynamics_matrix(device: ValidatedDevice, delta: float) -> np.ndarray:
     -delta from its carrier).  Off-diagonal entries carry sqrt(rho_ij kappa_i
     kappa_j)/2 with the pump phase, conjugated on conjugated-channel rows.
     """
-    return _dynamics_batch(_template(device), float(delta), [c.rho for c in device.couplings])[0]
+    return _dynamics_batch(_template(device), float(delta), [c.rho for c in device.couplings],
+                           [c.phase for c in device.couplings])[0]
 
 
 def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None) -> np.ndarray:
     """Scattering matrices S = K M^{-1} K - I of n points, shape (n, 3, 3), from
-    parameter arrays broadcast as in ``_dynamics_batch`` (no ``rhos``: the device's
-    own).  Bit for bit ``scattering_at`` on the device rebuilt with ``with_coupling``
-    and ``with_total_phase``, without building one.  Raises SingularMatrixError at
+    parameter arrays broadcast as in ``_dynamics_batch``: no ``rhos``, the
+    device's own; no ``phi_tot``, its stored phases, else those of
+    ``split_total_phase``.  Bit for bit ``scattering_at`` on the device rebuilt
+    with ``with_coupling`` and ``with_total_phase``, without building one.
+    Raises DomainError on a non-finite ``phi_tot`` and SingularMatrixError at
     the first parametric oscillation point."""
     template = _template(device)
     rhos = [c.rho for c in device.couplings] if rhos is None else rhos
-    m = _dynamics_batch(template, deltas, rhos, phi_tot)
+    phases = ([c.phase for c in device.couplings] if phi_tot is None
+              else split_total_phase(device, _finite(phi_tot, "phi_tot")))
+    m = _dynamics_batch(template, deltas, rhos, phases)
     # dimensionless determinant check: N = 2 K^-1 M K^-1 has O(1) entries
     dets = np.linalg.det(m / template.scale)
     bad = np.abs(dets) < _DET_TOL

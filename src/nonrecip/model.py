@@ -9,12 +9,14 @@ a gain process links opposite ones, so the coupling graph must admit a
 (omega/2pi) in Hz; coupling strengths are the dimensionless ratios
 rho_ij = |g_ij|^2 / (kappa_i * kappa_j); phases are radians in [0, 2pi).
 The total pump phase phi_tot, the one phase combination the scattering
-depends on, is a plain float in (-pi, pi].
+depends on, is a plain float in (-pi, pi]; ``split_total_phase`` is the one
+place that puts a phi_tot on the couplings.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional
@@ -208,14 +210,22 @@ def total_pump_phase(device: ValidatedDevice) -> float:
     return wrap_signed(sum(signs[c.pair] * c.phase for c in device.couplings))
 
 
+def split_total_phase(device: ValidatedDevice, phi_tot):
+    """Per-coupling phases, in coupling order, that give total pump phase
+    ``phi_tot`` (a float or an array): phi_tot on the first pair with that
+    pair's sign in ``phase_signs``, wrapped to [0, 2pi) twice (just below
+    zero the first wrap rounds to 2pi), and 0.0 on the other pairs.  The one
+    place phi_tot is put on the couplings; gauge freedom makes this split
+    representative of every split with the same signed sum."""
+    first = phase_signs(device)[device.couplings[0].pair] * phi_tot % TWO_PI % TWO_PI
+    return [first] + [0.0] * (len(device.couplings) - 1)
+
+
 def with_total_phase(device: ValidatedDevice, value: float) -> ValidatedDevice:
-    """Device with all coupling phases zeroed except the first pair, set so the
-    total pump phase equals ``value``.  Gauge freedom makes this representative
-    of every phase split with the same signed sum."""
-    signs, control = phase_signs(device), device.couplings[0].pair
-    return validate_device(device.modes, (
-        replace(c, phase=wrap_phase(signs[control] * value if c.pair == control else 0.0))
-        for c in device.couplings), device.pump_detuning_tolerance)
+    """Device whose total pump phase is ``value``, split by ``split_total_phase``."""
+    phases = split_total_phase(device, value)
+    couplings = (replace(c, phase=p) for c, p in zip(device.couplings, phases))
+    return validate_device(device.modes, couplings, device.pump_detuning_tolerance)
 
 
 def with_coupling(
@@ -237,34 +247,18 @@ def with_coupling(
 def _assign_conjugation(
     names: tuple[str, str, str], couplings: tuple[PumpedCoupling, ...]
 ) -> tuple[bool, bool, bool]:
-    # 2-coloring: conversion edges keep the class, gain edges flip it.  Each
-    # component is anchored on its alphabetically first mode, which also pins
-    # the global flip (first device mode ends up un-conjugated).
-    color: dict[str, bool] = {}
-    adj: dict[str, list[tuple[str, bool]]] = {n: [] for n in names}
-    for c in couplings:
-        flip = c.kind is ProcessKind.GAIN
-        a, b = c.pair
-        adj[a].append((b, flip))
-        adj[b].append((a, flip))
-    for start in names:  # sorted order: component anchors are alphabetical minima
-        if start in color:
-            continue
-        color[start] = False
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, flip in adj[u]:
-                want = color[u] ^ flip
-                if v not in color:
-                    color[v] = want
-                    stack.append(v)
-                elif color[v] != want:
-                    raise FrustratedConjugationError(
-                        "FrustratedConjugation: no consistent conjugation assignment exists "
-                        f"for couplings {[f'{c.kind.value}{c.pair}' for c in couplings]}"
-                    )
-    return tuple(color[n] for n in names)  # type: ignore[return-value]
+    # 2-coloring: conversion edges join equal flags, gain edges opposite ones.
+    # The first fit in product order (names sorted) leaves each connected
+    # group's first mode un-conjugated, which also pins the global flip.
+    for flags in itertools.product((False, True), repeat=3):
+        flag = dict(zip(names, flags))
+        if all((flag[c.pair[0]] != flag[c.pair[1]]) == (c.kind is ProcessKind.GAIN)
+               for c in couplings):
+            return flags  # type: ignore[return-value]
+    raise FrustratedConjugationError(
+        "FrustratedConjugation: no consistent conjugation assignment exists "
+        f"for couplings {[f'{c.kind.value}{c.pair}' for c in couplings]}"
+    )
 
 
 def validate_device(

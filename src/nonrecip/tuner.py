@@ -10,7 +10,8 @@ phases.
 The calibration and the sweeps solve from parameter arrays (rho per coupling,
 phi_tot) with ``cmt.solve_batch`` and take magnitudes with ``np.abs``, as
 ``cmt.SweepResult.magnitudes`` does; no device is built or validated per
-point, only the one ``tune`` returns.
+point, only the one ``tune`` returns.  There, as in the kernel, phi_tot is put
+on the couplings by ``model.split_total_phase``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .model import (
     ProcessKind,
     ValidatedDevice,
     directional_amp_parts,
-    phase_signs,
+    split_total_phase,
     total_pump_phase,
     validate_device,
     wrap_signed,
@@ -105,11 +106,12 @@ class PhaseSweepResult:
 
     phis: np.ndarray
     deltas: np.ndarray
-    magnitudes: dict[tuple[str, str], np.ndarray]  # (out, in) -> (n_phi, n_delta)
+    magnitudes: np.ndarray  # (3, 3, n_phi, n_delta): out, in, phi, delta
     device: ValidatedDevice
 
     def magnitude(self, out_mode: str, in_mode: str) -> np.ndarray:
-        return self.magnitudes[(out_mode, in_mode)]
+        """The contiguous (n_phi, n_delta) block of one (out, in) pair."""
+        return self.magnitudes[self.device.index(out_mode), self.device.index(in_mode)]
 
 
 @dataclass(frozen=True)
@@ -156,12 +158,10 @@ def phase_sweep(
     deltas = cmt.delta_grid(delta_grid)
     if len(phis) == 0 or len(deltas) == 0:
         raise DomainError("phase_sweep grids must be non-empty")
-    names = device.mode_names
-    mags = {(o, i): np.empty((len(phis), len(deltas))) for o in names for i in names}
+    mags = np.empty((3, 3, len(phis), len(deltas)))
     for r, phi in enumerate(phis):  # one batch per row keeps memory flat
         s = cmt.solve_batch(device, deltas, phi_tot=float(phi))
-        for (o, i), mag in mags.items():
-            mag[r] = np.abs(s[:, device.index(o), device.index(i)])
+        mags[:, :, r] = np.abs(s).transpose(1, 2, 0)
     return PhaseSweepResult(phis, deltas, mags, device)
 
 
@@ -277,8 +277,7 @@ def _working_point(template: ValidatedDevice, objective: Objective) -> Validated
     ``_gain_rho`` of the target, so that |S_signal->idler|^2 = 10**(t/10) and
     both inputs are matched (S_bb = 0 in ``cmt.sbb_closed_form``); phi_tot =
     +-pi/2 with the sign of sin of the template's phi_tot (+ when that is 0),
-    which keeps its signal and idler roles.  The phase sits on the first pair,
-    as ``with_total_phase`` puts it.
+    which keeps its signal and idler roles, split by ``split_total_phase``.
     """
     if objective.kind is ObjectiveKind.DIRECTIONAL_AMP:
         rho_gain = _gain_rho(objective.target_gain_db)
@@ -286,11 +285,9 @@ def _working_point(template: ValidatedDevice, objective: Objective) -> Validated
     else:
         rho_gain, up = None, objective.kind is ObjectiveKind.CIRCULATOR_CW
     phi = math.pi / 2 if up else -math.pi / 2
-    signs, control = phase_signs(template), template.couplings[0].pair
     couplings = (
-        replace(c, rho=rho_gain if c.kind is ProcessKind.GAIN else 1.0,
-                phase=signs[control] * phi if c.pair == control else 0.0)
-        for c in template.couplings)
+        replace(c, rho=rho_gain if c.kind is ProcessKind.GAIN else 1.0, phase=phase)
+        for c, phase in zip(template.couplings, split_total_phase(template, phi)))
     return validate_device(template.modes, couplings, template.pump_detuning_tolerance)
 
 

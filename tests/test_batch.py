@@ -115,8 +115,17 @@ class TestSolveBatch:
         ("phi_tot", lambda dev: tuner.phase_sweep(dev, [math.nan, math.inf], [0.0])),
         ("deltas", lambda dev: nr.sweep(dev, [0.0, math.inf])),
         ("deltas", lambda dev: nr.scattering_at(dev, math.nan)),
+        # the diramp's couplings are a conversion and two gains, in pair order
+        ("rhos", lambda dev: cmt.solve_batch(TEMPLATES["diramp-ab"], 0.0, rhos=[0.9])),
+        ("rhos", lambda dev: cmt.solve_batch(TEMPLATES["diramp-ab"], 0.0, rhos=[0.9] * 4)),
+        ("rhos", lambda dev: cmt.solve_batch(TEMPLATES["diramp-ab"], 0.0,
+                                             rhos=[0.9, 1.5, 0.5])),
+        ("rhos", lambda dev: cmt.solve_batch(TEMPLATES["diramp-ab"], 0.0,
+                                             rhos=[0.9, 0.5, [0.5, 1.0]])),
     ], ids=["solve_batch-deltas", "solve_batch-rhos-inf", "solve_batch-rhos-negative",
-            "solve_batch-phi_tot", "phase_sweep", "sweep", "scattering_at"])
+            "solve_batch-phi_tot", "phase_sweep", "sweep", "scattering_at",
+            "solve_batch-rhos-short", "solve_batch-rhos-long", "solve_batch-gain-rho-above-1",
+            "solve_batch-gain-rho-1"])
     def test_rejects_invalid_kernel_input(self, circulator, name, call):
         with pytest.raises(nr.DomainError, match=name):
             call(circulator)

@@ -142,13 +142,28 @@ class TestValidateDevice:
         assert dev.mode_names == ("a", "b", "c")
 
     def test_anchor_component_unconjugated(self):
-        # gains on (a,b) and (a,c): classes {a} vs {b, c}; a stays un-conjugated
-        coups = (
-            nr.PumpedCoupling(("a", "b"), "gain", 0.5),
-            nr.PumpedCoupling(("a", "c"), "gain", 0.5),
-        )
-        dev = nr.validate_device(standard_modes(), coups)
-        assert dev.conjugated == (False, True, True)
+        # all 27 coupling sets: every subset of the three pairs, every kind
+        # assignment; e.g. one gain on (b, c) gives groups {a}, {b, c} and
+        # conjugation (False, False, True)
+        pairs, kinds = (("a", "b"), ("a", "c"), ("b", "c")), ("conversion", "gain")
+        sets = [tuple(nr.PumpedCoupling(p, k, 0.5) for p, k in zip(chosen, assigned))
+                for n in range(4) for chosen in itertools.combinations(pairs, n)
+                for assigned in itertools.product(kinds, repeat=n)]
+        assert len(sets) == 27
+        for coups in sets:
+            gains = sum(c.kind is nr.ProcessKind.GAIN for c in coups)
+            if len(coups) == 3 and gains % 2:
+                with pytest.raises(FrustratedConjugationError):
+                    nr.validate_device(standard_modes(), coups)
+                continue
+            flag = dict(zip("abc", nr.validate_device(standard_modes(), coups).conjugated))
+            for c in coups:
+                assert (flag[c.pair[0]] != flag[c.pair[1]]) == (c.kind is nr.ProcessKind.GAIN)
+            group = {n: n for n in "abc"}  # each mode's group, named by its first mode
+            for c in coups:
+                first, later = sorted((group[c.pair[0]], group[c.pair[1]]))
+                group = {n: first if g == later else g for n, g in group.items()}
+            assert not any(flag[g] for g in group.values()), coups
 
 
 class TestTopologyHelpers:
