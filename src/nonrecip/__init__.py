@@ -28,7 +28,6 @@ from .model import (
     PumpedCoupling,
     ValidatedDevice,
     check_pump_closure,
-    pump_frequency_for,
     total_pump_phase,
     validate_device,
     with_coupling,
@@ -107,7 +106,6 @@ __all__ = [
     "gain_coefficient",
     "nvr",
     "phase_sweep",
-    "pump_frequency_for",
     "rho_for_conversion",
     "rho_for_gain",
     "role_map",

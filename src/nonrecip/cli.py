@@ -73,6 +73,7 @@ class RunConfig:
     raw: dict
     device: ValidatedDevice
     declared_pumps: Optional[dict[str, float]]
+    pump_detuning_tolerance: float  # Hz; inf never warns
     span: float  # full sweep span, Hz
     points: int
     out_format: str
@@ -152,8 +153,9 @@ def parse_config(raw: dict) -> RunConfig:
     couplings = _list(device_doc.get("couplings", []), "device.couplings")
     tol = _number(device_doc.get("pump_detuning_tolerance_mhz", 10.0),
                   "device.pump_detuning_tolerance_mhz") * 1e6
-    device = validate_device(map(_mode_from_entry, modes), map(_coupling_from_entry, couplings),
-                             tol)
+    if not (tol >= 0):
+        raise ConfigError(f"device.pump_detuning_tolerance_mhz must be >= 0, got {tol / 1e6:g}")
+    device = validate_device(map(_mode_from_entry, modes), map(_coupling_from_entry, couplings))
 
     sweep_doc = _mapping(raw.get("sweep", {}), "sweep")
     span = _number(sweep_doc.get("delta_span_mhz", 60.0), "sweep.delta_span_mhz") * 1e6
@@ -175,7 +177,12 @@ def parse_config(raw: dict) -> RunConfig:
     pumps = None if declared is None else {
         str(k): _number(v, f"declared_pumps_ghz.{k}") * 1e9
         for k, v in _mapping(declared, "declared_pumps_ghz").items()}
-    return RunConfig(raw, device, pumps, span, points, out_format, out_path)
+    for name, f in (pumps or {}).items():
+        if name not in device.mode_names:
+            raise ConfigError(f"declared_pumps_ghz.{name}: no mode {name!r} in the device")
+        if not (0 < f < math.inf):
+            raise ConfigError(f"declared_pumps_ghz.{name} must be finite and > 0, got {f / 1e9:g}")
+    return RunConfig(raw, device, pumps, tol, span, points, out_format, out_path)
 
 
 def load_config(path: str) -> RunConfig:
@@ -362,7 +369,7 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
     print("NVR at delta=0 (dB): " + ", ".join(f"{n}: {v:.3f}" for n, v in nvr0.items()))
     print(f"max symplectic defect over the sweep: {metrics.symplectic_defect(result):.3e}")
     if cfg.declared_pumps:
-        for w in check_pump_closure(device, cfg.declared_pumps):
+        for w in check_pump_closure(device, cfg.declared_pumps, cfg.pump_detuning_tolerance):
             print(f"warning: {w}")
 
 

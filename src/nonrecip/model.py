@@ -10,7 +10,8 @@ a gain process links opposite ones, so the coupling graph must admit a
 rho_ij = |g_ij|^2 / (kappa_i * kappa_j); phases are radians in [0, 2pi).
 The total pump phase phi_tot, the one phase combination the scattering
 depends on, is a plain float in (-pi, pi]; ``split_total_phase`` is the one
-place that puts a phi_tot on the couplings.
+place that puts a phi_tot on the couplings, and ``check_pump_closure`` reads
+every pump frequency off the signed mode frequencies.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ class ValidatedDevice:
     modes: tuple[ModeSpec, ModeSpec, ModeSpec]
     couplings: tuple[PumpedCoupling, ...]
     conjugated: tuple[bool, bool, bool]
-    pump_detuning_tolerance: float = 10e6
 
     @property
     def mode_names(self) -> tuple[str, str, str]:
@@ -225,7 +225,7 @@ def with_total_phase(device: ValidatedDevice, value: float) -> ValidatedDevice:
     """Device whose total pump phase is ``value``, split by ``split_total_phase``."""
     phases = split_total_phase(device, value)
     couplings = (replace(c, phase=p) for c, p in zip(device.couplings, phases))
-    return validate_device(device.modes, couplings, device.pump_detuning_tolerance)
+    return validate_device(device.modes, couplings)
 
 
 def with_coupling(
@@ -241,7 +241,7 @@ def with_coupling(
     return validate_device(device.modes, (
         replace(c, rho=c.rho if rho is None else rho,
                 phase=c.phase if phase is None else wrap_phase(phase)) if c.pair == key else c
-        for c in device.couplings), device.pump_detuning_tolerance)
+        for c in device.couplings))
 
 
 def _assign_conjugation(
@@ -264,7 +264,6 @@ def _assign_conjugation(
 def validate_device(
     modes: Iterable[ModeSpec],
     couplings: Iterable[PumpedCoupling] = (),
-    pump_detuning_tolerance: float = 10e6,
 ) -> ValidatedDevice:
     """Check every structural invariant and return an immutable device:
     exactly three modes, up to three couplings.
@@ -274,8 +273,8 @@ def validate_device(
     consistent conjugation 2-coloring.  An odd number of gains on the mode
     triangle has none, so a device with three couplings is a circulator
     (three conversions) or a directional amp (one conversion, two gains).
-    Idempotent: re-validating a ValidatedDevice's modes, couplings and
-    tolerance yields an equivalent device.
+    Idempotent: re-validating a ValidatedDevice's modes and couplings yields
+    an equivalent device.
     """
     modes, couplings = tuple(modes), tuple(couplings)
     if len(modes) != 3:
@@ -304,85 +303,43 @@ def validate_device(
     couplings = tuple(sorted(couplings, key=lambda c: c.pair))
 
     conjugated = _assign_conjugation(names, couplings)  # type: ignore[arg-type]
-    tol = float(pump_detuning_tolerance)
-    if not (tol >= 0):
-        raise DeviceValidationError("pump_detuning_tolerance must be >= 0")
-    return ValidatedDevice(modes, couplings, conjugated, tol)  # type: ignore[arg-type]
-
-
-def pump_frequency_for(coupling: PumpedCoupling, modes: Iterable[ModeSpec]) -> float:
-    """Pump frequency that drives a coupling: sum of the two mode frequencies
-    for gain, absolute difference for conversion (all ordinary Hz)."""
-    by_name = {m.name: m for m in modes}
-    try:
-        fi = by_name[coupling.pair[0]].resonance_freq
-        fj = by_name[coupling.pair[1]].resonance_freq
-    except KeyError as exc:
-        raise DeviceValidationError(f"coupling pair {coupling.pair!r} not among modes") from exc
-    if coupling.kind is ProcessKind.GAIN:
-        return fi + fj
-    return abs(fi - fj)
-
-
-def _pump_vector(coupling: PumpedCoupling, device: ValidatedDevice) -> tuple[int, int, int]:
-    # Integer combination of mode frequencies making up the pump frequency.
-    i, j = (device.index(n) for n in coupling.pair)
-    v = [0, 0, 0]
-    if coupling.kind is ProcessKind.GAIN:
-        v[i] = v[j] = 1
-    else:
-        fi = device.modes[i].resonance_freq
-        fj = device.modes[j].resonance_freq
-        hi, lo = (i, j) if fi >= fj else (j, i)
-        v[hi], v[lo] = 1, -1
-    return tuple(v)  # type: ignore[return-value]
+    return ValidatedDevice(modes, couplings, conjugated)  # type: ignore[arg-type]
 
 
 def check_pump_closure(
-    device: ValidatedDevice, declared_pumps: Mapping[str, float]
+    device: ValidatedDevice, declared_pumps: Mapping[str, float], tolerance: float = 10e6
 ) -> list[str]:
-    """Warnings for declared pump frequencies.
+    """Warnings, never errors, for declared pump frequencies (Hz).
 
     A pump declared for mode m drives the coupling of the other two modes.
-    Warns when a declared pump deviates from the matched frequency by more
-    than the device tolerance, and when the triple closure relation among the
-    three declared pumps fails.  Deliberate small offsets are legitimate, so
-    these are warnings, never errors.
+    With x_k = sigma_k f_k (sigma = ``detuning_signs``) the pump matched to
+    pair (i, j) is |x_i - x_j|, and the signed differences sum to zero around
+    a -> b -> c -> a (closure).  Warns on a declared pump more than
+    ``tolerance`` off its match, and on three that miss closure by more.
     """
+    names = device.mode_names
+    x = [s * m.resonance_freq for s, m in zip(device.detuning_signs, device.modes)]
     warnings: list[str] = []
-    tol = device.pump_detuning_tolerance
-    names = set(device.mode_names)
-    declared: dict[tuple[str, str], float] = {}
+    loop = []  # (sign of x_i - x_j along a -> b -> c -> a, declared pump)
     for c in device.couplings:
-        spectator = next(iter(names - set(c.pair)))
+        i, j = (device.index(n) for n in c.pair)
+        spectator = names[3 - i - j]
         if spectator not in declared_pumps:
             continue
-        f_declared = float(declared_pumps[spectator])
-        declared[c.pair] = f_declared
-        f_matched = pump_frequency_for(c, device.modes)
+        f_declared, f_matched = float(declared_pumps[spectator]), abs(x[i] - x[j])
         off = abs(f_declared - f_matched)
-        if off > tol:
-            warnings.append(
-                f"pump on {spectator} ({c.kind.value} {c.pair}): declared {f_declared:g} Hz "
-                f"is {off:g} Hz from the matched frequency {f_matched:g} Hz "
-                f"(tolerance {tol:g} Hz)"
-            )
-    if len(declared) == 3:
-        coups = list(device.couplings)
-        vectors = [_pump_vector(c, device) for c in coups]
-        for t2 in (+1, -1):
-            for t3 in (+1, -1):
-                ts = (1, t2, t3)
-                if all(
-                    sum(t * v[k] for t, v in zip(ts, vectors)) == 0 for k in range(3)
-                ):
-                    resid = abs(sum(t * declared[c.pair] for t, c in zip(ts, coups)))
-                    if resid > tol:
-                        terms = " ".join(
-                            f"{'+' if t > 0 else '-'}p{c.pair}" for t, c in zip(ts, coups)
-                        )
-                        warnings.append(
-                            f"pump closure {terms} = {resid:g} Hz exceeds tolerance {tol:g} Hz"
-                        )
-                    return warnings
+        if off > tolerance:
+            warnings.append(f"pump on {spectator} ({c.kind.value} {c.pair}): declared "
+                            f"{f_declared:g} Hz is {off:g} Hz from the matched frequency "
+                            f"{f_matched:g} Hz (tolerance {tolerance:g} Hz)")
+        # (a, c) runs against the loop
+        loop.append(((x[i] > x[j]) != (j - i == 2), f_declared))
+    if len(loop) == 3:
+        signs = [1 if up == loop[0][0] else -1 for up, _f in loop]
+        resid = abs(sum(t * f for t, (_up, f) in zip(signs, loop)))
+        if resid > tolerance:
+            terms = " ".join(f"{'+' if t > 0 else '-'}p{c.pair}"
+                             for t, c in zip(signs, device.couplings))
+            warnings.append(f"pump closure {terms} = {resid:g} Hz exceeds tolerance "
+                            f"{tolerance:g} Hz")
     return warnings

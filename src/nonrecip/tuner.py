@@ -288,7 +288,7 @@ def _working_point(template: ValidatedDevice, objective: Objective) -> Validated
     couplings = (
         replace(c, rho=rho_gain if c.kind is ProcessKind.GAIN else 1.0, phase=phase)
         for c, phase in zip(template.couplings, split_total_phase(template, phi)))
-    return validate_device(template.modes, couplings, template.pump_detuning_tolerance)
+    return validate_device(template.modes, couplings)
 
 
 def tune(template: ValidatedDevice, objective: Objective) -> TuneResult:

@@ -87,6 +87,20 @@ class TestConfigParsing:
         assert run("sparams", "--config", bad, "--out", tmp_path / "x.csv") == 1
         assert capsys.readouterr().err.startswith("error: ConfigError: sweep.points")
 
+    @pytest.mark.parametrize("config", ["circulator", "diramp"])
+    @pytest.mark.parametrize("tolerance, hz, count", [("0.5", 0.5e6, 3), (".inf", math.inf, 0)],
+                             ids=["half-mhz", "inf"])
+    def test_pump_tolerance_reaches_the_warnings(self, config, tolerance, hz, count, circ_cfg,
+                                                 diramp_cfg, tmp_path, capsys):
+        # every bundled declared pump is 1-6 MHz off; .inf never warns
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text((circ_cfg if config == "circulator" else diramp_cfg).read_text().replace(
+            "pump_detuning_tolerance_mhz: 10.0", f"pump_detuning_tolerance_mhz: {tolerance}"))
+        assert cli.load_config(str(cfg)).pump_detuning_tolerance == hz
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len([line for line in out if line.startswith("warning: pump on ")]) == count
+
 
 SPARAMS_STDOUT = {
     "circulator": [
@@ -766,12 +780,17 @@ class TestErrorExits:
         ("circulator", ("device", "couplings", 2),
          {"pair": ["a", "c"], "kind": "conversion", "rho": True}),
         ("circulator", ("device", "pump_detuning_tolerance_mhz"), True),
+        ("circulator", ("device", "pump_detuning_tolerance_mhz"), -1.0),
+        ("circulator", ("device", "pump_detuning_tolerance_mhz"), math.nan),
         ("circulator", ("declared_pumps_ghz", "b"), [1.9989]),
+        ("circulator", ("declared_pumps_ghz", "a"), math.nan),
+        ("circulator", ("declared_pumps_ghz", "z"), 99),
         ("diramp", ("device", "couplings", 1, "target_g_db"), True),
     ], ids=["device", "modes", "mode-entry", "couplings", "coupling-entry", "pair", "sweep",
             "outputs", "declared-pumps", "delta-span-bool", "freq-bool", "kappa-list",
             "freq-null", "target-c-bool", "phase-mapping", "rho-bool", "tolerance-bool",
-            "declared-pump-list", "target-g-bool"])
+            "tolerance-negative", "tolerance-nan", "declared-pump-list", "declared-pump-nan",
+            "declared-pump-unknown-mode", "target-g-bool"])
     def test_config_shape(self, config, path, value, circ_cfg, diramp_cfg, tmp_path, capsys):
         raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
         *parents, key = path

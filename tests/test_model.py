@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import nonrecip as nr
@@ -133,7 +134,7 @@ class TestValidateDevice:
 
     def test_idempotent(self):
         dev = make_diramp()
-        again = nr.validate_device(dev.modes, dev.couplings, dev.pump_detuning_tolerance)
+        again = nr.validate_device(dev.modes, dev.couplings)
         assert again == dev
 
     def test_modes_sorted_by_name(self):
@@ -251,21 +252,6 @@ class TestWithCoupling:
             with_coupling(bare_device, ("a", "b"), rho=0.5)
 
 
-class TestPumpFrequencies:
-    def test_gain_pump_at_sum(self):
-        c = nr.PumpedCoupling(("a", "c"), "gain", 0.5)
-        assert math.isclose(nr.pump_frequency_for(c, standard_modes()), 16.341e9)
-
-    def test_conversion_pump_at_difference(self):
-        c = nr.PumpedCoupling(("a", "b"), "conversion", 0.5)
-        assert math.isclose(nr.pump_frequency_for(c, standard_modes()), 3.926e9)
-
-    def test_unknown_mode(self):
-        c = nr.PumpedCoupling(("a", "x"), "gain", 0.5)
-        with pytest.raises(DeviceValidationError):
-            nr.pump_frequency_for(c, standard_modes())
-
-
 class TestPumpClosure:
     def test_circulator_pump_list_clean(self, circulator):
         pumps = {"a": 1.9291e9, "b": 1.9989e9, "c": 3.9280e9}
@@ -284,3 +270,40 @@ class TestPumpClosure:
 
     def test_partial_declaration(self, circulator):
         assert nr.check_pump_closure(circulator, {"c": 3.9260e9}) == []
+
+    def test_matched_frequencies_in_warnings(self, diramp):
+        # gain a-c pumped at the sum, conversion a-b at the difference
+        warnings = nr.check_pump_closure(diramp, {"b": 16.3e9, "c": 3.9e9})
+        assert [w.split("matched frequency ")[1].split(" Hz")[0] for w in warnings] == [
+            "3.926e+09", "1.6341e+10"]
+
+    @pytest.mark.parametrize("conversion", [None, ("a", "b"), ("a", "c"), ("b", "c")],
+                             ids=["circulator", "diramp-ab", "diramp-ac", "diramp-bc"])
+    def test_random_devices(self, conversion):
+        # mode frequencies in any order; a subset of the three couplings
+        rng = np.random.default_rng(31)
+        pairs = list(itertools.combinations("abc", 2))
+        for _ in range(200):
+            f = dict(zip("abc", rng.uniform(1e9, 12e9, 3)))
+            n = int(rng.integers(1, 4))
+            chosen = [pairs[k] for k in sorted(rng.permutation(3)[:n])]
+            kinds = {p: "gain" if conversion not in (None, p) else "conversion" for p in chosen}
+            dev = nr.validate_device(
+                [nr.ModeSpec(m, f[m], 1e6) for m in "abc"],
+                [nr.PumpedCoupling(p, kinds[p], 0.5) for p in chosen])
+            spectator = {p: next(m for m in "abc" if m not in p) for p in chosen}
+            matched = {spectator[p]: f[p[0]] + f[p[1]] if kinds[p] == "gain"
+                       else abs(f[p[0]] - f[p[1]]) for p in chosen}
+            assert nr.check_pump_closure(dev, matched, 1.0) == []
+
+            moved = spectator[chosen[int(rng.integers(n))]]
+            shift = float(rng.choice([-1, 1]) * rng.integers(2, 30_000) * 1e3)
+            warnings = nr.check_pump_closure(dev, {**matched, moved: matched[moved] + shift}, 1.0)
+            assert len(warnings) == (2 if n == 3 else 1)
+            assert warnings[0].startswith(f"pump on {moved} ")
+            assert math.isclose(float(warnings[0].split(" is ")[1].split(" Hz")[0]), abs(shift),
+                                rel_tol=1e-6)
+            if n == 3:
+                assert warnings[1].startswith("pump closure ")
+                resid = float(warnings[1].split(" = ")[1].split(" Hz")[0])
+                assert math.isclose(resid, abs(shift), rel_tol=1e-6)
