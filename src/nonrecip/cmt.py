@@ -7,7 +7,8 @@ Everything is expressed in ordinary frequencies (Hz), so the mode
 susceptibility is (kappa/2 - i*delta)^{-1}.  Every solve comes back as a
 ``SweepResult``; ``scattering_at`` is the one-point sweep at a single detuning.
 The kernel takes one phase per coupling; a total pump phase phi_tot is put on
-the couplings by ``model.split_total_phase``.
+the couplings by ``model.split_total_phase``.  Singular points come from the
+poles lambda_p of M(0): det M(delta) = prod_p (lambda_p - i delta).
 
 Closed forms provided as independent oracles:
   sqrt(G) = (1+rho)/(1-rho)          zero-detuning gain of one pumped pair
@@ -119,16 +120,15 @@ class SweepResult:
 
 
 _DIAG = np.arange(3)
-_Template = namedtuple("_Template", "half_kappas root_k scale slots gains")
+_Template = namedtuple("_Template", "half_kappas root_k det_scale slots gains")
 
 
 @functools.lru_cache(maxsize=32)
 def _template(device: ValidatedDevice) -> _Template:
-    """What the kernel takes from a device's structure, once per device: kappa/2,
-    sqrt(kappa), the scale K K / 2 of the dimensionless M, per coupling
-    (kappa_i, kappa_j, r, c, a, b) with M[r, c] = a g / exp(i phase) and
-    M[c, r] = b g exp(i phase), and which couplings are gains.  Strengths and
-    phases stay out: the cache matches equal devices, and rho = -0.0 equals 0.0."""
+    """What the kernel takes from a device's structure, once per device: kappa/2, sqrt(kappa),
+    det(2 K^-1 K^-1) = 8 / prod(kappa), per coupling (kappa_i, kappa_j, r, c, a, b) with
+    M[r, c] = a g / exp(i phase) and M[c, r] = b g exp(i phase), and which couplings are gains.
+    Strengths and phases stay out: the cache matches equal devices, and rho = -0.0 equals 0.0."""
     kappas, sig = device.kappas, device.detuning_signs
     slots = []
     for c in device.couplings:
@@ -142,8 +142,8 @@ def _template(device: ValidatedDevice) -> _Template:
             slot = (p, q, 1j, 1j) if sig[i] == +1 else (q, p, -1j, -1j)
         slots.append((kappas[i], kappas[j]) + slot)
     root_k = np.sqrt(np.asarray(kappas))
-    return _Template(np.asarray(kappas) / 2.0, root_k, np.outer(root_k, root_k) / 2.0,
-                     tuple(slots), tuple(c.kind is ProcessKind.GAIN for c in device.couplings))
+    return _Template(np.asarray(kappas) / 2.0, root_k, 8.0 / math.prod(kappas), tuple(slots),
+                     tuple(c.kind is ProcessKind.GAIN for c in device.couplings))
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -196,17 +196,21 @@ def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None) -> np.
     ``split_total_phase``.  Bit for bit ``scattering_at`` on the device rebuilt
     with ``with_coupling`` and ``with_total_phase``, without building one.
     Raises DomainError on a non-finite ``phi_tot`` and SingularMatrixError at
-    the first parametric oscillation point."""
+    the first point where det(2 K^-1 M K^-1) = 8 / prod(kappa) * det M(delta) is
+    below _DET_TOL; det M(delta) = prod_p (lambda_p - i delta) over the poles
+    lambda_p of M(0), one 3x3 for scalar rho and phi_tot, else one per point."""
     template = _template(device)
     rhos = [c.rho for c in device.couplings] if rhos is None else rhos
     phases = ([c.phase for c in device.couplings] if phi_tot is None
               else split_total_phase(device, _finite(phi_tot, "phi_tot")))
     m = _dynamics_batch(template, deltas, rhos, phases)
-    # dimensionless determinant check: N = 2 K^-1 M K^-1 has O(1) entries
-    dets = np.linalg.det(m / template.scale)
+    m0 = m.copy() if any(np.ndim(p) for p in (*rhos, *phases)) else m[:1].copy()
+    m0[:, _DIAG, _DIAG] = template.half_kappas
+    deltas = np.broadcast_to(deltas, len(m))
+    dets = template.det_scale * np.prod(np.linalg.eigvals(m0) - 1j * deltas[:, None], axis=-1)
     bad = np.abs(dets) < _DET_TOL
     if np.any(bad):
-        raise SingularMatrixError(float(np.broadcast_to(deltas, len(m))[int(np.argmax(bad))]))
+        raise SingularMatrixError(float(deltas[int(np.argmax(bad))]))
     s = template.root_k[None, :, None] * np.linalg.inv(m) * template.root_k[None, None, :]
     s[:, _DIAG, _DIAG] -= 1.0
     return s

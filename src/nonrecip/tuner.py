@@ -153,15 +153,19 @@ class PhaseCalibration:
 def phase_sweep(
     device: ValidatedDevice, phi_grid: Sequence[float], delta_grid: Sequence[float]
 ) -> PhaseSweepResult:
-    """Re-solve the device across total pump phases and detunings."""
-    phis = np.asarray(phi_grid, dtype=float)
+    """Re-solve the device across total pump phases and detunings, once per distinct phase:
+    a row that ``split_total_phase`` puts on the bits of an earlier row copies that row."""
+    phis = cmt._finite(phi_grid, "phi_tot")
     deltas = cmt.delta_grid(delta_grid)
     if len(phis) == 0 or len(deltas) == 0:
         raise DomainError("phase_sweep grids must be non-empty")
+    keys = split_total_phase(device, phis)[0].view(np.int64).tolist()
     mags = np.empty((3, 3, len(phis), len(deltas)))
-    for r, phi in enumerate(phis):  # one batch per row keeps memory flat
-        s = cmt.solve_batch(device, deltas, phi_tot=float(phi))
-        mags[:, :, r] = np.abs(s).transpose(1, 2, 0)
+    first_row: dict[int, int] = {}
+    for r, (phi, key) in enumerate(zip(phis, keys)):  # one batch per row keeps memory flat
+        q = first_row.setdefault(key, r)
+        s = None if q < r else cmt.solve_batch(device, deltas, phi_tot=float(phi))
+        mags[:, :, r] = mags[:, :, q] if s is None else np.abs(s).transpose(1, 2, 0)
     return PhaseSweepResult(phis, deltas, mags, device)
 
 
