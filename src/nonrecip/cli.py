@@ -3,7 +3,9 @@ comparison against reference data.
 
 Config files are nested key/value YAML with interface units matching how the
 numbers are usually quoted: frequencies in GHz, kappas and spans in MHz,
-angles in degrees.  Everything is converted to Hz/radians internally.
+angles in degrees.  Everything is converted to Hz/radians internally.  libyaml
+parses them where PyYAML has it: the same values as PyYAML's own parser, but
+tabs between tokens load and syntax errors are worded differently.
 
 Tables (CSV or JSON) lead with their axis columns: ``delta_hz`` (``sparams``),
 ``phi_rad, delta_hz`` in phi-major order (``phase-sweep``), ``c``
@@ -23,6 +25,8 @@ scores it once; its ``objective:`` line ends with the stop reason
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import io
 import itertools
 import json
@@ -56,6 +60,9 @@ EXIT_CONFIG = 1  # invalid input; also a `compare` outside its tolerance
 EXIT_SOLVER = 2  # singular dynamics matrix; also tables `compare` cannot line up
 
 STRENGTH_KEYS = ("rho", "target_g_db", "target_c")
+
+# libyaml's parser where PyYAML was built with it; both build values with the same constructor
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class ConfigError(ValueError):
@@ -187,7 +194,7 @@ def parse_config(raw: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=_YAML_LOADER)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return parse_config(raw)
@@ -457,7 +464,7 @@ def cmd_tune(args) -> int:
 
 def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, out_path: str) -> None:
     # update only the optimized fields; everything else round-trips unchanged
-    raw = json.loads(json.dumps(cfg.raw))  # deep copy
+    raw = copy.deepcopy(cfg.raw)
     signs = phase_signs(tuned)
     control = tuned.couplings[0].pair
     target_tot = total_pump_phase(tuned)
@@ -485,6 +492,7 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, out_path: str) -
         if pair == control:
             phase = signs[control] * (target_tot - other_sum)
             entry["phase_deg"] = float(math.degrees(wrap_phase(phase)))
+    # not libyaml's emitter: it folds long escaped strings differently
     _atomic_write(out_path, [yaml.safe_dump(raw, sort_keys=False)])
 
 
@@ -552,6 +560,7 @@ def _parse_pairs(spec_str: Optional[str], device: ValidatedDevice):
     return pairs
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonrecip",

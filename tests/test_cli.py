@@ -1,19 +1,24 @@
+import argparse
 import hashlib
 import json
 import math
 import os
 import shutil
+import re
 import subprocess
 import sys
+from datetime import date
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nonrecip as nr
 from nonrecip import cli, cmt
 
-from conftest import db
+from conftest import count_calls, db
 
 
 @pytest.fixture
@@ -100,6 +105,83 @@ class TestConfigParsing:
         assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 0
         out = capsys.readouterr().out.splitlines()
         assert len([line for line in out if line.startswith("warning: pump on ")]) == count
+
+
+# plain scalars the YAML 1.1 resolver reads as something other than a string,
+# or that only just stay strings
+PLAIN_SCALARS = ("yes", "No", "off", "~", "null", "0x1F", "0o17", "017", "1_000", "-0", "190:20:30",
+                 ".inf", "-.Inf", ".NaN", "1e3", "+12.5e3", "6.8523015e+5", "2015-11-04",
+                 "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5", "a b")
+
+
+@st.composite
+def config_documents(draw):
+    """The bundled circulator config plus a random ``extra`` mapping, emitted by
+    PyYAML in a random style; a quoted ``@@s@@`` becomes the plain scalar ``s``
+    (one the emitter folded over two lines stays a quoted string)."""
+    scalars = (st.integers() | st.floats() | st.text(max_size=30) | st.booleans() | st.none()
+               | st.dates() | st.sampled_from(PLAIN_SCALARS).map(lambda s: "@@" + s + "@@"))
+    keys = st.text(max_size=8) | st.integers()
+    trees = st.recursive(scalars, lambda kids: st.lists(kids, max_size=4)
+                         | st.dictionaries(keys, kids, max_size=4), max_leaves=20)
+    extra = draw(st.dictionaries(keys, trees, min_size=3, max_size=8))
+    raw = yaml.safe_load(cli.bundled_config_path("circulator").read_text())
+    raw["extra"] = extra
+    text = yaml.safe_dump(raw, sort_keys=draw(st.booleans()),
+                          default_flow_style=draw(st.sampled_from([False, True, None])),
+                          canonical=draw(st.booleans()), allow_unicode=draw(st.booleans()),
+                          width=draw(st.integers(20, 120)), indent=draw(st.integers(2, 6)),
+                          explicit_start=draw(st.booleans()))
+    return re.sub(r"""(!!str )?['"]@@(.*?)@@['"]""", r"\2", text)
+
+
+class TestConfigLoader:
+    """Configs parse with libyaml where PyYAML has it, into the values PyYAML's
+    own parser builds."""
+
+    def test_libyaml_is_chosen_when_present(self):
+        assert cli._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__
+                                    else yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", ["circulator", "diramp"])
+    def test_bundled_configs_load_as_pure_python(self, name):
+        path = cli.bundled_config_path(name)
+        expected = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+        assert repr(cli.load_config(str(path)).raw) == repr(expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(text=config_documents())
+    def test_documents_load_as_pure_python(self, text, tmp_path_factory):
+        # repr, not ==: it tells 1 from 1.0 and True, and nan equals itself
+        path = tmp_path_factory.getbasetemp() / "doc.cfg"
+        path.write_text(text, encoding="utf-8")
+        expected = yaml.load(text, Loader=yaml.SafeLoader)
+        assert repr(cli.load_config(str(path)).raw) == repr(expected)
+
+    def test_fallback_parser_keeps_the_sparams_bytes(self, circ_cfg, tmp_path, monkeypatch):
+        made = []
+
+        class PurePython(yaml.SafeLoader):
+            def __init__(self, stream):
+                made.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(cli, "_YAML_LOADER", PurePython)
+        out = tmp_path / "out.csv"
+        assert run("sparams", "--config", circ_cfg, "--out", out, "--format", "csv") == 0
+        assert len(made) == 1
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == WRITER_DIGESTS["sparams-circulator-csv"])
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="tabs between tokens need libyaml")
+    def test_tab_separated_config_loads_as_its_space_twin(self, circ_cfg, tmp_path):
+        # pure-Python PyYAML rejects each of these tabs with a ScannerError
+        text = circ_cfg.read_text()
+        tabbed = tmp_path / "tabbed.cfg"
+        tabbed.write_text(text.replace("points: 1001", "points:\t1001\t# tabbed")
+                          .replace("path: ", "path:\t").replace(", ", ",\t"))
+        assert tabbed.read_text().count("\t") > 10
+        assert cli.load_config(str(tabbed)).raw == cli.load_config(str(circ_cfg)).raw
 
 
 SPARAMS_STDOUT = {
@@ -496,17 +578,31 @@ WRITER_DIGESTS = {
         "66419a73f1ceff812dc94b306f4d87f30a4785b33116cdfdc40ebfa57af881d0",
     "threshold-diramp-csv": "864c64fb5955b42a207034c6257bfc4a2f2e29de433acbd07782f6774206b58e",
     "threshold-diramp-json": "546abb14a6f93f27dd5ad408b7ab9097205047e00f280039eb80fd472c526b8e",
+    "tune-diramp-14db": "3456cbb4883a9a270569985ec4b07c1410b1f9d3a94a7d70823d47e1cd731dfb",
+    "tune-circulator-cw": "4d744e3978c916ae0d57a69d181485b98785f8ac30153cf66989a569c8afaba3",
+    "tune-circulator-ccw": "75284c168455a72171f8ac24bd3562b4cb72ba98f4db867e802dfe94c8d76e4b",
+}
+
+# the tuned configs in WRITER_DIGESTS: bundled config, then the tune options
+TUNE_ARGS = {
+    "tune-diramp-14db": ("diramp", "--objective", "diramp", "--target-gain-db", 14),
+    "tune-circulator-cw": ("circulator", "--objective", "circulator-cw"),
+    "tune-circulator-ccw": ("circulator", "--objective", "circulator-ccw"),
 }
 
 
 class TestWriterBytes:
     @pytest.mark.parametrize("name", sorted(WRITER_DIGESTS))
     def test_bundled_files_pinned(self, name, circ_cfg, diramp_cfg, tmp_path):
-        command, config, fmt = name.replace("-37", "").rsplit("-", 2)
-        extra = ["--phi-points", 37, "--pairs", "ab,ba,cc,bb"] if "-37-" in name else []
+        if name in TUNE_ARGS:
+            (config, *extra), command, fmt = TUNE_ARGS[name], "tune", "cfg"
+        else:
+            command, config, fmt = name.replace("-37", "").rsplit("-", 2)
+            extra = ["--format", fmt]
+            extra += ["--phi-points", 37, "--pairs", "ab,ba,cc,bb"] if "-37-" in name else []
         out = tmp_path / f"out.{fmt}"
         cfg = circ_cfg if config == "circulator" else diramp_cfg
-        assert run(command, "--config", cfg, "--out", out, "--format", fmt, *extra) == 0
+        assert run(command, "--config", cfg, "--out", out, *extra) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITER_DIGESTS[name]
 
 
@@ -657,6 +753,31 @@ class TestTuneCmd:
         assert all(0.0 <= e["target_c"] <= 1.0 for e in entries if "target_c" in e)
         assert cli.load_config(str(out)).device.is_circulator
 
+    def test_tuned_file_keeps_a_date_and_an_integer_key(self, circ_cfg, tmp_path):
+        cfg_path = tmp_path / "start.cfg"
+        cfg_path.write_text(circ_cfg.read_text() + "measured: 2015-11-04\n7: seven\n")
+        out = tmp_path / "tuned.cfg"
+        assert run("tune", "--config", cfg_path, "--objective", "circulator-cw",
+                   "--out", out) == 0
+        raw = cli.load_config(str(out)).raw
+        assert raw["measured"] == date(2015, 11, 4) and raw[7] == "seven"
+        assert "7" not in raw
+
+    def test_tuned_file_is_the_pure_python_emitters_text(self, diramp_cfg, tmp_path):
+        # libyaml's emitter folds a long double-quoted string holding escapes
+        # at other places, so a tuned file written by it would change bytes
+        note = "Ωmega ünïcødé \a bell " * 12
+        raw = yaml.safe_load(diramp_cfg.read_text())
+        raw["note"] = note
+        cfg_path, out = tmp_path / "start.cfg", tmp_path / "tuned.cfg"
+        cfg_path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        assert run("tune", "--config", cfg_path, "--objective", "diramp",
+                   "--target-gain-db", 14, "--out", out) == 0
+        text = out.read_text(encoding="utf-8")
+        tuned = yaml.safe_load(text)
+        assert tuned["note"] == note and '\\a bell\\\n' in text
+        assert text == yaml.safe_dump(tuned, sort_keys=False)
+
     @pytest.mark.parametrize("target", ["nan", "inf", "130"])
     def test_unreachable_target_fails_before_any_solve(self, target, diramp_cfg, tmp_path,
                                                        capsys, monkeypatch):
@@ -727,6 +848,15 @@ print("scipy.optimize" in sys.modules)
         assert len(nr.__all__) == len(set(nr.__all__))
 
 
+class TestParser:
+    def test_main_reuses_one_parser(self, circ_cfg, tmp_path, monkeypatch):
+        cli.build_parser()
+        built = count_calls(monkeypatch, "__init__", argparse.ArgumentParser)
+        for _ in range(2):
+            assert run("sparams", "--config", circ_cfg, "--out", tmp_path / "x.csv") == 0
+        assert built == []
+
+
 class TestErrorExits:
     """Inputs that fail inside a command end with one ``error:`` line and exit 1."""
 
@@ -743,6 +873,22 @@ class TestErrorExits:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ParserError: while parsing")
         assert f'in "{cfg}", line 2, column 1' in err[0]
+
+    @pytest.mark.parametrize("loader", ["libyaml-if-present", "pure-python"])
+    @pytest.mark.parametrize("text, line", [("device:\n\tmodes: []\n", 2),
+                                            ('device: "modes\n', 2)],
+                             ids=["tab-indent", "unterminated-quote"])
+    def test_yaml_scanner_error_is_one_line(self, loader, text, line, tmp_path, capsys,
+                                            monkeypatch):
+        if loader == "pure-python":
+            monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        cfg = tmp_path / "broken.cfg"
+        cfg.write_text(text)
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ScannerError: while scanning")
+        assert f'in "{cfg}", line {line}, column 1' in err[0]
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["phase-sweep", "--config", "{circ}", "--phi-points", "0", "--out", "{tmp}/x.csv"],
