@@ -3,8 +3,8 @@ import hashlib
 import json
 import math
 import os
-import shutil
 import re
+import shutil
 import subprocess
 import sys
 from datetime import date
@@ -109,9 +109,9 @@ class TestConfigParsing:
 
 # plain scalars the YAML 1.1 resolver reads as something other than a string,
 # or that only just stay strings
-PLAIN_SCALARS = ("yes", "No", "off", "~", "null", "0x1F", "0o17", "017", "1_000", "-0", "190:20:30",
-                 ".inf", "-.Inf", ".NaN", "1e3", "+12.5e3", "6.8523015e+5", "2015-11-04",
-                 "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5", "a b")
+PLAIN_SCALARS = ("yes", "No", "off", "~", "null", "0x1F", "0o17", "017", "1_000", "-0",
+                 "190:20:30", ".inf", "-.Inf", ".NaN", "1e3", "+12.5e3", "6.8523015e+5",
+                 "2015-11-04", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5", "a b")
 
 
 @st.composite
