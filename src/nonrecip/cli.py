@@ -61,8 +61,28 @@ EXIT_SOLVER = 2  # singular dynamics matrix; also tables `compare` cannot line u
 
 STRENGTH_KEYS = ("rho", "target_g_db", "target_c")
 
+
+class _UniqueKeys:
+    """Loader mixin: a key given twice in one mapping, compared as constructed values (``yes``
+    is ``true``), is a ConstructorError; keys a ``<<`` merge brings in still give way."""
+
+    def flatten_mapping(self, node):
+        if not hasattr(node, "own_keys"):  # as written: flattening prepends merged keys
+            node.own_keys = [k for k, _v in node.value if isinstance(k, yaml.ScalarNode)
+                             and k.tag != "tag:yaml.org,2002:merge"]  # collections: unhashable
+        super().flatten_mapping(node)
+        seen = {}
+        for key_node in node.own_keys:
+            key = self.construct_object(key_node, deep=True)  # deep: "!!set x" raises here
+            if (first := seen.setdefault(key, key_node)) is not key_node:
+                raise yaml.constructor.ConstructorError(
+                    f"key {self.construct_object(first)!r} first given", first.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+
+
 # libyaml's parser where PyYAML was built with it; both build values with the same constructor
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_YAML_LOADER = type("ConfigLoader", (_UniqueKeys, yaml.CSafeLoader if yaml.__with_libyaml__
+                                     else yaml.SafeLoader), {})
 
 
 class ConfigError(ValueError):

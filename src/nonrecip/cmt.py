@@ -21,9 +21,7 @@ Closed forms provided as independent oracles:
 
 from __future__ import annotations
 
-import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,98 +118,87 @@ class SweepResult:
 
 
 _DIAG = np.arange(3)
-_Template = namedtuple("_Template", "half_kappas root_k det_scale slots gains")
-
-
-@functools.lru_cache(maxsize=32)
-def _template(device: ValidatedDevice) -> _Template:
-    """What the kernel takes from a device's structure, once per device: kappa/2, sqrt(kappa),
-    det(2 K^-1 K^-1) = 8 / prod(kappa), per coupling (kappa_i, kappa_j, r, c, a, b) with
-    M[r, c] = a g / exp(i phase) and M[c, r] = b g exp(i phase), and which couplings are gains.
-    Strengths and phases stay out: the cache matches equal devices, and rho = -0.0 equals 0.0."""
-    kappas, sig = device.kappas, device.detuning_signs
-    slots = []
-    for c in device.couplings:
-        i, j = (device.index(n) for n in c.pair)
-        if c.kind is ProcessKind.GAIN:
-            slot = (i, j, 1j, -1j) if sig[i] == +1 else (j, i, 1j, -1j)
-        else:
-            p = device.index(conversion_head(device, c.pair))
-            q = j if p == i else i
-            # both channels conjugated: the conjugate envelope equations
-            slot = (p, q, 1j, 1j) if sig[i] == +1 else (q, p, -1j, -1j)
-        slots.append((kappas[i], kappas[j]) + slot)
-    root_k = np.sqrt(np.asarray(kappas))
-    return _Template(np.asarray(kappas) / 2.0, root_k, 8.0 / math.prod(kappas), tuple(slots),
-                     tuple(c.kind is ProcessKind.GAIN for c in device.couplings))
 
 
 def _finite(values, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
+    if values.ndim > 1:
+        raise DomainError(f"{name} must be a scalar or one-dimensional")
     if not np.isfinite(values).all():
         raise DomainError(f"{name} must be finite")
     return values
 
 
-def _dynamics_batch(template: _Template, deltas, rhos, phases) -> np.ndarray:
-    """Dynamics matrices of n points, shape (n, 3, 3): ``deltas`` and each of
-    ``rhos`` and ``phases`` (one per coupling), scalars or 1-D, broadcast to n.
-    Raises DomainError on a non-finite delta or rho, on a ``rhos`` of the wrong
-    length, or on a rho outside [0, 1) for a gain and [0, inf) for a conversion."""
-    deltas = _finite(deltas, "deltas")
-    if len(rhos) != len(template.slots):
-        raise DomainError(f"rhos needs {len(template.slots)} values, got {len(rhos)}")
+def _dynamics_batch(device: ValidatedDevice, rhos=None, phases=None) -> np.ndarray:
+    """Zero-detuning dynamics matrices A = M(0), shape (p, 3, 3): ``rhos`` and ``phases``
+    (one per coupling, else the device's own), scalars or 1-D, broadcast to p (1 for
+    scalars); g = sqrt(rho kappa_i kappa_j)/2 enters at A[r, k] = a g / exp(i phase) and
+    A[k, r] = b g exp(i phase).  Raises DomainError on a ``rhos`` of the wrong length, or on a
+    rho that is not finite, or outside [0, 1) on a gain and [0, inf) on a conversion."""
+    couplings, kappas, sig = device.couplings, device.kappas, device.detuning_signs
+    rhos = [c.rho for c in couplings] if rhos is None else rhos
+    phases = [c.phase for c in couplings] if phases is None else phases
+    if len(rhos) != len(couplings):
+        raise DomainError(f"rhos needs {len(couplings)} values, got {len(rhos)}")
     rhos = [_finite(rho, "rhos") for rho in rhos]
-    if any(((rho < 0) | (gain & (rho >= 1))).any() for gain, rho in zip(template.gains, rhos)):
+    if any(((rho < 0) | ((c.kind is ProcessKind.GAIN) & (rho >= 1))).any()
+           for c, rho in zip(couplings, rhos)):
         raise DomainError("rhos must be >= 0, and < 1 on a gain coupling")
-    shape = np.broadcast(deltas, *phases, *rhos).shape
-    if len(shape) > 1:
-        raise DomainError("parameter arrays must be scalars or one-dimensional")
-    m = np.zeros((shape or (1,)) + (3, 3), dtype=complex)
-    m[:, _DIAG, _DIAG] = template.half_kappas - 1j * deltas[..., None]
-    for (k_i, k_j, r, c, a, b), rho, phase in zip(template.slots, rhos, phases):
-        g = np.sqrt(rho * k_i * k_j) / 2.0
+    m = np.zeros((np.broadcast(*phases, *rhos).shape or (1,)) + (3, 3), dtype=complex)
+    m[:, _DIAG, _DIAG] = np.asarray(kappas) / 2.0
+    for c, rho, phase in zip(couplings, rhos, phases):
+        i, j = (device.index(n) for n in c.pair)
+        if c.kind is ProcessKind.GAIN:
+            r, k, a, b = (i, j, 1j, -1j) if sig[i] == +1 else (j, i, 1j, -1j)
+        else:
+            p = device.index(conversion_head(device, c.pair))
+            q = j if p == i else i
+            # both channels conjugated: the conjugate envelope equations
+            r, k, a, b = (p, q, 1j, 1j) if sig[i] == +1 else (q, p, -1j, -1j)
+        g = np.sqrt(rho * kappas[i] * kappas[j]) / 2.0
         e = np.exp(1j * phase)
-        m[:, r, c] = a * g / e
-        m[:, c, r] = b * g * e
+        m[:, r, k] = a * g / e
+        m[:, k, r] = b * g * e
     return m
 
 
 def build_dynamics_matrix(device: ValidatedDevice, delta: float) -> np.ndarray:
-    """Frequency-domain dynamics matrix M(delta), ordinary-frequency units.
+    """Frequency-domain dynamics matrix M(delta) = M(0) - i*delta, ordinary-frequency units.
 
     Diagonal kappa_m/2 - i*delta (channel envelopes share the probe detuning;
     on a conjugated channel the envelope is the conjugate wave, physically at
     -delta from its carrier).  Off-diagonal entries carry sqrt(rho_ij kappa_i
     kappa_j)/2 with the pump phase, conjugated on conjugated-channel rows.
     """
-    return _dynamics_batch(_template(device), float(delta), [c.rho for c in device.couplings],
-                           [c.phase for c in device.couplings])[0]
+    m = _dynamics_batch(device)[0]
+    m[_DIAG, _DIAG] -= 1j * _finite(float(delta), "deltas")
+    return m
 
 
 def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None) -> np.ndarray:
-    """Scattering matrices S = K M^{-1} K - I of n points, shape (n, 3, 3), from
-    parameter arrays broadcast as in ``_dynamics_batch``: no ``rhos``, the
-    device's own; no ``phi_tot``, its stored phases, else those of
-    ``split_total_phase``.  Bit for bit ``scattering_at`` on the device rebuilt
-    with ``with_coupling`` and ``with_total_phase``, without building one.
-    Raises DomainError on a non-finite ``phi_tot`` and SingularMatrixError at
-    the first point where det(2 K^-1 M K^-1) = 8 / prod(kappa) * det M(delta) is
-    below _DET_TOL; det M(delta) = prod_p (lambda_p - i delta) over the poles
-    lambda_p of M(0), one 3x3 for scalar rho and phi_tot, else one per point."""
-    template = _template(device)
-    rhos = [c.rho for c in device.couplings] if rhos is None else rhos
-    phases = ([c.phase for c in device.couplings] if phi_tot is None
-              else split_total_phase(device, _finite(phi_tot, "phi_tot")))
-    m = _dynamics_batch(template, deltas, rhos, phases)
-    m0 = m.copy() if any(np.ndim(p) for p in (*rhos, *phases)) else m[:1].copy()
-    m0[:, _DIAG, _DIAG] = template.half_kappas
-    deltas = np.broadcast_to(deltas, len(m))
-    dets = template.det_scale * np.prod(np.linalg.eigvals(m0) - 1j * deltas[:, None], axis=-1)
+    """Scattering matrices S = K M^{-1} K - I of n points, shape (n, 3, 3): the
+    p matrices A = M(0) of ``_dynamics_batch`` (no ``phi_tot``, the stored
+    phases, else those of ``split_total_phase``) and ``deltas`` (a scalar or
+    1-D) broadcast to n, with M(delta) = A - i*delta.  Bit for bit
+    ``scattering_at`` on the device rebuilt with ``with_coupling`` and
+    ``with_total_phase``, without building one.  Raises DomainError on a
+    non-finite ``deltas`` or ``phi_tot`` and SingularMatrixError at the first
+    point where det(2 K^-1 M K^-1) = 8 / prod(kappa) * det M(delta) is below
+    _DET_TOL; det M(delta) = prod_p (lambda_p - i delta) over the poles lambda_p,
+    the eigenvalues of A: one 3x3 eigenproblem per parameter set."""
+    phases = None if phi_tot is None else split_total_phase(device, _finite(phi_tot, "phi_tot"))
+    deltas = _finite(deltas, "deltas")
+    a = _dynamics_batch(device, rhos, phases)
+    deltas = np.broadcast_to(deltas, np.broadcast_shapes(deltas.shape, a.shape[:1]))
+    poles = np.linalg.eigvals(a)
+    dets = 8.0 / math.prod(device.kappas) * np.prod(poles - 1j * deltas[:, None], axis=-1)
     bad = np.abs(dets) < _DET_TOL
     if np.any(bad):
         raise SingularMatrixError(float(deltas[int(np.argmax(bad))]))
-    s = template.root_k[None, :, None] * np.linalg.inv(m) * template.root_k[None, None, :]
+    m = np.broadcast_to(a, deltas.shape + (3, 3)).copy()
+    m[:, _DIAG, _DIAG] -= 1j * deltas[:, None]
+    root_k = np.sqrt(np.asarray(device.kappas))
+    s = root_k[None, :, None] * np.linalg.inv(m) * root_k[None, None, :]
     s[:, _DIAG, _DIAG] -= 1.0
     return s
 

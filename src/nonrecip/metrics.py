@@ -24,6 +24,7 @@ from .errors import DomainError, EmptyBandError, TopologyError
 from .model import ValidatedDevice, directional_amp_parts
 
 DB_FLOOR = -320.0  # amplitude dB assigned to an exact zero
+ISOLATION_MARGIN_DB = 10.0  # power dB by which circulation beats the reverse paths
 
 
 def to_db(x: float) -> float:
@@ -65,18 +66,16 @@ def _cycle_pairs(names: tuple[str, str, str]):
     return forward, reverse
 
 
-def circulation_sense(
-    sweep: SweepResult, isolation_margin_db: float = 10.0
-) -> CirculationSense:
+def circulation_sense(sweep: SweepResult) -> CirculationSense:
     """Sense of circulation of a conversion-coupled device at the sweep's
     center point.
 
     CW means the weakest forward transmission along the name cycle
-    (a->b->c->a) still exceeds the strongest reverse one by at least the
-    isolation margin (power dB); CCW is the transposed condition.
+    (a->b->c->a) still exceeds the strongest reverse one by at least
+    ISOLATION_MARGIN_DB (power dB); CCW is the transposed condition.
     """
     forward, reverse = _cycle_pairs(sweep.device.mode_names)
-    margin = 10 ** (isolation_margin_db / 20.0)  # amplitude ratio for a power-dB margin
+    margin = 10 ** (ISOLATION_MARGIN_DB / 20.0)  # amplitude ratio for a power-dB margin
     center = sweep.center_index
     fwd = [sweep.magnitudes(o, i)[center] for o, i in forward]
     rev = [sweep.magnitudes(o, i)[center] for o, i in reverse]
@@ -87,10 +86,10 @@ def circulation_sense(
     return CirculationSense.NONE
 
 
-def circulation_order(sweep: SweepResult, isolation_margin_db: float = 10.0):
+def circulation_order(sweep: SweepResult):
     """Mode names in propagation order at the center point, or None when there
     is no circulation."""
-    sense = circulation_sense(sweep, isolation_margin_db)
+    sense = circulation_sense(sweep)
     if sense is CirculationSense.NONE:
         return None
     names = sweep.device.mode_names

@@ -17,7 +17,6 @@ every pump frequency off the signed mode frequencies.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -218,14 +217,8 @@ def split_total_phase(device: ValidatedDevice, phi_tot):
     zero the first wrap rounds to 2pi), and 0.0 on the other pairs.  The one
     place phi_tot is put on the couplings; gauge freedom makes this split
     representative of every split with the same signed sum."""
-    first = _first_phase_sign(device) * phi_tot % TWO_PI % TWO_PI
+    first = phase_signs(device)[device.couplings[0].pair] * phi_tot % TWO_PI % TWO_PI
     return [first] + [0.0] * (len(device.couplings) - 1)
-
-
-@functools.lru_cache(maxsize=32)
-def _first_phase_sign(device: ValidatedDevice) -> int:
-    """``phase_signs`` of the first coupling, once per device (not the mutable dict)."""
-    return phase_signs(device)[device.couplings[0].pair]
 
 
 def with_total_phase(device: ValidatedDevice, value: float) -> ValidatedDevice:

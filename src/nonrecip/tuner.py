@@ -139,10 +139,10 @@ class PhaseCalibration:
     """Two phase-control offsets minimizing the calibration objective.
 
     The candidates differ by pi.  For a circulator they are the two working
-    points and ``primary`` is the clockwise one; for a directional amplifier
-    they are the interference anchors (the working points sit +-pi/2 away)
-    and ``primary`` is the anchor whose +pi/2 branch maps the signal role
-    onto the conversion pair's head mode.
+    points and ``primary`` is the clockwise one, phi_tot = +pi/2, however weak
+    its isolation; for a directional amplifier they are the interference
+    anchors (the working points sit +-pi/2 away) and ``primary`` is the anchor
+    whose +pi/2 branch maps the signal role onto the conversion pair's head mode.
     """
 
     candidates: tuple[float, float]
@@ -212,7 +212,9 @@ def calibrate_phase_offset(
     {base, base + pi}, less the device's own phi_tot, gives the candidates,
     wrapped to (-pi, pi] by ``wrap_signed``.  An exact half-turn reads +pi, so
     the bundled circulator (phi_tot = pi/2) gives (0.0, pi).  Both candidates
-    share one objective value, since t^2 has period pi.
+    share one objective value, since t^2 has period pi.  The first is
+    ``primary``: a passive circulator has n^2 <= r^2, so base = pi/2 (clockwise),
+    and for a directional amplifier sin(base + pi/2) >= 0 (signal on the head).
 
     ``coarse_points`` is accepted and ignored.  Raises AmbiguousMinimumError
     when the two responses differ by less than 1e-12 (e.g. pumps off): the
@@ -236,17 +238,6 @@ def calibrate_phase_offset(
     base, t0 = lo * math.pi / 2.0, total_pump_phase(device)
     m1 = wrap_signed(base - t0)
     m2 = wrap_signed(m1 + math.pi)
-
-    if device.is_circulator:
-        # the sense at phi_tot = base = t0 + m1, from the same solve
-        sense = metrics.circulation_sense(cmt.SweepResult(np.zeros(1), s[lo:lo + 1], device))
-        first_is_primary = sense is metrics.CirculationSense.CW
-    else:
-        # anchor whose +pi/2 branch puts the signal role on the head mode
-        head = directional_amp_parts(device)[1]
-        first_is_primary = metrics.role_map(device, base + math.pi / 2.0).signal == head
-    if not first_is_primary:
-        m1, m2 = m2, m1
     value = float(response[lo])
     return PhaseCalibration(candidates=(m1, m2), primary=m1, objective_values=(value, value))
 

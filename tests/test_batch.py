@@ -25,6 +25,7 @@ from conftest import count_calls, make_circulator, make_diramp, standard_modes
 PAIRS = (("a", "b"), ("a", "c"), ("b", "c"))
 # just below zero the first wrap rounds to 2 pi, the second to 0
 PHI_EDGES = [-1e-17, -5e-324, -0.0, 0.0, 2 * math.pi, -2 * math.pi, math.pi, -math.pi]
+DIAG = np.arange(3)
 
 
 def diramp_converting(pair, phi_tot=-math.pi / 2):
@@ -101,6 +102,28 @@ class TestSolveBatch:
         dev = nr.with_coupling(circulator, ("b", "c"), phase=0.4)
         deltas = np.linspace(-2e7, 2e7, 9)
         assert same_bits(cmt.solve_batch(dev, deltas), cmt.sweep(dev, deltas).entries)
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_dynamics_matrix_is_m0_less_i_delta(self, name):
+        template = TEMPLATES[name]
+        m0 = cmt.build_dynamics_matrix(template, 0.0)
+        assert same_bits(m0[DIAG, DIAG], np.asarray(template.kappas) / 2.0 + 0j)
+        for delta in np.random.default_rng(7).uniform(-5e7, 5e7, 50).tolist() + [-0.0, 1e-300]:
+            expected = m0.copy()
+            expected[DIAG, DIAG] -= 1j * delta
+            assert same_bits(cmt.build_dynamics_matrix(template, delta), expected), delta
+
+    def test_per_point_phases_broadcast_a_one_point_grid(self, circulator):
+        phis = np.linspace(-3.0, 3.0, 7)
+        got = cmt.solve_batch(circulator, [1e6], phi_tot=phis)
+        assert got.shape == (7, 3, 3)
+        assert same_bits(got, cmt.solve_batch(circulator, 1e6, phi_tot=phis))
+        assert same_bits(got[4], cmt.solve_batch(circulator, 1e6, phi_tot=phis[4])[0])
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_empty_grid(self, name):
+        assert cmt.solve_batch(TEMPLATES[name], np.array([])).shape == (0, 3, 3)
+        assert cmt.solve_batch(TEMPLATES[name], [], phi_tot=0.3).shape == (0, 3, 3)
 
     def test_rejects_two_dimensional_parameters(self, circulator):
         with pytest.raises(nr.DomainError):
@@ -209,9 +232,11 @@ class TestPoleDeterminant:
         rhos = [rng.uniform(0.0, cap, size) for cap in caps(template)]
         phi = rng.uniform(-10.0, 10.0, size)
         deltas = rng.uniform(-5e7, 5e7, n)
-        t = cmt._template(template)
-        m = cmt._dynamics_batch(t, deltas, rhos, model.split_total_phase(template, phi))
-        dets = np.abs(np.linalg.det(m / (np.outer(t.root_k, t.root_k) / 2.0)))
+        root_k = np.sqrt(template.kappas)
+        a = cmt._dynamics_batch(template, rhos, model.split_total_phase(template, phi))
+        m = np.broadcast_to(a, (n, 3, 3)).copy()
+        m[:, DIAG, DIAG] -= 1j * deltas[:, None]
+        dets = np.abs(np.linalg.det(m / (np.outer(root_k, root_k) / 2.0)))
         with pytest.MonkeyPatch.context() as mp:
             for tol in np.concatenate([dets * (1 - POLE_RTOL), dets * (1 + POLE_RTOL)]):
                 mp.setattr(cmt, "_DET_TOL", tol)

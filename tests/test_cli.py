@@ -135,13 +135,20 @@ def config_documents(draw):
     return re.sub(r"""(!!str )?['"]@@(.*?)@@['"]""", r"\2", text)
 
 
+def use_loader(loader, monkeypatch):
+    """``pure-python``: parse configs with PyYAML's own parser, keeping the duplicate-key check."""
+    if loader == "pure-python":
+        monkeypatch.setattr(cli, "_YAML_LOADER",
+                            type("PurePython", (cli._UniqueKeys, yaml.SafeLoader), {}))
+
+
 class TestConfigLoader:
     """Configs parse with libyaml where PyYAML has it, into the values PyYAML's
     own parser builds."""
 
     def test_libyaml_is_chosen_when_present(self):
-        assert cli._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__
-                                    else yaml.SafeLoader)
+        assert issubclass(cli._YAML_LOADER, yaml.CSafeLoader if yaml.__with_libyaml__
+                          else yaml.SafeLoader)
 
     @pytest.mark.parametrize("name", ["circulator", "diramp"])
     def test_bundled_configs_load_as_pure_python(self, name):
@@ -172,6 +179,56 @@ class TestConfigLoader:
         assert len(made) == 1
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == WRITER_DIGESTS["sparams-circulator-csv"])
+
+    @pytest.mark.parametrize("loader", ["libyaml-if-present", "pure-python"])
+    @pytest.mark.parametrize("edit, key, first, again", [
+        (lambda t: "sweep: {points: 11}\n" + t, "'sweep'", (1, 1), (13, 1)),
+        (lambda t: t.replace("kappa_mhz: 44.0}", "kappa_mhz: 44.0, kappa_mhz: 4.0}"),
+         "'kappa_mhz'", (4, 34), (4, 51)),
+        (lambda t: t.replace("  points: 1001", "  yes: 1\n  points: 1001\n  true: 2"), "True",
+         (14, 3), (16, 3)),
+    ], ids=["top-level", "flow-mapping", "yes-is-true"])
+    def test_duplicate_key_exits_1(self, loader, edit, key, first, again, circ_cfg, tmp_path,
+                                   capsys, monkeypatch):
+        use_loader(loader, monkeypatch)
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(edit(circ_cfg.read_text()))
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ConstructorError: key {key} first")
+        for line, column in (first, again):
+            assert f'in "{cfg}", line {line}, column {column}' in err[0]
+        assert f"found duplicate key {key}" in err[0]
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("loader", ["libyaml-if-present", "pure-python"])
+    def test_merge_keys_keep_their_overrides(self, loader, circ_cfg, tmp_path, monkeypatch):
+        use_loader(loader, monkeypatch)
+        # a merged key gives way to the mapping's own, also through a chain of merges
+        text = circ_cfg.read_text().replace("sweep:\n", "base: &base {points: 11, x: 1, z: 5}\n"
+                                            "mid: &mid {<<: *base, x: 4}\n"
+                                            "sweep:\n  <<: [*mid, {x: 2, y: 3}]\n")
+        cfg = tmp_path / "merged.cfg"
+        cfg.write_text(text)
+        raw = cli.load_config(str(cfg)).raw
+        assert raw == yaml.load(text, Loader=yaml.SafeLoader)
+        assert raw["sweep"] == {"points": 1001, "x": 4, "z": 5, "y": 3, "delta_span_mhz": 60.0}
+
+    @pytest.mark.parametrize("loader", ["libyaml-if-present", "pure-python"])
+    @pytest.mark.parametrize("text, problem", [
+        ("device: {[a, b]: 1}\n", "found unhashable key"),
+        ("? {a: 1}\n: 2\n", "found unhashable key"),
+        ("device: {!!set x: 1}\n", "expected a mapping node, but found scalar"),
+    ], ids=["flow-sequence", "block-mapping", "tagged-scalar"])
+    def test_unhashable_key_is_yamls_own_error(self, loader, text, problem, tmp_path, capsys,
+                                               monkeypatch):
+        use_loader(loader, monkeypatch)
+        cfg = tmp_path / "unhashable.cfg"
+        cfg.write_text(text)
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConstructorError: ")
+        assert problem in err[0]
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="tabs between tokens need libyaml")
     def test_tab_separated_config_loads_as_its_space_twin(self, circ_cfg, tmp_path):

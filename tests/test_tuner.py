@@ -121,11 +121,19 @@ class TestCalibratePhaseOffset:
         assert cal.primary == cal.candidates[0]
 
     def test_primary_branch_is_clockwise(self, circulator):
-        dev = nr.with_total_phase(circulator, -1.234)
-        cal = tuner.calibrate_phase_offset(dev)
-        tuned = nr.with_total_phase(dev, nr.total_pump_phase(dev) + cal.primary)
-        s = nr.scattering_at(tuned, 0.0)
-        assert metrics.circulation_sense(s) is metrics.CirculationSense.CW
+        # every rho 0.2 isolates by less than ISOLATION_MARGIN_DB: both branches read NONE
+        weak = nr.validate_device(circulator.modes, (
+            nr.PumpedCoupling(c.pair, c.kind, 0.2, c.phase) for c in circulator.couplings))
+        forward, reverse = metrics._cycle_pairs(circulator.mode_names)
+        senses = []
+        for dev in (nr.with_total_phase(circulator, -1.234), weak):
+            cal = tuner.calibrate_phase_offset(dev)
+            tuned = nr.with_total_phase(dev, nr.total_pump_phase(dev) + cal.primary)
+            s = nr.scattering_at(tuned, 0.0)
+            assert (min(s.magnitudes(o, i)[0] for o, i in forward)
+                    > max(s.magnitudes(o, i)[0] for o, i in reverse))
+            senses.append(metrics.circulation_sense(s))
+        assert senses == [metrics.CirculationSense.CW, metrics.CirculationSense.NONE]
 
     def test_diramp_anchors(self, diramp):
         injected = 0.3
