@@ -230,6 +230,7 @@ def bundled_config_path(name: str):
 
 
 _BLOCK_ROWS = 1024  # rows formatted per chunk handed to the file
+_PHI = "\0"  # the phi cell in a phase-map row template; no formatted number holds it
 
 # axis columns with the label and unit ``compare`` prints; a table leads with
 # its axes and is sorted by them, the last one varying fastest
@@ -276,25 +277,34 @@ def sweep_table(result: cmt.SweepResult) -> SweepTable:
     return SweepTable(columns, rows)
 
 
+def _frame(columns: list[str], fmt: str, cells: list[str]) -> tuple[str, str, str, str]:
+    """Head, row (``cells`` joined), row separator and tail of a CSV (``fmt``
+    "csv") or JSON table."""
+    if fmt == "csv":
+        return ",".join(columns) + "\n", ",".join(cells) + "\n", "", ""
+    cols = json.dumps(columns, separators=(", ", ": "))
+    return ('{\n  "columns": ' + cols + ',\n  "rows": [\n', "    [" + ", ".join(cells) + "]",
+            ",\n", "\n  ]\n}\n")
+
+
+def _json_tokens(text: str) -> str:
+    """``%.9g`` text with JSON's ``NaN``, ``Infinity`` and ``-Infinity`` for
+    its non-finite cells, the tokens Python's ``json`` reads and writes."""
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def _table_chunks(table: SweepTable, fmt: str):
     """Yield ``table`` as CSV (``fmt`` "csv") or JSON text, the rows in blocks of
     ``_BLOCK_ROWS`` formatted with one ``%``-template per block.  A cell is
     ``%.9g``, for float64 the string ``format(x, '.9g')`` (-0, +-inf and nan
-    included); JSON writes non-finite cells as ``NaN``, ``Infinity`` and
-    ``-Infinity``, the tokens Python's ``json`` reads and writes."""
-    cells = ["%.9g"] * len(table.columns)
-    if fmt == "csv":
-        head, row, sep, tail = ",".join(table.columns) + "\n", ",".join(cells) + "\n", "", ""
-    else:
-        cols = json.dumps(table.columns, separators=(", ", ": "))
-        head, tail = '{\n  "columns": ' + cols + ',\n  "rows": [\n', "\n  ]\n}\n"
-        row, sep = "    [" + ", ".join(cells) + "]", ",\n"
+    included); JSON writes non-finite cells with ``_json_tokens``."""
+    head, row, sep, tail = _frame(table.columns, fmt, ["%.9g"] * len(table.columns))
     yield head
     for start in range(0, len(table.rows), _BLOCK_ROWS):
         block = table.rows[start:start + _BLOCK_ROWS]
         text = sep.join([row] * len(block)) % tuple(block.ravel().tolist())
         if fmt != "csv" and not np.isfinite(block).all():
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            text = _json_tokens(text)
         yield text if start == 0 else sep + text
     yield tail
 
@@ -302,6 +312,40 @@ def _table_chunks(table: SweepTable, fmt: str):
 def write_table(table: SweepTable, path: str, fmt: str) -> None:
     """Write ``table`` to ``path`` as CSV (``fmt`` "csv") or JSON."""
     _atomic_write(path, _table_chunks(table, fmt))
+
+
+def _phase_map_chunks(ps: tuner.PhaseSweepResult, pairs, fmt: str):
+    """Yield the phase map of ``ps`` as the bytes ``_table_chunks`` writes for its
+    phi-major rows (phi, delta, then the dB of each (out, in) pair), one phi row
+    at a time.  Each delta cell is formatted once into a row template that
+    holds a ``%.9g`` slot per dB cell and ``_PHI`` for the phi cell; a row that
+    ``phase_sweep`` copied from an earlier row (``ps.first_rows``) reuses that
+    row's dB text, kept only until the last row that repeats it."""
+    columns = ["phi_rad", "delta_hz"] + [f"S_{o}{i}_db" for o, i in pairs]
+    head, row, sep, tail = _frame(columns, fmt, [_PHI, "%.9g"] + ["%%.9g"] * len(pairs))
+    template = sep.join(row % d for d in ps.deltas.tolist())  # phase_sweep's axes are finite
+    blocks = [ps.magnitude(o, i) for o, i in pairs]
+    last = {q: r for r, q in enumerate(ps.first_rows)}  # the last row repeating row q
+    kept: dict[int, str] = {}
+    yield head
+    for r, (phi, q) in enumerate(zip(ps.phis.tolist(), ps.first_rows)):
+        if q == r:
+            db = _db(np.column_stack([b[r] for b in blocks]))
+            text = template % tuple(db.ravel().tolist())
+            if fmt != "csv" and not np.isfinite(db).all():
+                text = _json_tokens(text)
+        else:
+            text = kept.pop(q)
+        if last[q] > r:
+            kept[q] = text
+        yield (sep if r else "") + text.replace(_PHI, "%.9g" % phi)
+    yield tail
+
+
+def write_phase_map(ps: tuner.PhaseSweepResult, pairs, path: str, fmt: str) -> None:
+    """Write the ``ps`` magnitudes of the (out, in) ``pairs`` to ``path`` as a
+    CSV (``fmt`` "csv") or JSON table with axes ``phi_rad, delta_hz``."""
+    _atomic_write(path, _phase_map_chunks(ps, pairs, fmt))
 
 
 def read_table(path: str) -> SweepTable:
@@ -422,17 +466,10 @@ def cmd_phase_sweep(args) -> int:
         raise ConfigError("--phi-min and --phi-max must be finite")
     phis = np.linspace(args.phi_min, args.phi_max, args.phi_points)
     ps = tuner.phase_sweep(cfg.device, phis, cfg.delta_grid)
-    columns = ["phi_rad", "delta_hz"] + [f"S_{o}{i}_db" for o, i in pairs]
-    n_phi, n_delta = len(ps.phis), len(ps.deltas)
-    rows = np.empty((n_phi * n_delta, len(columns)))  # phi-major: row r * n_delta + c
-    rows[:, 0] = np.repeat(ps.phis, n_delta)
-    rows[:, 1] = np.tile(ps.deltas, n_phi)
-    for n, pair in enumerate(pairs):
-        rows[:, 2 + n] = _db(ps.magnitude(*pair).ravel())
     fmt = args.format or cfg.out_format
     out_path = args.out or "phase_sweep." + fmt
-    write_table(SweepTable(columns, rows), out_path, fmt)
-    print(f"wrote {rows.shape[0]} (phi, delta) points to {out_path}")
+    write_phase_map(ps, pairs, out_path, fmt)
+    print(f"wrote {len(ps.phis) * len(ps.deltas)} (phi, delta) points to {out_path}")
     return EXIT_OK
 
 
@@ -576,6 +613,8 @@ def _parse_pairs(spec_str: Optional[str], device: ValidatedDevice):
         token = token.strip()
         if len(token) != 2 or token[0] not in names or token[1] not in names:
             raise ConfigError(f"pair {token!r} must be two single-letter mode names")
+        if (token[0], token[1]) in pairs:
+            raise ConfigError(f"pair {token!r} is given twice")
         pairs.append((token[0], token[1]))
     return pairs
 

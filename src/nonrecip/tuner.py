@@ -102,12 +102,16 @@ class TuneResult:
 
 @dataclass(frozen=True)
 class PhaseSweepResult:
-    """|S| magnitudes on a (phi_tot, delta) grid for all nine mode pairs."""
+    """|S| magnitudes on a (phi_tot, delta) grid for all nine mode pairs.
+
+    ``first_rows[r]`` is the first phi row whose magnitudes row ``r`` copies
+    (``r`` itself for a row that was solved)."""
 
     phis: np.ndarray
     deltas: np.ndarray
     magnitudes: np.ndarray  # (3, 3, n_phi, n_delta): out, in, phi, delta
     device: ValidatedDevice
+    first_rows: tuple[int, ...]
 
     def magnitude(self, out_mode: str, in_mode: str) -> np.ndarray:
         """The contiguous (n_phi, n_delta) block of one (out, in) pair."""
@@ -162,11 +166,11 @@ def phase_sweep(
     keys = split_total_phase(device, phis)[0].view(np.int64).tolist()
     mags = np.empty((3, 3, len(phis), len(deltas)))
     first_row: dict[int, int] = {}
-    for r, (phi, key) in enumerate(zip(phis, keys)):  # one batch per row keeps memory flat
-        q = first_row.setdefault(key, r)
+    first_rows = tuple(first_row.setdefault(key, r) for r, key in enumerate(keys))
+    for r, (phi, q) in enumerate(zip(phis, first_rows)):  # one batch per row keeps memory flat
         s = None if q < r else cmt.solve_batch(device, deltas, phi_tot=float(phi))
         mags[:, :, r] = mags[:, :, q] if s is None else np.abs(s).transpose(1, 2, 0)
-    return PhaseSweepResult(phis, deltas, mags, device)
+    return PhaseSweepResult(phis, deltas, mags, device, first_rows)
 
 
 def conversion_sweep(

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -16,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonrecip as nr
-from nonrecip import cli, cmt
+from nonrecip import cli, cmt, tuner
 
-from conftest import count_calls, db
+from conftest import count_calls, db, make_circulator, make_diramp, standard_modes
 
 
 @pytest.fixture
@@ -423,6 +424,82 @@ class TestTableWriters:
         assert again.read_bytes() == out.read_bytes()
 
 
+# every coupling off: the off-diagonal |S| are exactly 0, -inf dB
+UNPUMPED = nr.validate_device(standard_modes(), [
+    nr.PumpedCoupling(("a", "b"), "conversion", 0.0), nr.PumpedCoupling(("a", "c"), "gain", 0.0),
+    nr.PumpedCoupling(("b", "c"), "gain", 0.0)])
+PHASE_MAP_DEVICES = {"circulator": make_circulator(), "diramp": make_diramp(),
+                     "unpumped": UNPUMPED}
+MODE_PAIRS = [o + i for o in "abc" for i in "abc"]
+
+
+def flat_phase_map(ps, pairs):
+    """The phase map as one phi-major (n_phi * n_delta, 2 + k) table."""
+    n_phi, n_delta = len(ps.phis), len(ps.deltas)
+    columns = ["phi_rad", "delta_hz"] + [f"S_{o}{i}_db" for o, i in pairs]
+    rows = np.empty((n_phi * n_delta, len(columns)))
+    rows[:, 0] = np.repeat(ps.phis, n_delta)
+    rows[:, 1] = np.tile(ps.deltas, n_phi)
+    for n, pair in enumerate(pairs):
+        rows[:, 2 + n] = cli._db(ps.magnitude(*pair).ravel())
+    return cli.SweepTable(columns, rows)
+
+
+class TestPhaseMapWriter:
+    """``write_phase_map`` writes, from the grid, the bytes of the per-float
+    writer on the flat phi-major rows."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(PHASE_MAP_DEVICES)),
+           phis=st.lists(st.sampled_from([-0.0, 0.0, 2.5, -math.pi, 2 * math.pi])
+                         | st.floats(-10.0, 10.0), min_size=1, max_size=4)
+           .map(lambda b: b + [p + 2 * math.pi for p in b] + [np.nextafter(p, 9.0) for p in b])
+           .flatmap(lambda b: st.sampled_from([b[:1], b]))
+           .flatmap(st.permutations),
+           deltas=st.sampled_from([[0.0], [-3e7, 0.0, 1e6], np.linspace(-2e7, 2e7, 9)]),
+           pairs=st.lists(st.sampled_from(MODE_PAIRS), min_size=1, max_size=4, unique=True),
+           fmt=st.sampled_from(["csv", "json"]))
+    def test_bytes_match_the_flat_rows(self, name, phis, deltas, pairs, fmt, tmp_path_factory):
+        ps = tuner.phase_sweep(PHASE_MAP_DEVICES[name], phis, deltas)
+        pairs = [tuple(p) for p in pairs]
+        out = tmp_path_factory.getbasetemp() / f"map.{fmt}"
+        cli.write_phase_map(ps, pairs, str(out), fmt)
+        reference = {"csv": _old_format_csv, "json": _old_format_json}[fmt]
+        assert out.read_bytes() == reference(flat_phase_map(ps, pairs))
+
+    def test_unpumped_device_writes_minus_infinity(self, tmp_path):
+        ps = tuner.phase_sweep(UNPUMPED, [-0.0, 0.0, 2 * math.pi], [0.0])
+        assert ps.first_rows == (0, 0, 0)  # one solve, three phi cells
+        out = tmp_path / "map.json"
+        cli.write_phase_map(ps, [("a", "b"), ("b", "b")], str(out), "json")
+        rows = out.read_text().splitlines()[3:6]
+        for row, phi in zip(rows, ["-0", "0", "6.28318531"]):
+            assert row.startswith(f"    [{phi}, 0, -Infinity, ")
+        assert out.read_bytes() == _old_format_json(flat_phase_map(ps, [("a", "b"), ("b", "b")]))
+
+    def test_default_map_peak_memory_below_the_flat_rows(self, tmp_path):
+        cfg = cli.load_config(str(cli.bundled_config_path("circulator")))
+        ps = tuner.phase_sweep(cfg.device, np.linspace(-2 * math.pi, math.pi, 241),
+                               cfg.delta_grid)
+        pairs = cli._parse_pairs(None, cfg.device)
+        out = tmp_path / "map.csv"
+        tracemalloc.start()
+        try:
+            cli.write_phase_map(ps, pairs, str(out), "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == WRITER_DIGESTS["phase-sweep-circulator-csv"])
+        flat_bytes = len(ps.phis) * len(ps.deltas) * (2 + len(pairs)) * 8  # 7.7 MB
+        assert peak < flat_bytes
+        # a row's text is held only until its last repeat: at most 62 rows at once here
+        last = {q: r for r, q in enumerate(ps.first_rows)}
+        held = max(sum(q <= r < last[q] for q in last) for r in range(len(ps.phis)))
+        assert held == 62
+        assert peak < (held + 16) * out.stat().st_size / len(ps.phis)
+
+
 class TestCompare:
     def test_file_vs_itself(self, circ_cfg, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -661,6 +738,18 @@ class TestWriterBytes:
         cfg = circ_cfg if config == "circulator" else diramp_cfg
         assert run(command, "--config", cfg, "--out", out, *extra) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITER_DIGESTS[name]
+
+    def test_benchmark_digests_match(self):
+        # bench/digests.json pins the sparams tables and the default phase map the benchmark
+        # checks: workload sweep-io is sparams, phase-map is phase-sweep
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "digests.json")
+        with open(path, encoding="utf-8") as fh:
+            pinned = json.load(fh)
+        command = {"sweep-io": "sparams", "phase-map": "phase-sweep"}
+        shared = {f"{command[workload]}-{file.removeprefix('bundled-').replace('.', '-')}": digest
+                  for workload, files in pinned.items() for file, digest in files.items()}
+        assert len(shared) == 5
+        assert shared == {name: WRITER_DIGESTS[name] for name in shared}
 
 
 class TestPhaseSweepCmd:
@@ -963,6 +1052,14 @@ class TestErrorExits:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("pairs", ["bb,bb", "ab,cb, ab"])
+    def test_repeated_pair(self, pairs, circ_cfg, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("phase-sweep", "--config", circ_cfg, "--pairs", pairs, "--out", out) == 1
+        repeated = pairs[-2:]
+        assert capsys.readouterr().err == f"error: ConfigError: pair {repeated!r} is given twice\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("config, path, value", [
         ("circulator", ("device",), 5),
