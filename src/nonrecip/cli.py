@@ -10,12 +10,15 @@ tabs between tokens load and syntax errors are worded differently.
 Tables (CSV or JSON) lead with their axis columns: ``delta_hz`` (``sparams``),
 ``phi_rad, delta_hz`` in phi-major order (``phase-sweep``), ``c``
 (``threshold``).  Floats have 9 significant digits and lines end in "\n", so
-emit -> parse -> emit is byte-identical; rows are written in fixed blocks, so a
-writer's memory does not grow with the file.  ``compare`` splits both tables
-into runs (a run ends where an axis but the last changes or the last stops
-increasing), needs the runs' leading axis values to match exactly and
-interpolates the reference along the last axis within each run; it compares
-the ``*_db`` columns by default and exits 2 when the tables cannot be lined up.
+emit -> parse -> emit is byte-identical.  ``sparams`` and ``threshold`` rows are
+written in fixed blocks, so a writer's memory does not grow with the file;
+``phase-sweep`` is written one phi row at a time from one row template, in
+which every delta cell is formatted once, and its memory is one row plus the
+text of the rows repeated later.  ``compare`` splits both tables into runs (a
+run ends where an axis but the last changes or the last stops increasing),
+needs the runs' leading axis values to match exactly and interpolates the
+reference along the last axis within each run; it compares the ``*_db``
+columns by default and exits 2 when the tables cannot be lined up.
 
 ``tune`` puts the config at its objective's closed-form working point and
 scores it once; its ``objective:`` line ends with the stop reason
