@@ -49,7 +49,6 @@ from .metrics import (
     CirculationSense,
     added_noise,
     amp_db,
-    circulation_order,
     circulation_sense,
     circulator_bandwidth,
     gain_bandwidth_3db,
@@ -96,7 +95,6 @@ __all__ = [
     "build_dynamics_matrix",
     "calibrate_phase_offset",
     "check_pump_closure",
-    "circulation_order",
     "circulation_sense",
     "circulator_bandwidth",
     "conversion_coefficient",

@@ -47,6 +47,7 @@ import yaml
 from . import cmt, metrics, tuner
 from .errors import EmptyBandError, SingularMatrixError, TopologyError
 from .model import (
+    PUMP_DETUNING_TOLERANCE_HZ,
     ModeSpec,
     ProcessKind,
     PumpedCoupling,
@@ -181,7 +182,7 @@ def parse_config(raw: dict) -> RunConfig:
     device_doc = _mapping(_require(raw, "device", "config"), "device")
     modes = _list(_require(device_doc, "modes", "device"), "device.modes")
     couplings = _list(device_doc.get("couplings", []), "device.couplings")
-    tol = _number(device_doc.get("pump_detuning_tolerance_mhz", 10.0),
+    tol = _number(device_doc.get("pump_detuning_tolerance_mhz", PUMP_DETUNING_TOLERANCE_HZ / 1e6),
                   "device.pump_detuning_tolerance_mhz") * 1e6
     if not (tol >= 0):
         raise ConfigError(f"device.pump_detuning_tolerance_mhz must be >= 0, got {tol / 1e6:g}")
@@ -380,6 +381,8 @@ def read_table(path: str) -> SweepTable:
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write the string ``chunks`` to ``path`` through a temporary file in the
     same directory, then rename it."""
+    if not path:  # else the temporary file would go to the working directory's parent
+        raise ConfigError("empty output path")
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
@@ -399,23 +402,24 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 # summaries
 
 
-def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
+def _print_summary(cfg: RunConfig, result: cmt.SweepResult, s0: cmt.SweepResult) -> None:
+    """Print the delta=0 figures from ``s0`` and the bands and defect from ``result``."""
     device = cfg.device
     names = device.mode_names
-    center = result.center_index
-    db = _db(np.abs(result.entries[center]))
+    db = _db(np.abs(s0.entries[0]))
     print(f"on-resonance |S| (dB) at delta=0 Hz, modes {names}:")
     for o, row in zip(names, db):
         cells = "  ".join(f"{v:8.2f}" for v in row)
         print(f"  out {o}: {cells}")
     if device.is_circulator:
-        sense = metrics.circulation_sense(result)
-        order = metrics.circulation_order(result)
-        cycle = "->".join(order + (order[0],)) if order else "none"
+        sense = metrics.circulation_sense(s0)
+        order = names if sense is metrics.CirculationSense.CW else names[::-1]
+        cycle = "none" if sense is metrics.CirculationSense.NONE else "->".join(order + order[:1])
         print(f"circulation sense at delta=0: {sense.value} ({cycle})")
         try:
             bw = metrics.circulator_bandwidth(result)
-            print(f"bandwidth (match <= -10 dB, loss <= 1 dB): {bw / 1e6:.3f} MHz around delta=0")
+            print(f"bandwidth (match <= {metrics.BAND_MATCH_DB:g} dB, loss <= "
+                  f"{metrics.BAND_LOSS_DB:g} dB): {bw / 1e6:.3f} MHz around delta=0")
         except EmptyBandError as exc:
             print(f"bandwidth: empty band ({exc})")
     if device.is_directional_amp:
@@ -425,12 +429,12 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
         print(f"roles at phi_tot={phi:+.4f} rad: "
               + ", ".join(f"{m}={role_of[m]}" for m in names))
         sig, vac = device.index(roles.signal), device.index(roles.vacuum)
-        fwd = result.magnitudes(roles.idler, roles.signal)[center] ** 2
+        fwd = s0.magnitudes(roles.idler, roles.signal)[0] ** 2
         if fwd > 0:
             print(f"forward gain {roles.signal}->{roles.idler} at delta=0: "
                   f"{metrics.to_db(fwd):.2f} dB")
             print(f"added noise {roles.signal}->{roles.idler} at delta=0: "
-                  f"{metrics.added_noise(result, roles.signal, roles.idler):.4f} photons")
+                  f"{metrics.added_noise(s0, roles.signal, roles.idler):.4f} photons")
         print(f"input reflections at delta=0: "
               f"{roles.signal}: {db[sig, sig]:.2f} dB, {roles.vacuum}: {db[vac, vac]:.2f} dB")
         print(f"{roles.vacuum}->{roles.signal} transmission at delta=0: {db[sig, vac]:.2f} dB")
@@ -439,7 +443,7 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
             print(f"3 dB gain bandwidth: {bw / 1e6:.3f} MHz around delta=0")
         except EmptyBandError as exc:
             print(f"3 dB gain bandwidth: empty band ({exc})")
-    nvr0 = metrics.nvr(result)
+    nvr0 = metrics.nvr(s0)
     print("NVR at delta=0 (dB): " + ", ".join(f"{n}: {v:.3f}" for n, v in nvr0.items()))
     print(f"max symplectic defect over the sweep: {metrics.symplectic_defect(result):.3e}")
     if cfg.declared_pumps:
@@ -453,12 +457,13 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
 
 def cmd_sparams(args) -> int:
     cfg = load_config(args.config)
-    out_path = args.out or cfg.out_path
+    out_path = cfg.out_path if args.out is None else args.out
     fmt = args.format or cfg.out_format
     result = cmt.sweep(cfg.device, cfg.delta_grid)
+    s0 = cmt.scattering_at(cfg.device, 0.0)  # the grid may not hold delta = 0
     write_table(sweep_table(result), out_path, fmt)
     print(f"wrote {len(result)} detuning points to {out_path} ({fmt})")
-    _print_summary(cfg, result)
+    _print_summary(cfg, result, s0)
     return EXIT_OK
 
 
@@ -470,7 +475,7 @@ def cmd_phase_sweep(args) -> int:
     phis = np.linspace(args.phi_min, args.phi_max, args.phi_points)
     ps = tuner.phase_sweep(cfg.device, phis, cfg.delta_grid)
     fmt = args.format or cfg.out_format
-    out_path = args.out or "phase_sweep." + fmt
+    out_path = "phase_sweep." + fmt if args.out is None else args.out
     write_phase_map(ps, pairs, out_path, fmt)
     print(f"wrote {len(ps.phis) * len(ps.deltas)} (phi, delta) points to {out_path}")
     return EXIT_OK
@@ -490,7 +495,7 @@ def cmd_threshold(args) -> int:
         _db(res.reflection_mag), _db(res.forward_mag), np.full(len(cs), res.threshold_c),
     ])
     fmt = args.format or cfg.out_format
-    out_path = args.out or "threshold." + fmt
+    out_path = "threshold." + fmt if args.out is None else args.out
     write_table(SweepTable(columns, rows), out_path, fmt)
     print(f"wrote {len(cs)} conversion points to {out_path}; "
           f"analytic threshold C = {res.threshold_c:.6f} (|S_{q}{q}| crosses 1, delta=0)")
@@ -500,15 +505,17 @@ def cmd_threshold(args) -> int:
 def cmd_tune(args) -> int:
     if args.budget < 1:
         raise ConfigError("--budget must be >= 1")
-    cfg = load_config(args.config)
     kind = {
         "circulator-cw": tuner.ObjectiveKind.CIRCULATOR_CW,
         "circulator-ccw": tuner.ObjectiveKind.CIRCULATOR_CCW,
         "diramp": tuner.ObjectiveKind.DIRECTIONAL_AMP,
     }[args.objective]
-    objective = tuner.Objective(kind=kind, target_gain_db=args.target_gain_db)
-    result = tuner.tune(cfg.device, objective)
-    out_path = args.out or (args.config + ".tuned")
+    target = {} if args.target_gain_db is None else {"target_gain_db": args.target_gain_db}
+    if target and kind is not tuner.ObjectiveKind.DIRECTIONAL_AMP:
+        raise ConfigError("--target-gain-db applies only to the diramp objective")
+    cfg = load_config(args.config)
+    result = tuner.tune(cfg.device, tuner.Objective(kind, **target))
+    out_path = args.config + ".tuned" if args.out is None else args.out
     _write_tuned_config(cfg, result.device, out_path)
     print(f"objective: {result.objective_value:.6f} after {result.evaluations} evaluations "
           f"(converged={result.converged}, stop_reason={result.stop_reason})")
@@ -569,8 +576,8 @@ def cmd_compare(args) -> int:
     axes = sweep_t.axes
     if not axes:
         raise SchemaError(f"schema mismatch: no axis column ({', '.join(AXES)})")
-    columns = (args.columns.split(",") if args.columns
-               else [c for c in sweep_t.columns if c.endswith("_db")])
+    columns = ([c for c in sweep_t.columns if c.endswith("_db")] if args.columns is None
+               else args.columns.split(","))
     if not columns:
         raise SchemaError("schema mismatch: no column to compare")
     for c in columns:
@@ -608,9 +615,8 @@ def cmd_compare(args) -> int:
 
 def _parse_pairs(spec_str: Optional[str], device: ValidatedDevice):
     names = device.mode_names
-    if not spec_str:
-        defaults = [(names[1], names[1]), (names[2], names[1])]
-        return defaults
+    if spec_str is None:
+        return [(names[1], names[1]), (names[2], names[1])]
     pairs = []
     for token in spec_str.split(","):
         token = token.strip()
@@ -660,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="path for the tuned config (default: <config>.tuned)")
     p.add_argument("--objective", required=True,
                    choices=("circulator-cw", "circulator-ccw", "diramp"))
-    p.add_argument("--target-gain-db", type=float, default=0.0)
+    p.add_argument("--target-gain-db", type=float, help="diramp objective only (default: 0 dB)")
     p.add_argument("--budget", type=int, default=1, help="ignored; a tune scores one point")
     p.set_defaults(func=cmd_tune)
 

@@ -24,9 +24,9 @@ class FrustratedConjugationError(DeviceValidationError):
 class SingularMatrixError(ArithmeticError):
     """Dynamics matrix is singular: the device sits on a parametric oscillation point."""
 
-    def __init__(self, delta, message=None):
+    def __init__(self, delta):
         self.delta = delta
-        super().__init__(message or f"dynamics matrix singular at delta={delta:g} Hz")
+        super().__init__(f"dynamics matrix singular at delta={delta:g} Hz")
 
 
 class EmptyBandError(RuntimeError):

@@ -5,7 +5,7 @@ and noise ratios are power ratios (10 log10).  Noise quantities assume
 vacuum (half a photon) incident on every channel and a perfectly stiff pump,
 so the scattering is lossless and S Sigma S^dag = Sigma is the conservation
 law being monitored.  Every figure takes a ``cmt.SweepResult``; the
-single-point ones (sense, order, NVR, added noise) read its ``center_index``
+single-point ones (sense, NVR, added noise) read its ``center_index``
 point, so ``scattering_at``'s one-point sweep serves them directly.  A
 directional amplifier's port roles are the named tuple ``(signal, idler,
 vacuum)`` of mode names.
@@ -25,6 +25,8 @@ from .model import ValidatedDevice, directional_amp_parts
 
 DB_FLOOR = -320.0  # amplitude dB assigned to an exact zero
 ISOLATION_MARGIN_DB = 10.0  # power dB by which circulation beats the reverse paths
+BAND_MATCH_DB = -10.0  # circulator band: every input match at or below this, amplitude dB
+BAND_LOSS_DB = 1.0  # circulator band: every forward insertion loss at or below this, dB
 
 
 def to_db(x: float) -> float:
@@ -86,16 +88,6 @@ def circulation_sense(sweep: SweepResult) -> CirculationSense:
     return CirculationSense.NONE
 
 
-def circulation_order(sweep: SweepResult):
-    """Mode names in propagation order at the center point, or None when there
-    is no circulation."""
-    sense = circulation_sense(sweep)
-    if sense is CirculationSense.NONE:
-        return None
-    names = sweep.device.mode_names
-    return names if sense is CirculationSense.CW else names[::-1]
-
-
 def _contiguous_band(deltas: np.ndarray, ok: np.ndarray, center: int) -> float:
     lo = center
     while lo > 0 and ok[lo - 1]:
@@ -106,12 +98,10 @@ def _contiguous_band(deltas: np.ndarray, ok: np.ndarray, center: int) -> float:
     return float(deltas[hi] - deltas[lo])
 
 
-def circulator_bandwidth(
-    sweep: SweepResult, match_db: float = -10.0, loss_db: float = 1.0
-) -> float:
+def circulator_bandwidth(sweep: SweepResult) -> float:
     """Width of the contiguous band around zero detuning where every input
-    match is at or below ``match_db`` and every forward insertion loss is at
-    or below ``loss_db``.
+    match is at or below BAND_MATCH_DB and every forward insertion loss is at
+    or below BAND_LOSS_DB.
 
     Raises EmptyBandError when the center point already fails.
     """
@@ -126,16 +116,12 @@ def circulator_bandwidth(
         raise EmptyBandError("no circulation at zero detuning")
     forward, reverse = _cycle_pairs(device.mode_names)
     fwd_pairs = forward if sense is CirculationSense.CW else reverse
-    names = device.mode_names
-    match_ok = np.ones(len(sweep), dtype=bool)
-    loss_ok = np.ones(len(sweep), dtype=bool)
-    match_lin = 10 ** (match_db / 20.0)
-    loss_lin = 10 ** (-loss_db / 20.0)
-    for n in names:
-        match_ok &= sweep.magnitudes(n, n) <= match_lin
+    match_lin, loss_lin = 10 ** (BAND_MATCH_DB / 20.0), 10 ** (-BAND_LOSS_DB / 20.0)
+    ok = np.ones(len(sweep), dtype=bool)
+    for n in device.mode_names:
+        ok &= sweep.magnitudes(n, n) <= match_lin
     for o, i in fwd_pairs:
-        loss_ok &= sweep.magnitudes(o, i) >= loss_lin
-    ok = match_ok & loss_ok
+        ok &= sweep.magnitudes(o, i) >= loss_lin
     if not ok[center]:
         raise EmptyBandError("criteria fail at zero detuning")
     return _contiguous_band(sweep.deltas, ok, center)

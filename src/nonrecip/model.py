@@ -31,6 +31,7 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+PUMP_DETUNING_TOLERANCE_HZ = 10e6  # default of ``check_pump_closure`` and of a config
 
 
 class ProcessKind(enum.Enum):
@@ -307,7 +308,8 @@ def validate_device(
 
 
 def check_pump_closure(
-    device: ValidatedDevice, declared_pumps: Mapping[str, float], tolerance: float = 10e6
+    device: ValidatedDevice, declared_pumps: Mapping[str, float],
+    tolerance: float = PUMP_DETUNING_TOLERANCE_HZ,
 ) -> list[str]:
     """Warnings, never errors, for declared pump frequencies (Hz).
 

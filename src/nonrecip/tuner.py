@@ -135,7 +135,6 @@ class ConversionSweepResult:
     reflection_port: str
     idler_port: str
     threshold_c: float
-    device: ValidatedDevice
 
 
 @dataclass(frozen=True)
@@ -193,8 +192,7 @@ def conversion_sweep(
     s = cmt.solve_batch(device_template, 0.0, rhos=strengths, phi_tot=-math.pi / 2.0)
     q, z = device_template.index(other), device_template.index(idler)
     return ConversionSweepResult(cs, rhos, np.abs(s[:, q, q]), np.abs(s[:, z, q]),
-                                 reflection_port=other, idler_port=idler,
-                                 threshold_c=threshold, device=device_template)
+                                 reflection_port=other, idler_port=idler, threshold_c=threshold)
 
 
 def calibrate_phase_offset(

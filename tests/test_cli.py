@@ -329,6 +329,44 @@ class TestSparams:
         assert lines[-1].startswith(defect) and float(lines[-1][len(defect):]) < 1e-12
         assert lines[1:-1] == SPARAMS_STDOUT[config]
 
+    @pytest.mark.parametrize("phase_deg, phi_tot, line", [
+        (-90.0, -math.pi / 2, "circulation sense at delta=0: ccw (c->b->a->c)"),
+        (0.0, 0.0, "circulation sense at delta=0: none (none)"),
+    ], ids=["ccw", "none"])
+    def test_summary_cycle_follows_the_pump_phase(self, phase_deg, phi_tot, line, circ_cfg,
+                                                  tmp_path, capsys):
+        raw = yaml.safe_load(circ_cfg.read_text())
+        raw["device"]["couplings"][1]["phase_deg"] = phase_deg  # (b, c) carries phi_tot
+        cfg = tmp_path / "rephased.cfg"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert nr.total_pump_phase(cli.load_config(str(cfg)).device) == phi_tot
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("config", sorted(SPARAMS_STDOUT))
+    def test_even_grid_summary_reads_delta_zero(self, config, circ_cfg, diramp_cfg, tmp_path,
+                                                capsys):
+        # two points: the grid is -span/2 and +span/2 and holds no delta = 0
+        raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
+        raw["sweep"]["points"] = 2
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 0
+        lines = capsys.readouterr().out.splitlines()[1:-1]
+        pinned = SPARAMS_STDOUT[config]
+        assert ([s for s in lines if "bandwidth" not in s]
+                == [s for s in pinned if "bandwidth" not in s])
+
+    def test_band_thresholds_are_the_metrics_constants(self, circ_cfg, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(nr.metrics, "BAND_MATCH_DB", -15.0)
+        assert run("sparams", "--config", circ_cfg, "--out", tmp_path / "x.csv") == 0
+        cfg = cli.load_config(str(circ_cfg))
+        bw = nr.circulator_bandwidth(nr.sweep(cfg.device, cfg.delta_grid))
+        assert bw < 11.4e6
+        line = f"bandwidth (match <= -15 dB, loss <= 1 dB): {bw / 1e6:.3f} MHz around delta=0"
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_json_output(self, circ_cfg, tmp_path):
         out = tmp_path / "sweep.json"
         assert run("sparams", "--config", circ_cfg, "--out", out, "--format", "json") == 0
@@ -1060,6 +1098,27 @@ class TestErrorExits:
         repeated = pairs[-2:]
         assert capsys.readouterr().err == f"error: ConfigError: pair {repeated!r} is given twice\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["phase-sweep", "--config", "{circ}", "--pairs", ""], 1,
+         "ConfigError: pair '' must be two single-letter mode names"),
+        (["compare", "t.csv", "t.csv", "--columns", ""], 2, "schema mismatch: no column ''"),
+        (["sparams", "--config", "{circ}", "--out", ""], 1, "ConfigError: empty output path"),
+        (["tune", "--config", "{circ}", "--objective", "circulator-cw", "--out", ""], 1,
+         "ConfigError: empty output path"),
+        (["tune", "--config", "{circ}", "--objective", "circulator-cw", "--target-gain-db", "14"],
+         1, "ConfigError: --target-gain-db applies only to the diramp objective"),
+    ], ids=["empty-pairs", "empty-columns", "sparams-empty-out", "tune-empty-out",
+            "circulator-target-gain"])
+    def test_given_option_is_not_ignored(self, argv, code, err, circ_cfg, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)  # holds the config, the default outputs and t.csv
+        assert run("sparams", "--config", circ_cfg, "--out", "t.csv") == 0
+        capsys.readouterr()
+        files = sorted(os.listdir(tmp_path))
+        assert run(*[a.format(circ=circ_cfg) for a in argv]) == code
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert sorted(os.listdir(tmp_path)) == files
 
     @pytest.mark.parametrize("config, path, value", [
         ("circulator", ("device",), 5),

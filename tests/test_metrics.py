@@ -40,14 +40,6 @@ class TestCirculationSense:
         s = nr.scattering_at(make_circulator(phi_tot=0.0), 0.0)
         assert metrics.circulation_sense(s) is metrics.CirculationSense.NONE
 
-    def test_circulation_order(self):
-        cw = nr.scattering_at(make_circulator(phi_tot=math.pi / 2), 0.0)
-        assert metrics.circulation_order(cw) == ("a", "b", "c")
-        ccw = nr.scattering_at(make_circulator(phi_tot=-math.pi / 2), 0.0)
-        assert metrics.circulation_order(ccw) == ("c", "b", "a")
-        flat = nr.scattering_at(make_circulator(phi_tot=0.0), 0.0)
-        assert metrics.circulation_order(flat) is None
-
     def test_multi_point_sweep_reads_center_point(self):
         cw = nr.scattering_at(make_circulator(phi_tot=math.pi / 2), 0.0).entries[0]
         ccw = nr.scattering_at(make_circulator(phi_tot=-math.pi / 2), 0.0).entries[0]
@@ -56,8 +48,6 @@ class TestCirculationSense:
         for center, edge, sense in ((cw, ccw, "CW"), (ccw, cw, "CCW")):
             sw = nr.SweepResult(deltas, np.stack([edge, edge, center, edge]), device)
             assert metrics.circulation_sense(sw) is metrics.CirculationSense[sense]
-            order = metrics.circulation_order(sw)
-            assert order == (("a", "b", "c") if sense == "CW" else ("c", "b", "a"))
         sw = nr.sweep(make_circulator(phi_tot=math.pi / 2), np.linspace(-30e6, 30e6, 101))
         assert metrics.circulation_sense(sw) is metrics.CirculationSense.CW
 
