@@ -12,9 +12,12 @@ Tables (CSV or JSON) lead with their axis columns: ``delta_hz`` (``sparams``),
 (``threshold``).  Floats have 9 significant digits and lines end in "\n", so
 emit -> parse -> emit is byte-identical.  ``sparams`` and ``threshold`` rows are
 written in fixed blocks, so a writer's memory does not grow with the file;
-``phase-sweep`` is written one phi row at a time from one row template, in
-which every delta cell is formatted once, and its memory is one row plus the
-text of the rows repeated later.  ``compare`` splits both tables into runs (a
+``phase-sweep`` is written one phi row at a time, as ``tuner.phase_rows``
+solves it, from one row template in which every delta cell is formatted once.
+Its memory is one batch of solved rows (``tuner.PHASE_BATCH_MATRICES``
+matrices, the written input columns alone) plus the text of the rows repeated
+later: a tracemalloc peak under 8 MB for the default bundled map, solve and
+write together.  ``compare`` splits both tables into runs (a
 run ends where an axis but the last changes or the last stops increasing),
 needs the runs' leading axis values to match exactly and interpolates the
 reference along the last axis within each run; it compares the ``*_db``
@@ -318,23 +321,22 @@ def write_table(table: SweepTable, path: str, fmt: str) -> None:
     _atomic_write(path, _table_chunks(table, fmt))
 
 
-def _phase_map_chunks(ps: tuner.PhaseSweepResult, pairs, fmt: str):
-    """Yield the phase map of ``ps`` as the bytes ``_table_chunks`` writes for its
+def _phase_map_chunks(rows: tuner.PhaseRows, fmt: str):
+    """Yield the phase map of ``rows`` as the bytes ``_table_chunks`` writes for its
     phi-major rows (phi, delta, then the dB of each (out, in) pair), one phi row
-    at a time.  Each delta cell is formatted once into a row template that
-    holds a ``%.9g`` slot per dB cell and ``_PHI`` for the phi cell; a row that
-    ``phase_sweep`` copied from an earlier row (``ps.first_rows``) reuses that
+    at a time, each as the stream yields it.  Each delta cell is formatted once into a
+    row template that holds a ``%.9g`` slot per dB cell and ``_PHI`` for the phi
+    cell; a row that repeats an earlier row (``rows.first_rows``) reuses that
     row's dB text, kept only until the last row that repeats it."""
-    columns = ["phi_rad", "delta_hz"] + [f"S_{o}{i}_db" for o, i in pairs]
-    head, row, sep, tail = _frame(columns, fmt, [_PHI, "%.9g"] + ["%%.9g"] * len(pairs))
-    template = sep.join(row % d for d in ps.deltas.tolist())  # phase_sweep's axes are finite
-    blocks = [ps.magnitude(o, i) for o, i in pairs]
-    last = {q: r for r, q in enumerate(ps.first_rows)}  # the last row repeating row q
+    columns = ["phi_rad", "delta_hz"] + [f"S_{o}{i}_db" for o, i in rows.pairs]
+    head, row, sep, tail = _frame(columns, fmt, [_PHI, "%.9g"] + ["%%.9g"] * len(rows.pairs))
+    template = sep.join(row % d for d in rows.deltas.tolist())  # phase_rows' axes are finite
+    last = {q: r for r, q in enumerate(rows.first_rows)}  # the last row repeating row q
     kept: dict[int, str] = {}
     yield head
-    for r, (phi, q) in enumerate(zip(ps.phis.tolist(), ps.first_rows)):
-        if q == r:
-            db = _db(np.column_stack([b[r] for b in blocks]))
+    for r, (phi, q, mag) in enumerate(zip(rows.phis.tolist(), rows.first_rows, rows.magnitudes)):
+        if mag is not None:
+            db = _db(mag)
             text = template % tuple(db.ravel().tolist())
             if fmt != "csv" and not np.isfinite(db).all():
                 text = _json_tokens(text)
@@ -346,10 +348,10 @@ def _phase_map_chunks(ps: tuner.PhaseSweepResult, pairs, fmt: str):
     yield tail
 
 
-def write_phase_map(ps: tuner.PhaseSweepResult, pairs, path: str, fmt: str) -> None:
-    """Write the ``ps`` magnitudes of the (out, in) ``pairs`` to ``path`` as a
-    CSV (``fmt`` "csv") or JSON table with axes ``phi_rad, delta_hz``."""
-    _atomic_write(path, _phase_map_chunks(ps, pairs, fmt))
+def write_phase_map(rows: tuner.PhaseRows, path: str, fmt: str) -> None:
+    """Write the phase map ``rows`` streams to ``path`` as a CSV (``fmt`` "csv") or
+    JSON table with axes ``phi_rad, delta_hz``, each row as it is solved."""
+    _atomic_write(path, _phase_map_chunks(rows, fmt))
 
 
 def read_table(path: str) -> SweepTable:
@@ -473,11 +475,11 @@ def cmd_phase_sweep(args) -> int:
     if not (math.isfinite(args.phi_min) and math.isfinite(args.phi_max)):
         raise ConfigError("--phi-min and --phi-max must be finite")
     phis = np.linspace(args.phi_min, args.phi_max, args.phi_points)
-    ps = tuner.phase_sweep(cfg.device, phis, cfg.delta_grid)
+    rows = tuner.phase_rows(cfg.device, phis, cfg.delta_grid, pairs)  # raises before a write
     fmt = args.format or cfg.out_format
     out_path = "phase_sweep." + fmt if args.out is None else args.out
-    write_phase_map(ps, pairs, out_path, fmt)
-    print(f"wrote {len(ps.phis) * len(ps.deltas)} (phi, delta) points to {out_path}")
+    write_phase_map(rows, out_path, fmt)
+    print(f"wrote {len(rows.phis) * len(rows.deltas)} (phi, delta) points to {out_path}")
     return EXIT_OK
 
 

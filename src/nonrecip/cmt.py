@@ -118,20 +118,23 @@ class SweepResult:
 
 
 _DIAG = np.arange(3)
+_EYE = np.eye(3, dtype=complex)
 
 
-def _finite(values, name: str) -> np.ndarray:
+def _finite(values, name: str, ndim: int = 1) -> np.ndarray:
+    """``values`` as a float array of at most ``ndim`` dimensions, all finite."""
     values = np.asarray(values, dtype=float)
-    if values.ndim > 1:
-        raise DomainError(f"{name} must be a scalar or one-dimensional")
+    if values.ndim > ndim:
+        what = "one-dimensional" if ndim == 1 else f"at most {ndim}-dimensional"
+        raise DomainError(f"{name} must be a scalar or {what}")
     if not np.isfinite(values).all():
         raise DomainError(f"{name} must be finite")
     return values
 
 
 def _dynamics_batch(device: ValidatedDevice, rhos=None, phases=None) -> np.ndarray:
-    """Zero-detuning dynamics matrices A = M(0), shape (p, 3, 3): ``rhos`` and ``phases``
-    (one per coupling, else the device's own), scalars or 1-D, broadcast to p (1 for
+    """Zero-detuning dynamics matrices A = M(0), shape P + (3, 3): ``rhos`` and ``phases``
+    (one per coupling, else the device's own), scalars, 1-D or 2-D, broadcast to P ((1,) for
     scalars); g = sqrt(rho kappa_i kappa_j)/2 enters at A[r, k] = a g / exp(i phase) and
     A[k, r] = b g exp(i phase).  Raises DomainError on a ``rhos`` of the wrong length, or on a
     rho that is not finite, or outside [0, 1) on a gain and [0, inf) on a conversion."""
@@ -140,12 +143,12 @@ def _dynamics_batch(device: ValidatedDevice, rhos=None, phases=None) -> np.ndarr
     phases = [c.phase for c in couplings] if phases is None else phases
     if len(rhos) != len(couplings):
         raise DomainError(f"rhos needs {len(couplings)} values, got {len(rhos)}")
-    rhos = [_finite(rho, "rhos") for rho in rhos]
+    rhos = [_finite(rho, "rhos", 2) for rho in rhos]
     if any(((rho < 0) | ((c.kind is ProcessKind.GAIN) & (rho >= 1))).any()
            for c, rho in zip(couplings, rhos)):
         raise DomainError("rhos must be >= 0, and < 1 on a gain coupling")
     m = np.zeros((np.broadcast(*phases, *rhos).shape or (1,)) + (3, 3), dtype=complex)
-    m[:, _DIAG, _DIAG] = np.asarray(kappas) / 2.0
+    m[..., _DIAG, _DIAG] = np.asarray(kappas) / 2.0
     for c, rho, phase in zip(couplings, rhos, phases):
         i, j = (device.index(n) for n in c.pair)
         if c.kind is ProcessKind.GAIN:
@@ -157,8 +160,8 @@ def _dynamics_batch(device: ValidatedDevice, rhos=None, phases=None) -> np.ndarr
             r, k, a, b = (p, q, 1j, 1j) if sig[i] == +1 else (q, p, -1j, -1j)
         g = np.sqrt(rho * kappas[i] * kappas[j]) / 2.0
         e = np.exp(1j * phase)
-        m[:, r, k] = a * g / e
-        m[:, k, r] = b * g * e
+        m[..., r, k] = a * g / e
+        m[..., k, r] = b * g * e
     return m
 
 
@@ -175,31 +178,40 @@ def build_dynamics_matrix(device: ValidatedDevice, delta: float) -> np.ndarray:
     return m
 
 
-def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None) -> np.ndarray:
-    """Scattering matrices S = K M^{-1} K - I of n points, shape (n, 3, 3): the
-    p matrices A = M(0) of ``_dynamics_batch`` (no ``phi_tot``, the stored
-    phases, else those of ``split_total_phase``) and ``deltas`` (a scalar or
-    1-D) broadcast to n, with M(delta) = A - i*delta.  Bit for bit
-    ``scattering_at`` on the device rebuilt with ``with_coupling`` and
-    ``with_total_phase``, without building one.  Raises DomainError on a
-    non-finite ``deltas`` or ``phi_tot`` and SingularMatrixError at the first
-    point where det(2 K^-1 M K^-1) = 8 / prod(kappa) * det M(delta) is below
-    _DET_TOL; det M(delta) = prod_p (lambda_p - i delta) over the poles lambda_p,
-    the eigenvalues of A: one 3x3 eigenproblem per parameter set."""
-    phases = None if phi_tot is None else split_total_phase(device, _finite(phi_tot, "phi_tot"))
+def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None,
+                columns=(0, 1, 2)) -> np.ndarray:
+    """Scattering matrices S = K M^{-1} K - I over a batch of points, shape B + (3, k): the
+    input ``columns`` (j in S[..., i, j], k of them, default all three; none for the
+    singular check alone) of each M(delta) = A - i*delta.  A = M(0) is one per parameter
+    set of ``_dynamics_batch`` (no ``phi_tot``, the stored phases, else those of
+    ``split_total_phase``), and the parameter sets and ``deltas`` (a scalar or 1-D)
+    broadcast to B: 1-D parameters give one set per point, (r, 1) columns give r rows of
+    the whole delta grid, B = (r, n_delta).  Bit for bit the matching columns of
+    ``scattering_at`` on the device rebuilt with ``with_coupling`` and ``with_total_phase``,
+    without building one.  Raises DomainError on a non-finite ``deltas`` or ``phi_tot`` and
+    SingularMatrixError at the first point, in row-major order, where det(2 K^-1 M K^-1) =
+    8 / prod(kappa) * det M(delta) is below _DET_TOL; det M(delta) = prod_p (lambda_p -
+    i delta) over the poles lambda_p, the eigenvalues of A: one 3x3 eigenproblem per
+    parameter set.  The columns come from ``np.linalg.solve`` against those columns of
+    the identity (LAPACK zgesv, as ``np.linalg.inv``)."""
+    phases = None if phi_tot is None else split_total_phase(device, _finite(phi_tot, "phi_tot", 2))
     deltas = _finite(deltas, "deltas")
     a = _dynamics_batch(device, rhos, phases)
-    deltas = np.broadcast_to(deltas, np.broadcast_shapes(deltas.shape, a.shape[:1]))
-    poles = np.linalg.eigvals(a)
-    dets = 8.0 / math.prod(device.kappas) * np.prod(poles - 1j * deltas[:, None], axis=-1)
-    bad = np.abs(dets) < _DET_TOL
+    deltas = np.broadcast_to(deltas, np.broadcast_shapes(deltas.shape, a.shape[:-2]))
+    poles, z = np.linalg.eigvals(a), 1j * deltas
+    dets = (poles[..., 0] - z) * (poles[..., 1] - z) * (poles[..., 2] - z)
+    bad = np.abs(8.0 / math.prod(device.kappas) * dets) < _DET_TOL
     if np.any(bad):
-        raise SingularMatrixError(float(deltas[int(np.argmax(bad))]))
+        raise SingularMatrixError(float(deltas.flat[int(np.argmax(bad))]))
+    columns = np.array(columns, dtype=np.intp)
+    if len(columns) == 0:
+        return np.empty(deltas.shape + (3, 0), dtype=complex)
     m = np.broadcast_to(a, deltas.shape + (3, 3)).copy()
-    m[:, _DIAG, _DIAG] -= 1j * deltas[:, None]
+    m[..., _DIAG, _DIAG] -= 1j * deltas[..., None]
     root_k = np.sqrt(np.asarray(device.kappas))
-    s = root_k[None, :, None] * np.linalg.inv(m) * root_k[None, None, :]
-    s[:, _DIAG, _DIAG] -= 1.0
+    # (sqrt(kappa_i) x_ij) sqrt(kappa_j): the rounding order the written bytes depend on
+    s = root_k[:, None] * np.linalg.solve(m, _EYE.take(columns, axis=1)) * root_k[columns]
+    s[..., columns, _DIAG[:len(columns)]] -= 1.0
     return s
 
 

@@ -17,9 +17,10 @@ on the couplings by ``model.split_total_phase``.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +50,9 @@ MATCH_REWARD_FLOOR_DB = -60.0
 # A circulator tune meets its target when the worst input match and the worst
 # reverse leakage are each at or below this (amplitude dB).
 CIRCULATOR_TARGET_DB = -60.0
+# Dynamics matrices per solve in a phase map: 8 phi rows of a 1,001-point delta grid.
+# More rows per call hold more memory and solve no faster; one row per call is slower.
+PHASE_BATCH_MATRICES = 8192
 
 
 class ObjectiveKind(enum.Enum):
@@ -119,6 +123,20 @@ class PhaseSweepResult:
 
 
 @dataclass(frozen=True)
+class PhaseRows:
+    """A phase map as a one-pass stream of |S| rows, in phi order.
+
+    ``magnitudes`` yields, for phi row ``r``, the (n_delta, len(pairs)) |S| of the
+    (out, in) ``pairs``, or None for a row that repeats row ``first_rows[r] < r``."""
+
+    phis: np.ndarray
+    deltas: np.ndarray
+    pairs: tuple[tuple[str, str], ...]
+    first_rows: tuple[int, ...]
+    magnitudes: Iterator[Optional[np.ndarray]]
+
+
+@dataclass(frozen=True)
 class ConversionSweepResult:
     """On-resonance response versus conversion coefficient.
 
@@ -153,23 +171,49 @@ class PhaseCalibration:
     objective_values: tuple[float, float]
 
 
-def phase_sweep(
-    device: ValidatedDevice, phi_grid: Sequence[float], delta_grid: Sequence[float]
-) -> PhaseSweepResult:
-    """Re-solve the device across total pump phases and detunings, once per distinct phase:
-    a row that ``split_total_phase`` puts on the bits of an earlier row copies that row."""
+def phase_rows(device: ValidatedDevice, phi_grid: Sequence[float],
+               delta_grid: Sequence[float], pairs: Sequence[tuple[str, str]]) -> PhaseRows:
+    """The |S| of the (out, in) ``pairs`` across total pump phases and detunings, streamed
+    row by row.  Each distinct phase is solved once: a row that ``split_total_phase`` puts
+    on the bits of an earlier row repeats that row.  The distinct rows are solved in
+    batches of ``PHASE_BATCH_MATRICES`` matrices, one ``cmt.solve_batch`` call each, for
+    the input columns of ``pairs`` alone, and a batch is solved only when the stream
+    reaches it.  The grids are validated, and every distinct row is checked for a singular
+    point, before this returns: DomainError or SingularMatrixError (the first singular
+    row, then delta) is raised here, not from the stream."""
     phis = cmt._finite(phi_grid, "phi_tot")
     deltas = cmt.delta_grid(delta_grid)
     if len(phis) == 0 or len(deltas) == 0:
         raise DomainError("phase_sweep grids must be non-empty")
     keys = split_total_phase(device, phis)[0].view(np.int64).tolist()
-    mags = np.empty((3, 3, len(phis), len(deltas)))
     first_row: dict[int, int] = {}
     first_rows = tuple(first_row.setdefault(key, r) for r, key in enumerate(keys))
-    for r, (phi, q) in enumerate(zip(phis, first_rows)):  # one batch per row keeps memory flat
-        s = None if q < r else cmt.solve_batch(device, deltas, phi_tot=float(phi))
-        mags[:, :, r] = mags[:, :, q] if s is None else np.abs(s).transpose(1, 2, 0)
-    return PhaseSweepResult(phis, deltas, mags, device, first_rows)
+    solved = phis[[r for r, q in enumerate(first_rows) if q == r], None]
+    step = max(1, PHASE_BATCH_MATRICES // len(deltas))
+    batches = [solved[k:k + step] for k in range(0, len(solved), step)]
+    for batch in batches:  # no column: the singular check alone, before any row is solved
+        cmt.solve_batch(device, deltas, phi_tot=batch, columns=())
+    outs = [device.index(o) for o, _ in pairs]
+    columns = sorted({device.index(i) for _, i in pairs})
+    at = [columns.index(device.index(i)) for _, i in pairs]
+    solved_rows = itertools.chain.from_iterable(
+        np.abs(cmt.solve_batch(device, deltas, phi_tot=batch, columns=columns)[:, :, outs, at])
+        for batch in batches)
+    rows = (next(solved_rows) if q == r else None for r, q in enumerate(first_rows))
+    return PhaseRows(phis, deltas, tuple(pairs), first_rows, rows)
+
+
+def phase_sweep(
+    device: ValidatedDevice, phi_grid: Sequence[float], delta_grid: Sequence[float]
+) -> PhaseSweepResult:
+    """Re-solve the device across total pump phases and detunings, once per distinct phase
+    (``phase_rows`` of all nine pairs): a row that repeats an earlier row copies it."""
+    names = device.mode_names
+    rows = phase_rows(device, phi_grid, delta_grid, [(o, i) for o in names for i in names])
+    mags = np.empty((3, 3, len(rows.phis), len(rows.deltas)))
+    for r, (q, mag) in enumerate(zip(rows.first_rows, rows.magnitudes)):
+        mags[:, :, r] = mags[:, :, q] if mag is None else mag.T.reshape(3, 3, -1)
+    return PhaseSweepResult(rows.phis, rows.deltas, mags, device, rows.first_rows)
 
 
 def conversion_sweep(

@@ -113,6 +113,20 @@ class TestSolveBatch:
             expected[DIAG, DIAG] -= 1j * delta
             assert same_bits(cmt.build_dynamics_matrix(template, delta), expected), delta
 
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_columns_are_those_of_inv(self, name):
+        # S = (sqrt(kappa_i) inv(M)_ij) sqrt(kappa_j) - I, the inverse taken whole
+        template = TEMPLATES[name]
+        deltas = np.random.default_rng(5).uniform(-5e7, 5e7, 40)
+        root_k = np.sqrt(np.asarray(template.kappas))
+        inv = np.linalg.inv(np.stack([cmt.build_dynamics_matrix(template, d) for d in deltas]))
+        expected = root_k[None, :, None] * inv * root_k[None, None, :] - np.eye(3)
+        got = cmt.solve_batch(template, deltas)
+        assert same_bits(got, expected)
+        for columns in [(0,), (1,), (2,), (0, 2), (1, 2)]:
+            assert same_bits(cmt.solve_batch(template, deltas, columns=columns),
+                             expected[..., columns])
+
     def test_per_point_phases_broadcast_a_one_point_grid(self, circulator):
         phis = np.linspace(-3.0, 3.0, 7)
         got = cmt.solve_batch(circulator, [1e6], phi_tot=phis)
@@ -256,13 +270,14 @@ class TestPhaseSweepRows:
     DELTAS = np.linspace(-2e7, 2e7, 5)
 
     def check(self, device, phis):
+        """The phi rows the kernel solved S for (not those it only checked)."""
         with pytest.MonkeyPatch.context() as mp:
             solved = count_calls(mp, "solve_batch", cmt)
             ps = tuner.phase_sweep(device, phis, self.DELTAS)
         for r, phi in enumerate(phis):
             s = cmt.solve_batch(device, self.DELTAS, phi_tot=phi)
             assert same_bits(ps.magnitudes[:, :, r], np.abs(s).transpose(1, 2, 0)), r
-        return len(solved)
+        return sum(len(s) for s in solved if s.shape[-1])
 
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     def test_default_grid_solves_179_rows(self, name):
@@ -285,3 +300,43 @@ class TestPhaseSweepRows:
     def test_random_grids(self, name, phis):
         keys = model.split_total_phase(TEMPLATES[name], np.array(phis))[0].view(np.int64)
         assert self.check(TEMPLATES[name], phis) == len(set(keys.tolist()))
+
+
+MODE_PAIRS = [(o, i) for o in "abc" for i in "abc"]
+
+
+class TestPhaseRows:
+    """``tuner.phase_rows`` solves several distinct phi rows per ``solve_batch`` call, for
+    the input columns of its pairs alone; every row, and every column the kernel solves,
+    is bit for bit that of the per-row solve of all three columns."""
+
+    DELTAS = np.linspace(-3e7, 3e7, tuner.PHASE_BATCH_MATRICES // 3)  # three rows per call
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(TEMPLATES)),
+           phis=st.lists(st.sampled_from(PHI_EDGES) | st.floats(-10.0, 10.0), min_size=2,
+                         max_size=4)
+           .map(lambda b: b + [p + 2 * math.pi for p in b] + [np.nextafter(p, 9.0) for p in b])
+           .flatmap(st.permutations),
+           pairs=st.lists(st.sampled_from(MODE_PAIRS), min_size=1, max_size=9, unique=True))
+    @example(name="diramp-bc", phis=[0.5, 0.5 + 2 * math.pi, 1.0, np.nextafter(1.0, 9.0), 2.0,
+                                     3.0, 4.0], pairs=[("c", "a"), ("a", "c")])
+    def test_rows_match_per_row_full_solves(self, name, phis, pairs):
+        device = TEMPLATES[name]
+        outs, ins = ([device.index(m) for m in ms] for ms in zip(*pairs))
+        columns = sorted(set(ins))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, "solve_batch", cmt)
+            rows = tuner.phase_rows(device, phis, self.DELTAS, pairs)
+            mags = list(rows.magnitudes)
+        batches = [s for s in calls if s.shape[-1]]
+        distinct = [r for r, q in enumerate(rows.first_rows) if q == r]
+        assert [len(s) for s in batches] == [len(distinct[k:k + 3])
+                                              for k in range(0, len(distinct), 3)]
+        assert all(s.shape[-1] == len(columns) for s in batches)
+        full = [cmt.solve_batch(device, self.DELTAS, phi_tot=phis[r]) for r in distinct]
+        assert same_bits(np.concatenate(batches), np.stack(full)[..., columns])
+        for r, q in enumerate(rows.first_rows):
+            assert (mags[r] is None) == (q < r)
+            s = cmt.solve_batch(device, self.DELTAS, phi_tot=phis[r])
+            assert same_bits(mags[q], np.abs(s[:, outs, ins])), r

@@ -483,8 +483,16 @@ def flat_phase_map(ps, pairs):
     return cli.SweepTable(columns, rows)
 
 
+def rows_of(ps, pairs):
+    """The row stream of ``ps`` for the (out, in) ``pairs``: what ``tuner.phase_rows``
+    yields, read from the magnitudes of all nine pairs."""
+    mags = (np.column_stack([ps.magnitude(o, i)[r] for o, i in pairs]) if q == r else None
+            for r, q in enumerate(ps.first_rows))
+    return tuner.PhaseRows(ps.phis, ps.deltas, tuple(pairs), ps.first_rows, mags)
+
+
 class TestPhaseMapWriter:
-    """``write_phase_map`` writes, from the grid, the bytes of the per-float
+    """``write_phase_map`` writes, from the row stream, the bytes of the per-float
     writer on the flat phi-major rows."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -498,22 +506,25 @@ class TestPhaseMapWriter:
            pairs=st.lists(st.sampled_from(MODE_PAIRS), min_size=1, max_size=4, unique=True),
            fmt=st.sampled_from(["csv", "json"]))
     def test_bytes_match_the_flat_rows(self, name, phis, deltas, pairs, fmt, tmp_path_factory):
-        ps = tuner.phase_sweep(PHASE_MAP_DEVICES[name], phis, deltas)
+        device = PHASE_MAP_DEVICES[name]
+        ps = tuner.phase_sweep(device, phis, deltas)
         pairs = [tuple(p) for p in pairs]
         out = tmp_path_factory.getbasetemp() / f"map.{fmt}"
-        cli.write_phase_map(ps, pairs, str(out), fmt)
+        cli.write_phase_map(tuner.phase_rows(device, phis, deltas, pairs), str(out), fmt)
         reference = {"csv": _old_format_csv, "json": _old_format_json}[fmt]
         assert out.read_bytes() == reference(flat_phase_map(ps, pairs))
 
     def test_unpumped_device_writes_minus_infinity(self, tmp_path):
-        ps = tuner.phase_sweep(UNPUMPED, [-0.0, 0.0, 2 * math.pi], [0.0])
-        assert ps.first_rows == (0, 0, 0)  # one solve, three phi cells
+        phis, pairs = [-0.0, 0.0, 2 * math.pi], [("a", "b"), ("b", "b")]
+        rows = tuner.phase_rows(UNPUMPED, phis, [0.0], pairs)
+        assert rows.first_rows == (0, 0, 0)  # one solve, three phi cells
         out = tmp_path / "map.json"
-        cli.write_phase_map(ps, [("a", "b"), ("b", "b")], str(out), "json")
-        rows = out.read_text().splitlines()[3:6]
-        for row, phi in zip(rows, ["-0", "0", "6.28318531"]):
+        cli.write_phase_map(rows, str(out), "json")
+        lines = out.read_text().splitlines()[3:6]
+        for row, phi in zip(lines, ["-0", "0", "6.28318531"]):
             assert row.startswith(f"    [{phi}, 0, -Infinity, ")
-        assert out.read_bytes() == _old_format_json(flat_phase_map(ps, [("a", "b"), ("b", "b")]))
+        ps = tuner.phase_sweep(UNPUMPED, phis, [0.0])
+        assert out.read_bytes() == _old_format_json(flat_phase_map(ps, pairs))
 
     def test_default_map_peak_memory_below_the_flat_rows(self, tmp_path):
         cfg = cli.load_config(str(cli.bundled_config_path("circulator")))
@@ -521,9 +532,10 @@ class TestPhaseMapWriter:
                                cfg.delta_grid)
         pairs = cli._parse_pairs(None, cfg.device)
         out = tmp_path / "map.csv"
+        rows = rows_of(ps, pairs)  # solved already: the writer's own memory alone
         tracemalloc.start()
         try:
-            cli.write_phase_map(ps, pairs, str(out), "csv")
+            cli.write_phase_map(rows, str(out), "csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -863,6 +875,40 @@ class TestPhaseSweepCmd:
                 ]
                 got = table.rows[r * 7 + c]
                 assert [format(x, ".9g") for x in got] == [format(x, ".9g") for x in expected]
+
+    @pytest.mark.parametrize("out", ["map.csv", "no-such-dir/map.csv"],
+                             ids=["writable", "unwritable"])
+    def test_singular_row_exits_2_before_the_file_opens(self, out, diramp_cfg, tmp_path,
+                                                        capsys):
+        # 1 + rho_ab = rho_ac + rho_bc: singular at delta = 0 on the phi_tot = +-pi/2 rows
+        # alone, rows 40, 120 and 200 of the default grid; every row is checked before the
+        # first is written, so the unwritable path is never reached
+        raw = yaml.safe_load(diramp_cfg.read_text())
+        for entry, rho in zip(raw["device"]["couplings"], (0.2, 0.6, 0.6)):
+            entry.pop("target_c", None)
+            entry.pop("target_g_db", None)
+            entry["rho"] = rho
+        bad = tmp_path / "osc.cfg"
+        bad.write_text(yaml.safe_dump(raw))
+        files = sorted(os.listdir(tmp_path))
+        assert run("phase-sweep", "--config", bad, "--out", tmp_path / out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SingularMatrix: dynamics matrix singular at delta=0 Hz\n"
+        assert sorted(os.listdir(tmp_path)) == files
+
+    def test_default_map_peak_memory_below_8_mb(self, circ_cfg, tmp_path, capsys):
+        # solved and written together; the nine (241, 1001) |S| blocks alone are 17.4 MB
+        out = tmp_path / "map.csv"
+        tracemalloc.start()
+        try:
+            assert run("phase-sweep", "--config", circ_cfg, "--out", out) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == WRITER_DIGESTS["phase-sweep-circulator-csv"])
+        assert peak < 8e6
 
 
 class TestThresholdCmd:
