@@ -64,7 +64,6 @@ from .tuner import (
     TuneResult,
     calibrate_phase_offset,
     conversion_sweep,
-    phase_sweep,
     tune,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "gain_bandwidth_3db",
     "gain_coefficient",
     "nvr",
-    "phase_sweep",
     "rho_for_conversion",
     "rho_for_gain",
     "role_map",

@@ -105,24 +105,6 @@ class TuneResult:
 
 
 @dataclass(frozen=True)
-class PhaseSweepResult:
-    """|S| magnitudes on a (phi_tot, delta) grid for all nine mode pairs.
-
-    ``first_rows[r]`` is the first phi row whose magnitudes row ``r`` copies
-    (``r`` itself for a row that was solved)."""
-
-    phis: np.ndarray
-    deltas: np.ndarray
-    magnitudes: np.ndarray  # (3, 3, n_phi, n_delta): out, in, phi, delta
-    device: ValidatedDevice
-    first_rows: tuple[int, ...]
-
-    def magnitude(self, out_mode: str, in_mode: str) -> np.ndarray:
-        """The contiguous (n_phi, n_delta) block of one (out, in) pair."""
-        return self.magnitudes[self.device.index(out_mode), self.device.index(in_mode)]
-
-
-@dataclass(frozen=True)
 class PhaseRows:
     """A phase map as a one-pass stream of |S| rows, in phi order.
 
@@ -184,7 +166,7 @@ def phase_rows(device: ValidatedDevice, phi_grid: Sequence[float],
     phis = cmt._finite(phi_grid, "phi_tot")
     deltas = cmt.delta_grid(delta_grid)
     if len(phis) == 0 or len(deltas) == 0:
-        raise DomainError("phase_sweep grids must be non-empty")
+        raise DomainError("phase map grids must be non-empty")
     keys = split_total_phase(device, phis)[0].view(np.int64).tolist()
     first_row: dict[int, int] = {}
     first_rows = tuple(first_row.setdefault(key, r) for r, key in enumerate(keys))
@@ -201,19 +183,6 @@ def phase_rows(device: ValidatedDevice, phi_grid: Sequence[float],
         for batch in batches)
     rows = (next(solved_rows) if q == r else None for r, q in enumerate(first_rows))
     return PhaseRows(phis, deltas, tuple(pairs), first_rows, rows)
-
-
-def phase_sweep(
-    device: ValidatedDevice, phi_grid: Sequence[float], delta_grid: Sequence[float]
-) -> PhaseSweepResult:
-    """Re-solve the device across total pump phases and detunings, once per distinct phase
-    (``phase_rows`` of all nine pairs): a row that repeats an earlier row copies it."""
-    names = device.mode_names
-    rows = phase_rows(device, phi_grid, delta_grid, [(o, i) for o in names for i in names])
-    mags = np.empty((3, 3, len(rows.phis), len(rows.deltas)))
-    for r, (q, mag) in enumerate(zip(rows.first_rows, rows.magnitudes)):
-        mags[:, :, r] = mags[:, :, q] if mag is None else mag.T.reshape(3, 3, -1)
-    return PhaseSweepResult(rows.phis, rows.deltas, mags, device, rows.first_rows)
 
 
 def conversion_sweep(

@@ -149,7 +149,7 @@ class TestSolveBatch:
         ("rhos", lambda dev: cmt.solve_batch(dev, 0.0, rhos=[0.5, math.inf, 0.5])),
         ("rhos", lambda dev: cmt.solve_batch(dev, 0.0, rhos=[0.5, [0.1, -0.1], 0.5])),
         ("phi_tot", lambda dev: cmt.solve_batch(dev, 0.0, phi_tot=-math.inf)),
-        ("phi_tot", lambda dev: tuner.phase_sweep(dev, [math.nan, math.inf], [0.0])),
+        ("phi_tot", lambda dev: tuner.phase_rows(dev, [math.nan, math.inf], [0.0], PAIRS)),
         ("deltas", lambda dev: nr.sweep(dev, [0.0, math.inf])),
         ("deltas", lambda dev: nr.scattering_at(dev, math.nan)),
         # the diramp's couplings are a conversion and two gains, in pair order
@@ -160,7 +160,7 @@ class TestSolveBatch:
         ("rhos", lambda dev: cmt.solve_batch(TEMPLATES["diramp-ab"], 0.0,
                                              rhos=[0.9, 0.5, [0.5, 1.0]])),
     ], ids=["solve_batch-deltas", "solve_batch-rhos-inf", "solve_batch-rhos-negative",
-            "solve_batch-phi_tot", "phase_sweep", "sweep", "scattering_at",
+            "solve_batch-phi_tot", "phase_rows", "sweep", "scattering_at",
             "solve_batch-rhos-short", "solve_batch-rhos-long", "solve_batch-gain-rho-above-1",
             "solve_batch-gain-rho-1"])
     def test_rejects_invalid_kernel_input(self, circulator, name, call):
@@ -263,33 +263,47 @@ class TestPoleDeterminant:
                 assert err.value.delta == deltas[below[0]]
 
 
-class TestPhaseSweepRows:
-    """``tuner.phase_sweep`` solves each distinct first-coupling phase once; every
-    row is bit for bit the magnitudes of its own ``solve_batch``."""
+MODE_PAIRS = [(o, i) for o in "abc" for i in "abc"]
+
+
+class TestPhaseRows:
+    """``tuner.phase_rows`` solves each distinct first-coupling phase once, several distinct
+    phi rows per ``solve_batch`` call, for the input columns of its pairs alone; every
+    row, and every column the kernel solves, is bit for bit that of the per-row solve of
+    all three columns."""
 
     DELTAS = np.linspace(-2e7, 2e7, 5)
+    THREE_ROWS = np.linspace(-3e7, 3e7, tuner.PHASE_BATCH_MATRICES // 3)  # three rows a call
 
-    def check(self, device, phis):
-        """The phi rows the kernel solved S for (not those it only checked)."""
+    def check(self, device, phis, pairs=MODE_PAIRS, deltas=DELTAS):
+        """Each row of ``phase_rows`` against its own per-row ``solve_batch``, a repeated
+        row read through ``first_rows``; returns the rows and the kernel calls that solved
+        S (not those that only checked)."""
+        outs, ins = ([device.index(m) for m in ms] for ms in zip(*pairs))
         with pytest.MonkeyPatch.context() as mp:
-            solved = count_calls(mp, "solve_batch", cmt)
-            ps = tuner.phase_sweep(device, phis, self.DELTAS)
-        for r, phi in enumerate(phis):
-            s = cmt.solve_batch(device, self.DELTAS, phi_tot=phi)
-            assert same_bits(ps.magnitudes[:, :, r], np.abs(s).transpose(1, 2, 0)), r
-        return sum(len(s) for s in solved if s.shape[-1])
+            calls = count_calls(mp, "solve_batch", cmt)
+            rows = tuner.phase_rows(device, phis, deltas, pairs)
+            mags = list(rows.magnitudes)
+        for r, q in enumerate(rows.first_rows):
+            assert (mags[r] is None) == (q < r)
+            s = cmt.solve_batch(device, deltas, phi_tot=phis[r])
+            assert same_bits(mags[q], np.abs(s[:, outs, ins])), r
+        return rows, [s for s in calls if s.shape[-1]]
+
+    def solved_rows(self, device, phis):
+        return sum(len(s) for s in self.check(device, phis)[1])
 
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     def test_default_grid_solves_179_rows(self, name):
         phis = np.linspace(-2 * math.pi, math.pi, 241)
-        assert self.check(TEMPLATES[name], phis) == 179
+        assert self.solved_rows(TEMPLATES[name], phis) == 179
 
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     def test_shift_by_two_pi_shares_a_solve_and_one_ulp_does_not(self, name):
         phis = [2.5, 2.5 + 2 * math.pi, np.nextafter(2.5, 9.0)]
         keys = model.split_total_phase(TEMPLATES[name], np.array(phis))[0].view(np.int64)
         assert keys[1] == keys[0] and abs(int(keys[2] - keys[0])) == 1
-        assert self.check(TEMPLATES[name], phis) == 2
+        assert self.solved_rows(TEMPLATES[name], phis) == 2
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(TEMPLATES)),
@@ -299,18 +313,7 @@ class TestPhaseSweepRows:
            .flatmap(st.permutations))
     def test_random_grids(self, name, phis):
         keys = model.split_total_phase(TEMPLATES[name], np.array(phis))[0].view(np.int64)
-        assert self.check(TEMPLATES[name], phis) == len(set(keys.tolist()))
-
-
-MODE_PAIRS = [(o, i) for o in "abc" for i in "abc"]
-
-
-class TestPhaseRows:
-    """``tuner.phase_rows`` solves several distinct phi rows per ``solve_batch`` call, for
-    the input columns of its pairs alone; every row, and every column the kernel solves,
-    is bit for bit that of the per-row solve of all three columns."""
-
-    DELTAS = np.linspace(-3e7, 3e7, tuner.PHASE_BATCH_MATRICES // 3)  # three rows per call
+        assert self.solved_rows(TEMPLATES[name], phis) == len(set(keys.tolist()))
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(TEMPLATES)),
@@ -323,20 +326,11 @@ class TestPhaseRows:
                                      3.0, 4.0], pairs=[("c", "a"), ("a", "c")])
     def test_rows_match_per_row_full_solves(self, name, phis, pairs):
         device = TEMPLATES[name]
-        outs, ins = ([device.index(m) for m in ms] for ms in zip(*pairs))
-        columns = sorted(set(ins))
-        with pytest.MonkeyPatch.context() as mp:
-            calls = count_calls(mp, "solve_batch", cmt)
-            rows = tuner.phase_rows(device, phis, self.DELTAS, pairs)
-            mags = list(rows.magnitudes)
-        batches = [s for s in calls if s.shape[-1]]
+        columns = sorted({device.index(i) for _, i in pairs})
+        rows, batches = self.check(device, phis, pairs, self.THREE_ROWS)
         distinct = [r for r, q in enumerate(rows.first_rows) if q == r]
         assert [len(s) for s in batches] == [len(distinct[k:k + 3])
                                               for k in range(0, len(distinct), 3)]
         assert all(s.shape[-1] == len(columns) for s in batches)
-        full = [cmt.solve_batch(device, self.DELTAS, phi_tot=phis[r]) for r in distinct]
+        full = [cmt.solve_batch(device, self.THREE_ROWS, phi_tot=phis[r]) for r in distinct]
         assert same_bits(np.concatenate(batches), np.stack(full)[..., columns])
-        for r, q in enumerate(rows.first_rows):
-            assert (mags[r] is None) == (q < r)
-            s = cmt.solve_batch(device, self.DELTAS, phi_tot=phis[r])
-            assert same_bits(mags[q], np.abs(s[:, outs, ins])), r

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -471,24 +472,25 @@ PHASE_MAP_DEVICES = {"circulator": make_circulator(), "diramp": make_diramp(),
 MODE_PAIRS = [o + i for o in "abc" for i in "abc"]
 
 
-def flat_phase_map(ps, pairs):
-    """The phase map as one phi-major (n_phi * n_delta, 2 + k) table."""
-    n_phi, n_delta = len(ps.phis), len(ps.deltas)
+def flat_phase_map(device, phis, deltas, pairs):
+    """The phase map as one phi-major (n_phi * n_delta, 2 + k) table, from one kernel
+    solve per phi row."""
+    phis, deltas = np.asarray(phis, dtype=float), np.asarray(deltas, dtype=float)
+    outs, ins = ([device.index(m) for m in ms] for ms in zip(*pairs))
     columns = ["phi_rad", "delta_hz"] + [f"S_{o}{i}_db" for o, i in pairs]
-    rows = np.empty((n_phi * n_delta, len(columns)))
-    rows[:, 0] = np.repeat(ps.phis, n_delta)
-    rows[:, 1] = np.tile(ps.deltas, n_phi)
-    for n, pair in enumerate(pairs):
-        rows[:, 2 + n] = cli._db(ps.magnitude(*pair).ravel())
+    rows = np.empty((len(phis) * len(deltas), len(columns)))
+    rows[:, 0] = np.repeat(phis, len(deltas))
+    rows[:, 1] = np.tile(deltas, len(phis))
+    rows[:, 2:] = cli._db(np.concatenate(
+        [np.abs(cmt.solve_batch(device, deltas, phi_tot=phi)[:, outs, ins]) for phi in phis]))
     return cli.SweepTable(columns, rows)
 
 
-def rows_of(ps, pairs):
-    """The row stream of ``ps`` for the (out, in) ``pairs``: what ``tuner.phase_rows``
-    yields, read from the magnitudes of all nine pairs."""
-    mags = (np.column_stack([ps.magnitude(o, i)[r] for o, i in pairs]) if q == r else None
-            for r, q in enumerate(ps.first_rows))
-    return tuner.PhaseRows(ps.phis, ps.deltas, tuple(pairs), ps.first_rows, mags)
+def rows_of(device, phis, deltas, pairs):
+    """``tuner.phase_rows`` with its stream read already: every row is solved before a
+    writer reads the stream."""
+    rows = tuner.phase_rows(device, phis, deltas, pairs)
+    return replace(rows, magnitudes=iter(list(rows.magnitudes)))
 
 
 class TestPhaseMapWriter:
@@ -507,12 +509,11 @@ class TestPhaseMapWriter:
            fmt=st.sampled_from(["csv", "json"]))
     def test_bytes_match_the_flat_rows(self, name, phis, deltas, pairs, fmt, tmp_path_factory):
         device = PHASE_MAP_DEVICES[name]
-        ps = tuner.phase_sweep(device, phis, deltas)
         pairs = [tuple(p) for p in pairs]
         out = tmp_path_factory.getbasetemp() / f"map.{fmt}"
         cli.write_phase_map(tuner.phase_rows(device, phis, deltas, pairs), str(out), fmt)
         reference = {"csv": _old_format_csv, "json": _old_format_json}[fmt]
-        assert out.read_bytes() == reference(flat_phase_map(ps, pairs))
+        assert out.read_bytes() == reference(flat_phase_map(device, phis, deltas, pairs))
 
     def test_unpumped_device_writes_minus_infinity(self, tmp_path):
         phis, pairs = [-0.0, 0.0, 2 * math.pi], [("a", "b"), ("b", "b")]
@@ -523,16 +524,14 @@ class TestPhaseMapWriter:
         lines = out.read_text().splitlines()[3:6]
         for row, phi in zip(lines, ["-0", "0", "6.28318531"]):
             assert row.startswith(f"    [{phi}, 0, -Infinity, ")
-        ps = tuner.phase_sweep(UNPUMPED, phis, [0.0])
-        assert out.read_bytes() == _old_format_json(flat_phase_map(ps, pairs))
+        assert out.read_bytes() == _old_format_json(flat_phase_map(UNPUMPED, phis, [0.0], pairs))
 
     def test_default_map_peak_memory_below_the_flat_rows(self, tmp_path):
         cfg = cli.load_config(str(cli.bundled_config_path("circulator")))
-        ps = tuner.phase_sweep(cfg.device, np.linspace(-2 * math.pi, math.pi, 241),
-                               cfg.delta_grid)
         pairs = cli._parse_pairs(None, cfg.device)
         out = tmp_path / "map.csv"
-        rows = rows_of(ps, pairs)  # solved already: the writer's own memory alone
+        rows = rows_of(cfg.device, np.linspace(-2 * math.pi, math.pi, 241), cfg.delta_grid,
+                       pairs)  # solved already: the writer's own memory alone
         tracemalloc.start()
         try:
             cli.write_phase_map(rows, str(out), "csv")
@@ -541,13 +540,13 @@ class TestPhaseMapWriter:
             tracemalloc.stop()
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == WRITER_DIGESTS["phase-sweep-circulator-csv"])
-        flat_bytes = len(ps.phis) * len(ps.deltas) * (2 + len(pairs)) * 8  # 7.7 MB
+        flat_bytes = len(rows.phis) * len(rows.deltas) * (2 + len(pairs)) * 8  # 7.7 MB
         assert peak < flat_bytes
         # a row's text is held only until its last repeat: at most 62 rows at once here
-        last = {q: r for r, q in enumerate(ps.first_rows)}
-        held = max(sum(q <= r < last[q] for q in last) for r in range(len(ps.phis)))
+        last = {q: r for r, q in enumerate(rows.first_rows)}
+        held = max(sum(q <= r < last[q] for q in last) for r in range(len(rows.phis)))
         assert held == 62
-        assert peak < (held + 16) * out.stat().st_size / len(ps.phis)
+        assert peak < (held + 16) * out.stat().st_size / len(rows.phis)
 
 
 class TestCompare:
@@ -866,12 +865,13 @@ class TestPhaseSweepCmd:
         assert table.columns == ["phi_rad", "delta_hz", "S_ab_db", "S_ba_db", "S_cc_db"]
         cfg = cli.load_config(str(cfg_path))
         phis = np.linspace(-math.pi, math.pi, 5)
-        ps = nr.phase_sweep(cfg.device, phis, cfg.delta_grid)
+        mags = np.abs(cmt.solve_batch(cfg.device, cfg.delta_grid, phi_tot=phis[:, None]))
+        index = cfg.device.index
         assert table.rows.shape == (5 * 7, 5)
         for r in range(5):
             for c in range(7):
                 expected = [phis[r], cfg.delta_grid[c]] + [
-                    20.0 * np.log10(ps.magnitude(o, i)[r, c]) for o, i in ("ab", "ba", "cc")
+                    20.0 * np.log10(mags[r, c, index(o), index(i)]) for o, i in ("ab", "ba", "cc")
                 ]
                 got = table.rows[r * 7 + c]
                 assert [format(x, ".9g") for x in got] == [format(x, ".9g") for x in expected]

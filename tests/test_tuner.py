@@ -13,20 +13,29 @@ from nonrecip.model import directional_amp_parts, wrap_signed
 from conftest import db, make_circulator
 
 
+MODE_PAIRS = [(o, i) for o in "abc" for i in "abc"]
+
+
+def phase_map_rows(device, phis, deltas, pairs):
+    """The (n_delta, len(pairs)) |S| of each phi row of ``phase_rows``, a repeated row
+    read through ``first_rows``."""
+    rows = tuner.phase_rows(device, phis, deltas, pairs)
+    mags = list(rows.magnitudes)
+    return [mags[q] for q in rows.first_rows]
+
+
 class TestPhaseSweep:
     def test_single_point_consistency(self, circulator):
-        ps = tuner.phase_sweep(circulator, [math.pi / 2], [0.0])
+        [mags] = phase_map_rows(circulator, [math.pi / 2], [0.0], MODE_PAIRS)
         dev = nr.with_total_phase(circulator, math.pi / 2)
         s = nr.scattering_at(dev, 0.0)
-        for o in "abc":
-            for i in "abc":
-                assert math.isclose(ps.magnitude(o, i)[0, 0], s.magnitudes(o, i)[0],
-                                    rel_tol=1e-12, abs_tol=1e-12)
+        for n, (o, i) in enumerate(MODE_PAIRS):
+            assert math.isclose(mags[0, n], s.magnitudes(o, i)[0],
+                                rel_tol=1e-12, abs_tol=1e-12)
 
     def test_three_working_points_with_alternating_sense(self, circulator):
         phis = np.linspace(-2 * math.pi, math.pi, 1201)
-        ps = tuner.phase_sweep(circulator, phis, [0.0])
-        sbb = ps.magnitude("b", "b")[:, 0]
+        sbb = [m[0, 0] for m in phase_map_rows(circulator, phis, [0.0], [("b", "b")])]
         # local minima of the input match
         minima = [
             k for k in range(1, len(phis) - 1)
@@ -51,8 +60,7 @@ class TestPhaseSweep:
 
     def test_minima_pair_separated_by_pi(self, circulator):
         phis = np.linspace(-math.pi, math.pi, 1441)
-        ps = tuner.phase_sweep(circulator, phis, [0.0])
-        sbb = ps.magnitude("b", "b")[:, 0]
+        sbb = [m[0, 0] for m in phase_map_rows(circulator, phis, [0.0], [("b", "b")])]
         minima = phis[
             [k for k in range(1, len(phis) - 1)
              if sbb[k] < sbb[k - 1] and sbb[k] < sbb[k + 1]]
@@ -63,17 +71,15 @@ class TestPhaseSweep:
     def test_transpose_property(self, circulator):
         phis = np.array([-1.1, 0.4, 2.2])
         deltas = np.linspace(-5e6, 5e6, 7)
-        pos = tuner.phase_sweep(circulator, phis, deltas)
-        neg = tuner.phase_sweep(circulator, -phis[::-1], deltas)
-        for o in "abc":
-            for i in "abc":
-                assert np.allclose(
-                    pos.magnitude(o, i), neg.magnitude(i, o)[::-1], atol=1e-10
-                )
+        pos = phase_map_rows(circulator, phis, deltas, MODE_PAIRS)
+        # column n of neg is the transpose (i, o) of the pair (o, i) in column n of pos
+        neg = phase_map_rows(circulator, -phis[::-1], deltas, [(i, o) for o, i in MODE_PAIRS])
+        for pos_row, neg_row in zip(pos, neg[::-1]):
+            assert np.allclose(pos_row, neg_row, atol=1e-10)
 
     def test_empty_grid_rejected(self, circulator):
-        with pytest.raises(DomainError):
-            tuner.phase_sweep(circulator, [], [0.0])
+        with pytest.raises(DomainError, match="phase map grids must be non-empty"):
+            tuner.phase_rows(circulator, [], [0.0], MODE_PAIRS)
 
 
 class TestConversionSweep:
