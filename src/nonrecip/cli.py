@@ -5,7 +5,10 @@ Config files are nested key/value YAML with interface units matching how the
 numbers are usually quoted: frequencies in GHz, kappas and spans in MHz,
 angles in degrees.  Everything is converted to Hz/radians internally.  libyaml
 parses them where PyYAML has it: the same values as PyYAML's own parser, but
-tabs between tokens load and syntax errors are worded differently.
+tabs between tokens load and syntax errors are worded differently.  Tuned configs
+are written by libyaml's emitter where the document is in the class both emitters
+write alike (``_emits_alike``) and by PyYAML's otherwise, so their bytes never
+depend on libyaml.
 
 Tables (CSV or JSON) lead with their axis columns: ``delta_hz`` (``sparams``),
 ``phi_rad, delta_hz`` in phi-major order (``phase-sweep``), ``c``
@@ -561,8 +564,26 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, out_path: str) -
         if pair == control:
             phase = signs[control] * (target_tot - other_sum)
             entry["phase_deg"] = float(math.degrees(wrap_phase(phase)))
-    # not libyaml's emitter: it folds long escaped strings differently
-    _atomic_write(out_path, [yaml.safe_dump(raw, sort_keys=False)])
+    # libyaml's emitter where PyYAML has it and both emitters write this document alike
+    dumper = (yaml.CSafeDumper if yaml.__with_libyaml__ and _emits_alike(raw, set())
+              else yaml.SafeDumper)
+    _atomic_write(out_path, [yaml.dump(raw, Dumper=dumper, sort_keys=False)])
+
+
+def _emits_alike(node, seen: set) -> bool:
+    """Whether both YAML emitters write ``node`` alike: dicts and lists, each met once, of
+    None, bools, ints, floats and strings of 1-99 printable ASCII characters.  Outside it,
+    PyYAML writes an empty key or one of 123+ characters as ``? key`` (libyaml does not)
+    and libyaml folds a long escaped string at other places."""
+    if isinstance(node, str):
+        return 0 < len(node) < 100 and node.isascii() and node.isprintable()
+    if node is None or isinstance(node, (bool, int, float)):
+        return True
+    if type(node) not in (dict, list) or id(node) in seen:  # an alias, or a recursive document
+        return False
+    seen.add(id(node))
+    items = itertools.chain.from_iterable(node.items()) if type(node) is dict else node
+    return all(_emits_alike(item, seen) for item in items)
 
 
 def cmd_compare(args) -> int:

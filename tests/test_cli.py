@@ -14,7 +14,7 @@ from datetime import date
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nonrecip as nr
@@ -135,6 +135,42 @@ def config_documents(draw):
                           width=draw(st.integers(20, 120)), indent=draw(st.integers(2, 6)),
                           explicit_start=draw(st.booleans()))
     return re.sub(r"""(!!str )?['"]@@(.*?)@@['"]""", r"\2", text)
+
+
+CIRCULATOR_RAW = yaml.safe_load(cli.bundled_config_path("circulator").read_text())
+
+
+def config_text(extra):
+    """The bundled circulator config with ``extra`` added, as PyYAML writes it."""
+    return yaml.safe_dump({**CIRCULATOR_RAW, "extra": extra}, sort_keys=False)
+
+
+# strings the YAML emitters quote, or write plain only in some places
+YAML_SPECIAL = PLAIN_SCALARS + ("", " ", "- x", "a #b", "a: b", "--- x", "...", "? x", "'q'",
+                                '"q"', "&a", "*a", "!x", "%x", "@x", "|", ">", " x", "x ", "[x]",
+                                "{x}", "a, b", "#", "=", "<<")
+
+
+@st.composite
+def ascii_config_texts(draw):
+    """``config_text`` of a random tree of printable-ASCII strings, edge-case floats, ints
+    beyond 64 bits, None and bools; one container may appear twice.  Half the trees hold
+    only strings of 1-99 characters, the others strings of up to 200 and ``""``."""
+    short = draw(st.booleans())
+    specials = [s for s in YAML_SPECIAL if s] if short else YAML_SPECIAL
+    text = (st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=short,
+                    max_size=99 if short else 200) | st.sampled_from(specials))
+    floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])
+    ints = st.integers() | st.integers(2**64, 2**70) | st.integers(-2**70, -2**64)
+    scalars = text | floats | ints | st.booleans() | st.none()
+    trees = st.recursive(scalars, lambda kids: st.lists(kids, max_size=3)
+                         | st.dictionaries(text | ints | st.booleans() | st.none(), kids,
+                                           max_size=3), max_leaves=12)
+    extra = draw(st.dictionaries(text, trees, max_size=5))
+    if draw(st.booleans()):
+        extra["shared"] = extra["shared-again"] = draw(st.lists(trees, max_size=2)
+                                                       | st.dictionaries(text, trees, max_size=2))
+    return config_text(extra)
 
 
 def use_loader(loader, monkeypatch):
@@ -775,8 +811,16 @@ TUNE_ARGS = {
 
 
 class TestWriterBytes:
-    @pytest.mark.parametrize("name", sorted(WRITER_DIGESTS))
-    def test_bundled_files_pinned(self, name, circ_cfg, diramp_cfg, tmp_path):
+    # the tuned configs again as on a PyYAML built without libyaml
+    @pytest.mark.parametrize("name, libyaml", [pytest.param(n, True, id=n)
+                                               for n in sorted(WRITER_DIGESTS)]
+                             + [pytest.param(n, False, id=n + "-without-libyaml")
+                                for n in sorted(TUNE_ARGS)])
+    def test_bundled_files_pinned(self, name, libyaml, circ_cfg, diramp_cfg, tmp_path,
+                                  monkeypatch):
+        if not libyaml:
+            monkeypatch.setattr(yaml, "__with_libyaml__", False)
+            monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
         if name in TUNE_ARGS:
             (config, *extra), command, fmt = TUNE_ARGS[name], "tune", "cfg"
         else:
@@ -995,7 +1039,7 @@ class TestTuneCmd:
 
     def test_tuned_file_is_the_pure_python_emitters_text(self, diramp_cfg, tmp_path):
         # libyaml's emitter folds a long double-quoted string holding escapes
-        # at other places, so a tuned file written by it would change bytes
+        # at other places; cli._emits_alike sends this note to PyYAML's emitter
         note = "Ωmega ünïcødé \a bell " * 12
         raw = yaml.safe_load(diramp_cfg.read_text())
         raw["note"] = note
@@ -1007,6 +1051,58 @@ class TestTuneCmd:
         tuned = yaml.safe_load(text)
         assert tuned["note"] == note and '\\a bell\\\n' in text
         assert text == yaml.safe_dump(tuned, sort_keys=False)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(text=config_documents() | ascii_config_texts())
+    @example(text=config_text({"": 1}))  # PyYAML writes "? ''", libyaml "'':"
+    @example(text=config_text({"k" * 123: 1}))  # PyYAML writes a "? " key, libyaml a plain one
+    @example(text=config_text({"note": "é " * 40}))  # the emitters fold an escaped
+    @example(text=config_text({"note": "bell \a " * 10}))  # string at other places
+    def test_tuned_file_is_safe_dumps_text(self, text, tmp_path_factory):
+        cfg_path = tmp_path_factory.getbasetemp() / "start.cfg"
+        out = cfg_path.with_suffix(".tuned")
+        cfg_path.write_text(text, encoding="utf-8")
+        start = cli.load_config(str(cfg_path)).raw
+        if yaml.__with_libyaml__ and cli._emits_alike(start, set()):
+            assert (yaml.dump(start, Dumper=yaml.CSafeDumper, sort_keys=False)
+                    == yaml.safe_dump(start, sort_keys=False))
+        assert run("tune", "--config", cfg_path, "--objective", "circulator-cw",
+                   "--out", out) == 0
+        tuned = out.read_text(encoding="utf-8")
+        assert tuned == yaml.safe_dump(cli.load_config(str(out)).raw, sort_keys=False)
+
+    def test_aliased_and_recursive_config_keeps_its_anchors(self, circ_cfg, tmp_path):
+        # PyYAML's emitter writes the anchors; without its seen-set _emits_alike would
+        # recurse without end on the recursive list
+        cfg_path, out = tmp_path / "start.cfg", tmp_path / "tuned.cfg"
+        cfg_path.write_text(circ_cfg.read_text()
+                            + "extra: &x [1, *x]\nshared: &s {k: 1}\nshared2: *s\n")
+        assert not cli._emits_alike(cli.load_config(str(cfg_path)).raw, set())
+        assert run("tune", "--config", cfg_path, "--objective", "circulator-cw",
+                   "--out", out) == 0
+        text = out.read_text()
+        assert text.endswith("extra: &id001\n- 1\n- *id001\nshared: &id002\n  k: 1\n"
+                             "shared2: *id002\n")
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "7f062026cfd693982fbd43076dce789406ca9b6ab535ecc0a3acad62d3ba490f")
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="needs libyaml's emitter")
+    @pytest.mark.parametrize("name", sorted(TUNE_ARGS))
+    def test_bundled_tunes_emit_with_libyaml(self, name, circ_cfg, diramp_cfg, tmp_path,
+                                             monkeypatch):
+        made = []
+
+        class Counting(yaml.CSafeDumper):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(yaml, "CSafeDumper", Counting)
+        config, *extra = TUNE_ARGS[name]
+        out = tmp_path / "tuned.cfg"
+        assert run("tune", "--config", circ_cfg if config == "circulator" else diramp_cfg,
+                   "--out", out, *extra) == 0
+        assert len(made) == 1
 
     @pytest.mark.parametrize("target", ["nan", "inf", "130"])
     def test_unreachable_target_fails_before_any_solve(self, target, diramp_cfg, tmp_path,
