@@ -4,8 +4,8 @@ The frequency-domain dynamics matrix M(delta) acts on channel envelopes
 (conjugate envelopes on conjugated channels); the scattering matrix follows
 from input-output theory as S = K M^{-1} K - I with K = diag(sqrt(kappa)).
 Everything is expressed in ordinary frequencies (Hz), so the mode
-susceptibility is (kappa/2 - i*delta)^{-1}.  Every solve comes back as a
-``SweepResult``; ``scattering_at`` is the one-point sweep at a single detuning.
+susceptibility is (kappa/2 - i*delta)^{-1}.  A solve checks M(0) for singular
+points (``_checked``), then solves it (``_solve``); ``solve_batch`` runs both.
 The kernel takes one phase per coupling; a total pump phase phi_tot is put on
 the couplings by ``model.split_total_phase``.  Singular points come from the
 poles lambda_p of M(0): det M(delta) = prod_p (lambda_p - i delta).
@@ -178,22 +178,15 @@ def build_dynamics_matrix(device: ValidatedDevice, delta: float) -> np.ndarray:
     return m
 
 
-def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None,
-                columns=(0, 1, 2)) -> np.ndarray:
-    """Scattering matrices S = K M^{-1} K - I over a batch of points, shape B + (3, k): the
-    input ``columns`` (j in S[..., i, j], k of them, default all three; none for the
-    singular check alone) of each M(delta) = A - i*delta.  A = M(0) is one per parameter
-    set of ``_dynamics_batch`` (no ``phi_tot``, the stored phases, else those of
-    ``split_total_phase``), and the parameter sets and ``deltas`` (a scalar or 1-D)
-    broadcast to B: 1-D parameters give one set per point, (r, 1) columns give r rows of
-    the whole delta grid, B = (r, n_delta).  Bit for bit the matching columns of
-    ``scattering_at`` on the device rebuilt with ``with_coupling`` and ``with_total_phase``,
-    without building one.  Raises DomainError on a non-finite ``deltas`` or ``phi_tot`` and
-    SingularMatrixError at the first point, in row-major order, where det(2 K^-1 M K^-1) =
-    8 / prod(kappa) * det M(delta) is below _DET_TOL; det M(delta) = prod_p (lambda_p -
-    i delta) over the poles lambda_p, the eigenvalues of A: one 3x3 eigenproblem per
-    parameter set.  The columns come from ``np.linalg.solve`` against those columns of
-    the identity (LAPACK zgesv, as ``np.linalg.inv``)."""
+def _checked(device: ValidatedDevice, deltas, rhos=None,
+             phi_tot=None) -> tuple[np.ndarray, np.ndarray]:
+    """The check stage: (A, deltas), A = M(0) per parameter set of ``_dynamics_batch`` (no
+    ``phi_tot``, the stored phases, else those of ``split_total_phase``), ``deltas`` (a
+    scalar or 1-D) broadcast against the sets to B: 1-D parameters give a set per point,
+    (r, 1) columns r rows of the delta grid, B = (r, n_delta).  Raises DomainError on a
+    non-finite ``deltas`` or ``phi_tot``, and SingularMatrixError at the first point, in
+    row-major order, where det(2 K^-1 M K^-1) = 8 / prod(kappa) * det M(delta) is below
+    _DET_TOL; det M(delta) = prod_p (lambda_p - i delta) over the poles lambda_p = eigvals(A)."""
     phases = None if phi_tot is None else split_total_phase(device, _finite(phi_tot, "phi_tot", 2))
     deltas = _finite(deltas, "deltas")
     a = _dynamics_batch(device, rhos, phases)
@@ -203,9 +196,13 @@ def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None,
     bad = np.abs(8.0 / math.prod(device.kappas) * dets) < _DET_TOL
     if np.any(bad):
         raise SingularMatrixError(float(deltas.flat[int(np.argmax(bad))]))
+    return a, deltas
+
+
+def _solve(device: ValidatedDevice, a: np.ndarray, deltas: np.ndarray, columns) -> np.ndarray:
+    """The solve stage: input ``columns`` j of S[..., i, j] = K M^{-1} K - I, shape B + (3, k),
+    M = A - i*delta on ``_checked``'s (A, deltas), by LAPACK zgesv against identity columns."""
     columns = np.array(columns, dtype=np.intp)
-    if len(columns) == 0:
-        return np.empty(deltas.shape + (3, 0), dtype=complex)
     m = np.broadcast_to(a, deltas.shape + (3, 3)).copy()
     m[..., _DIAG, _DIAG] -= 1j * deltas[..., None]
     root_k = np.sqrt(np.asarray(device.kappas))
@@ -213,6 +210,13 @@ def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None,
     s = root_k[:, None] * np.linalg.solve(m, _EYE.take(columns, axis=1)) * root_k[columns]
     s[..., columns, _DIAG[:len(columns)]] -= 1.0
     return s
+
+
+def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None) -> np.ndarray:
+    """S over a batch of points, shape B + (3, 3): ``_checked``, then ``_solve`` for all three
+    columns.  Bit for bit ``scattering_at`` on the device rebuilt with ``with_coupling`` and
+    ``with_total_phase``, without building one."""
+    return _solve(device, *_checked(device, deltas, rhos, phi_tot), (0, 1, 2))
 
 
 def scattering_at(device: ValidatedDevice, delta: float) -> SweepResult:

@@ -7,11 +7,11 @@ at the closed-form working point of its objective (Sliwa et al., PRX 5,
 ``calibrate_phase_offset`` reads its two minima off one solve at the cardinal
 phases.
 
-The calibration and the sweeps solve from parameter arrays (rho per coupling,
-phi_tot) with ``cmt.solve_batch`` and take magnitudes with ``np.abs``, as
-``cmt.SweepResult.magnitudes`` does; no device is built or validated per
-point, only the one ``tune`` returns.  There, as in the kernel, phi_tot is put
-on the couplings by ``model.split_total_phase``.
+The calibration and the conversion sweep solve from parameter arrays (rho per
+coupling, phi_tot) with ``cmt.solve_batch``, the phase map with its two stages
+apart (``phase_rows``), and take magnitudes with ``np.abs``; no device is built
+or validated per point, only the one ``tune`` returns.  There, as in the
+kernel, phi_tot is put on the couplings by ``model.split_total_phase``.
 """
 
 from __future__ import annotations
@@ -157,12 +157,12 @@ def phase_rows(device: ValidatedDevice, phi_grid: Sequence[float],
                delta_grid: Sequence[float], pairs: Sequence[tuple[str, str]]) -> PhaseRows:
     """The |S| of the (out, in) ``pairs`` across total pump phases and detunings, streamed
     row by row.  Each distinct phase is solved once: a row that ``split_total_phase`` puts
-    on the bits of an earlier row repeats that row.  The distinct rows are solved in
-    batches of ``PHASE_BATCH_MATRICES`` matrices, one ``cmt.solve_batch`` call each, for
-    the input columns of ``pairs`` alone, and a batch is solved only when the stream
-    reaches it.  The grids are validated, and every distinct row is checked for a singular
-    point, before this returns: DomainError or SingularMatrixError (the first singular
-    row, then delta) is raised here, not from the stream."""
+    on the bits of an earlier row repeats that row.  The distinct rows go in batches of
+    ``PHASE_BATCH_MATRICES`` matrices through the kernel's two stages.  Every batch passes
+    the check stage ``cmt._checked`` before this returns, so DomainError or
+    SingularMatrixError (the first singular row, then delta) is raised here, not from the
+    stream.  The stream runs the solve stage ``cmt._solve`` on each batch's checked A,
+    for the input columns of ``pairs`` alone, only when it reaches that batch."""
     phis = cmt._finite(phi_grid, "phi_tot")
     deltas = cmt.delta_grid(delta_grid)
     if len(phis) == 0 or len(deltas) == 0:
@@ -173,14 +173,12 @@ def phase_rows(device: ValidatedDevice, phi_grid: Sequence[float],
     solved = phis[[r for r, q in enumerate(first_rows) if q == r], None]
     step = max(1, PHASE_BATCH_MATRICES // len(deltas))
     batches = [solved[k:k + step] for k in range(0, len(solved), step)]
-    for batch in batches:  # no column: the singular check alone, before any row is solved
-        cmt.solve_batch(device, deltas, phi_tot=batch, columns=())
+    checked = [cmt._checked(device, deltas, phi_tot=batch) for batch in batches]
     outs = [device.index(o) for o, _ in pairs]
     columns = sorted({device.index(i) for _, i in pairs})
     at = [columns.index(device.index(i)) for _, i in pairs]
     solved_rows = itertools.chain.from_iterable(
-        np.abs(cmt.solve_batch(device, deltas, phi_tot=batch, columns=columns)[:, :, outs, at])
-        for batch in batches)
+        np.abs(cmt._solve(device, a, grid, columns)[:, :, outs, at]) for a, grid in checked)
     rows = (next(solved_rows) if q == r else None for r, q in enumerate(first_rows))
     return PhaseRows(phis, deltas, tuple(pairs), first_rows, rows)
 

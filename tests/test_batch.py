@@ -13,11 +13,12 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nonrecip as nr
-from nonrecip import cmt, model, tuner
+from nonrecip import cli, cmt, model, tuner
 from nonrecip.errors import SingularMatrixError
 
 from conftest import count_calls, make_circulator, make_diramp, standard_modes
@@ -124,7 +125,7 @@ class TestSolveBatch:
         got = cmt.solve_batch(template, deltas)
         assert same_bits(got, expected)
         for columns in [(0,), (1,), (2,), (0, 2), (1, 2)]:
-            assert same_bits(cmt.solve_batch(template, deltas, columns=columns),
+            assert same_bits(cmt._solve(template, *cmt._checked(template, deltas), columns),
                              expected[..., columns])
 
     def test_per_point_phases_broadcast_a_one_point_grid(self, circulator):
@@ -267,28 +268,28 @@ MODE_PAIRS = [(o, i) for o in "abc" for i in "abc"]
 
 
 class TestPhaseRows:
-    """``tuner.phase_rows`` solves each distinct first-coupling phase once, several distinct
-    phi rows per ``solve_batch`` call, for the input columns of its pairs alone; every
-    row, and every column the kernel solves, is bit for bit that of the per-row solve of
-    all three columns."""
+    """``tuner.phase_rows`` checks and solves each distinct first-coupling phase once, several
+    distinct phi rows per ``cmt._checked`` and ``cmt._solve`` call, for the input columns of
+    its pairs alone; every row, and every column the kernel solves, is bit for bit that of
+    the per-row solve of all three columns."""
 
     DELTAS = np.linspace(-2e7, 2e7, 5)
     THREE_ROWS = np.linspace(-3e7, 3e7, tuner.PHASE_BATCH_MATRICES // 3)  # three rows a call
 
     def check(self, device, phis, pairs=MODE_PAIRS, deltas=DELTAS):
         """Each row of ``phase_rows`` against its own per-row ``solve_batch``, a repeated
-        row read through ``first_rows``; returns the rows and the kernel calls that solved
-        S (not those that only checked)."""
+        row read through ``first_rows``; returns the rows and what each solve stage
+        (``cmt._solve``) call returned."""
         outs, ins = ([device.index(m) for m in ms] for ms in zip(*pairs))
         with pytest.MonkeyPatch.context() as mp:
-            calls = count_calls(mp, "solve_batch", cmt)
+            calls = count_calls(mp, "_solve", cmt)
             rows = tuner.phase_rows(device, phis, deltas, pairs)
             mags = list(rows.magnitudes)
         for r, q in enumerate(rows.first_rows):
             assert (mags[r] is None) == (q < r)
             s = cmt.solve_batch(device, deltas, phi_tot=phis[r])
             assert same_bits(mags[q], np.abs(s[:, outs, ins])), r
-        return rows, [s for s in calls if s.shape[-1]]
+        return rows, calls
 
     def solved_rows(self, device, phis):
         return sum(len(s) for s in self.check(device, phis)[1])
@@ -297,6 +298,40 @@ class TestPhaseRows:
     def test_default_grid_solves_179_rows(self, name):
         phis = np.linspace(-2 * math.pi, math.pi, 241)
         assert self.solved_rows(TEMPLATES[name], phis) == 179
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_default_map_checks_each_distinct_row_once(self, name, monkeypatch):
+        # the phase-sweep phi grid on the bundled configs' 1,001-point delta grid: 179
+        # distinct rows, 8 a batch, so 23 batches; checked and solved, one eigenproblem a row
+        device = TEMPLATES[name]
+        phis = np.linspace(-2 * math.pi, math.pi, 241)
+        deltas = np.linspace(-3e7, 3e7, 1001)
+        checked = count_calls(monkeypatch, "_checked", cmt)
+        poles = count_calls(monkeypatch, "eigvals", np.linalg)
+        rows = tuner.phase_rows(device, phis, deltas, MODE_PAIRS)
+        assert len(checked) == 23  # every batch is checked before phase_rows returns
+        assert sum(r is not None for r in rows.magnitudes) == 179
+        distinct = phis[[r for r, q in enumerate(rows.first_rows) if q == r], None]
+        a = cmt._dynamics_batch(device, phases=model.split_total_phase(device, distinct))
+        assert same_bits(np.concatenate([m for m, _ in checked]), a)
+        assert len(checked) == len(poles) == 23  # reading the stream checks nothing again
+        assert sum(p.shape[0] for p in poles) == 179
+
+    def test_singular_map_raises_from_phase_rows_before_any_solve(self, monkeypatch):
+        # the diramp of the CLI's singular phase-map test: 1 + rho_ab = rho_ac + rho_bc,
+        # singular at delta = 0 on the phi_tot = +-pi/2 rows alone
+        raw = yaml.safe_load(cli.bundled_config_path("diramp").read_text())
+        for entry, rho in zip(raw["device"]["couplings"], (0.2, 0.6, 0.6)):
+            entry.pop("target_c", None)
+            entry.pop("target_g_db", None)
+            entry["rho"] = rho
+        cfg = cli.parse_config(raw)
+        solved = count_calls(monkeypatch, "_solve", cmt)
+        with pytest.raises(SingularMatrixError) as err:
+            tuner.phase_rows(cfg.device, np.linspace(-2 * math.pi, math.pi, 241),
+                             cfg.delta_grid, [("c", "a")])
+        assert err.value.delta == 0.0
+        assert solved == []
 
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     def test_shift_by_two_pi_shares_a_solve_and_one_ulp_does_not(self, name):
