@@ -522,10 +522,8 @@ def cmd_tune(args) -> int:
     result = tuner.tune(cfg.device, tuner.Objective(kind, **target))
     out_path = args.config + ".tuned" if args.out is None else args.out
     _write_tuned_config(cfg, result.device, out_path)
-    print(f"objective: {result.objective_value:.6f} after {result.evaluations} evaluations "
+    print(f"objective: {result.objective_value:.6f} "
           f"(converged={result.converged}, stop_reason={result.stop_reason})")
-    print(f"trace: start {result.trace[0]:.4f} -> best {result.trace[-1]:.4f} "
-          f"({len(result.trace)} improving steps)")
     phi = total_pump_phase(result.device)
     for c in result.device.couplings:
         print(f"  {c.kind.value} {c.pair}: rho = {c.rho:.9g}")
@@ -548,19 +546,13 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, out_path: str) -
     for entry in raw["device"]["couplings"]:
         pair = tuple(sorted(entry["pair"]))
         coupling = tuned.coupling_for(pair)
-        present = [k for k in STRENGTH_KEYS if k in entry]
-        key = present[0] if present else "rho"
-        if key == "target_c" and coupling.rho > 1.0:
-            # C(rho) = C(1/rho), so only rho states an over-coupled conversion
-            del entry["target_c"]
-            key = "rho"
+        (key,) = (k for k in STRENGTH_KEYS if k in entry)  # parse_config allows exactly one
         if key == "rho":
             entry["rho"] = float(coupling.rho)
         elif key == "target_g_db":
             entry["target_g_db"] = float(metrics.to_db(cmt.gain_coefficient(coupling.rho)))
-        else:
-            # 4 rho / (1 + rho)^2 can round one ulp above 1 near rho = 1
-            entry["target_c"] = min(float(cmt.conversion_coefficient(coupling.rho)), 1.0)
+        else:  # a tuned conversion is matched: rho = 1, so C = 1 exactly
+            entry["target_c"] = float(cmt.conversion_coefficient(coupling.rho))
         if pair == control:
             phase = signs[control] * (target_tot - other_sum)
             entry["phase_deg"] = float(math.degrees(wrap_phase(phase)))

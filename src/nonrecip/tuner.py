@@ -86,18 +86,12 @@ class TuneResult:
     """The working point tune() returns and its score.
 
     ``stop_reason`` is ``"target_met"`` when the point meets the objective's
-    target and ``"target_missed"`` otherwise.  ``evaluations`` and ``trace``
-    (the best objective after each improving evaluation) record the one score.
+    target and ``"target_missed"`` otherwise.
     """
 
     device: ValidatedDevice
     objective_value: float
     stop_reason: Literal["target_met", "target_missed"]
-    evaluations = 1
-
-    @property
-    def trace(self) -> tuple[float, ...]:
-        return (self.objective_value,)
 
     @property
     def converged(self) -> bool:

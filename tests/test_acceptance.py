@@ -15,7 +15,7 @@ import nonrecip as nr
 from nonrecip import cli, cmt, metrics, tuner
 from nonrecip.model import phase_signs
 
-from conftest import db, make_circulator, make_diramp, make_single
+from conftest import count_calls, db, make_circulator, make_diramp, make_single
 
 RHO_GAIN_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99]
 RHO_CONV_GRID = RHO_GAIN_GRID + [1.0, 1.2, 1.5]
@@ -272,12 +272,14 @@ def test_c08_property_suite():
     )
 
 
-def test_c09_tuner_and_calibration():
+def test_c09_tuner_and_calibration(monkeypatch):
     rng = np.random.default_rng(2024)
     start = make_circulator(phi_tot=math.pi / 2 + rng.uniform(-0.5, 0.5))
     for pair in (("a", "b"), ("a", "c"), ("b", "c")):
         start = nr.with_coupling(start, pair, rho=float(rng.uniform(0.8, 1.2)))
+    solves = count_calls(monkeypatch, "solve_batch", cmt)
     result = tuner.tune(start, tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW))
+    tune_solves = len(solves)
     s = nr.scattering_at(result.device, 0.0)
     match = max(db(s, n, n) for n in "abc")
     phi_err = abs(nr.total_pump_phase(result.device) - math.pi / 2)
@@ -292,15 +294,15 @@ def test_c09_tuner_and_calibration():
     cal_err = max(cal_err, abs(cal_d.candidates[0] + injected))
 
     ok = (
-        result.evaluations <= 2000
+        tune_solves == 1
         and match <= -30.0
         and phi_err <= 1e-3
         and cal_err <= 1e-6
     )
     assert _report(
         "C9 tuner recovery and phase calibration", ok,
-        f"match {match:.1f} dB, phi error {phi_err:.1e} rad in {result.evaluations} "
-        f"evaluations; calibration error {cal_err:.1e} rad",
+        f"match {match:.1f} dB, phi error {phi_err:.1e} rad in {tune_solves} solve; "
+        f"calibration error {cal_err:.1e} rad",
     )
 
 

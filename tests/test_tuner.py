@@ -10,7 +10,7 @@ from nonrecip import cli, cmt, metrics, tuner
 from nonrecip.errors import AmbiguousMinimumError, DomainError, TopologyError
 from nonrecip.model import directional_amp_parts, wrap_signed
 
-from conftest import db, make_circulator
+from conftest import count_calls, db, make_circulator
 
 
 MODE_PAIRS = [(o, i) for o in "abc" for i in "abc"]
@@ -263,7 +263,7 @@ class TestWorkingPoint:
     def test_meets_its_target_and_is_stable(self, problem):
         template, objective = problem
         result = tuner.tune(template, objective)
-        assert (result.evaluations, result.stop_reason) == (1, "target_met")
+        assert result.stop_reason == "target_met"
         # the device tune returns is the working point, and it does not oscillate
         amp = objective.kind is tuner.ObjectiveKind.DIRECTIONAL_AMP
         rho_gain = tuner._gain_rho(objective.target_gain_db) if amp else None
@@ -292,7 +292,7 @@ class TestWorkingPoint:
             objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP,
                                         target_gain_db=0.05 * k)
             result = tuner.tune(diramp, objective)
-            assert (result.evaluations, result.stop_reason) == (1, "target_met"), 0.05 * k
+            assert result.stop_reason == "target_met", 0.05 * k
 
     def test_gain_tolerance_has_a_1e9_db_floor(self):
         assert tuner._gain_tolerance_db(0.0) == tuner._gain_tolerance_db(90.0) == 1e-9
@@ -308,15 +308,16 @@ class TestWorkingPoint:
 
 
 class TestTune:
-    def test_circulator_recovery_from_perturbed_start(self):
+    def test_circulator_recovery_from_perturbed_start(self, monkeypatch):
         rng = np.random.default_rng(2024)
         objective = tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW)
         pert = rng.uniform(0.8, 1.2, 3)
         start = make_circulator(phi_tot=math.pi / 2 + rng.uniform(-0.5, 0.5))
         for pair, rho in zip(((("a", "b")), ("a", "c"), ("b", "c")), pert):
             start = nr.with_coupling(start, pair, rho=float(rho))
+        solves = count_calls(monkeypatch, "solve_batch", cmt)
         result = tuner.tune(start, objective)
-        assert result.evaluations <= 2000
+        assert len(solves) == 1 and solves[0].shape == (1, 3, 3)  # one point, one solve
         s = nr.scattering_at(result.device, 0.0)
         assert max(db(s, n, n) for n in "abc") <= -30.0
         assert abs(nr.total_pump_phase(result.device) - math.pi / 2) <= 1e-3
@@ -343,16 +344,11 @@ class TestTune:
         assert db(s, roles.signal, roles.signal) <= -16.0
         assert db(s, roles.vacuum, roles.vacuum) <= -16.0
 
-    def test_trace_monotone_non_increasing(self, diramp):
-        objective = tuner.Objective(tuner.ObjectiveKind.DIRECTIONAL_AMP, target_gain_db=14.0)
-        result = tuner.tune(diramp, objective)
-        assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
-
     def test_deterministic(self, circulator):
         objective = tuner.Objective(tuner.ObjectiveKind.CIRCULATOR_CW)
         r1 = tuner.tune(circulator, objective)
         r2 = tuner.tune(circulator, objective)
-        assert r1.trace == r2.trace
+        assert r1.objective_value == r2.objective_value
         assert r1.device.couplings == r2.device.couplings
 
     def test_tuned_parameters_respect_invariants(self, diramp):
