@@ -111,17 +111,9 @@ class RunConfig:
     device: ValidatedDevice
     declared_pumps: Optional[dict[str, float]]
     pump_detuning_tolerance: float  # Hz; inf never warns
-    span: float  # full sweep span, Hz
-    points: int
+    delta_grid: np.ndarray  # Hz, symmetric about 0; [0.0] for one point
     out_format: str
     out_path: str
-
-    @property
-    def delta_grid(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([0.0])
-        half = self.span / 2.0
-        return np.linspace(-half, half, self.points)
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -219,7 +211,8 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError(f"declared_pumps_ghz.{name}: no mode {name!r} in the device")
         if not (0 < f < math.inf):
             raise ConfigError(f"declared_pumps_ghz.{name} must be finite and > 0, got {f / 1e9:g}")
-    return RunConfig(raw, device, pumps, tol, span, points, out_format, out_path)
+    grid = np.linspace(-span / 2.0, span / 2.0, points) if points > 1 else np.array([0.0])
+    return RunConfig(raw, device, pumps, tol, grid, out_format, out_path)
 
 
 def load_config(path: str) -> RunConfig:
@@ -297,24 +290,25 @@ def _frame(columns: list[str], fmt: str, cells: list[str]) -> tuple[str, str, st
             ",\n", "\n  ]\n}\n")
 
 
-def _json_tokens(text: str) -> str:
-    """``%.9g`` text with JSON's ``NaN``, ``Infinity`` and ``-Infinity`` for
-    its non-finite cells, the tokens Python's ``json`` reads and writes."""
-    return text.replace("nan", "NaN").replace("inf", "Infinity")
+def _fill(template: str, values: np.ndarray, fmt: str) -> str:
+    """``template`` with its ``%.9g`` slots filled from ``values`` in C order; for
+    float64 a cell is ``format(x, '.9g')`` (-0, +-inf and nan included), and JSON
+    (``fmt`` not "csv") writes a non-finite cell as ``NaN``, ``Infinity`` or
+    ``-Infinity``, the tokens Python's ``json`` reads and writes."""
+    text = template % tuple(values.ravel().tolist())
+    if fmt != "csv" and not np.isfinite(values).all():
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def _table_chunks(table: SweepTable, fmt: str):
     """Yield ``table`` as CSV (``fmt`` "csv") or JSON text, the rows in blocks of
-    ``_BLOCK_ROWS`` formatted with one ``%``-template per block.  A cell is
-    ``%.9g``, for float64 the string ``format(x, '.9g')`` (-0, +-inf and nan
-    included); JSON writes non-finite cells with ``_json_tokens``."""
+    ``_BLOCK_ROWS`` filled into one ``%``-template per block by ``_fill``."""
     head, row, sep, tail = _frame(table.columns, fmt, ["%.9g"] * len(table.columns))
     yield head
     for start in range(0, len(table.rows), _BLOCK_ROWS):
         block = table.rows[start:start + _BLOCK_ROWS]
-        text = sep.join([row] * len(block)) % tuple(block.ravel().tolist())
-        if fmt != "csv" and not np.isfinite(block).all():
-            text = _json_tokens(text)
+        text = _fill(sep.join([row] * len(block)), block, fmt)
         yield text if start == 0 else sep + text
     yield tail
 
@@ -338,13 +332,7 @@ def _phase_map_chunks(rows: tuner.PhaseRows, fmt: str):
     kept: dict[int, str] = {}
     yield head
     for r, (phi, q, mag) in enumerate(zip(rows.phis.tolist(), rows.first_rows, rows.magnitudes)):
-        if mag is not None:
-            db = _db(mag)
-            text = template % tuple(db.ravel().tolist())
-            if fmt != "csv" and not np.isfinite(db).all():
-                text = _json_tokens(text)
-        else:
-            text = kept.pop(q)
+        text = kept.pop(q) if mag is None else _fill(template, _db(mag), fmt)
         if last[q] > r:
             kept[q] = text
         yield (sep if r else "") + text.replace(_PHI, "%.9g" % phi)
@@ -488,8 +476,6 @@ def cmd_phase_sweep(args) -> int:
 
 def cmd_threshold(args) -> int:
     cfg = load_config(args.config)
-    if not cfg.device.is_directional_amp:
-        raise TopologyError("threshold sweep needs a directional-amp config")
     cs = np.linspace(args.c_min, args.c_max, args.c_points)
     res = tuner.conversion_sweep(cfg.device, cs)
     q, z = res.reflection_port, res.idler_port

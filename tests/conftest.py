@@ -68,6 +68,16 @@ def make_single(kind, pair, rho, phase=0.0):
     return nr.validate_device(standard_modes(), (nr.PumpedCoupling(pair, kind, rho, phase),))
 
 
+@pytest.fixture(autouse=True)
+def no_temporary_file_left(request):
+    """Fail a test that used ``tmp_path`` if a ``.tmp_*`` file (``cli._atomic_write``'s
+    temporary file) is left anywhere under it."""
+    tmp = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    if tmp is not None:
+        assert sorted(tmp.rglob(".tmp_*")) == []
+
+
 @pytest.fixture
 def circulator():
     return make_circulator()

@@ -45,8 +45,8 @@ class TestConfigParsing:
     def test_bundled_circulator(self, circ_cfg):
         cfg = cli.load_config(str(circ_cfg))
         assert cfg.device.is_circulator
-        assert cfg.points == 1001
-        assert math.isclose(cfg.span, 60e6)
+        assert len(cfg.delta_grid) == 1001
+        assert math.isclose(cfg.delta_grid[-1] - cfg.delta_grid[0], 60e6)
         assert math.isclose(cfg.device.kappas[0], 44e6)
         assert math.isclose(
             cfg.device.coupling_for(("a", "b")).rho, cmt.rho_for_conversion(0.97)
@@ -667,6 +667,32 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == f"error: schema mismatch: {empty} has no rows\n"
 
+    @pytest.mark.parametrize("text, err", [
+        ("", "ConfigError: {table}: empty table"),
+        ("S_ab_db,S_ba_db\n1,2\n", "schema mismatch: no axis column (phi_rad, delta_hz, c)"),
+    ], ids=["empty-file", "no-axis-column"])
+    def test_table_that_cannot_be_lined_up_exit_2(self, text, err, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        assert run("compare", table, table) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err.format(table=table)}\n"
+        assert os.listdir(tmp_path) == ["table.csv"]
+
+    def test_threshold_tables_on_disjoint_c_ranges_exit_2(self, diramp_cfg, tmp_path, capsys):
+        low, high = tmp_path / "low.csv", tmp_path / "high.csv"
+        for out, c_min, c_max in ((low, 0.1, 0.2), (high, 0.5, 0.6)):
+            assert run("threshold", "--config", diramp_cfg, "--out", out, "--c-min", c_min,
+                       "--c-max", c_max, "--c-points", 5) == 0
+        capsys.readouterr()
+        files = sorted(os.listdir(tmp_path))
+        assert run("compare", low, high) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: schema mismatch: c grids do not overlap\n"
+        assert sorted(os.listdir(tmp_path)) == files
+
     def test_header_only_table_reads_as_no_rows(self, tmp_path, recwarn):
         path = tmp_path / "empty.csv"
         path.write_text("delta_hz,S_ab_db,S_ba_db\n")
@@ -953,6 +979,7 @@ class TestPhaseSweepCmd:
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == WRITER_DIGESTS["phase-sweep-circulator-csv"])
         assert peak < 8e6
+        assert capsys.readouterr().out == f"wrote 241241 (phi, delta) points to {out}\n"
 
 
 class TestThresholdCmd:
@@ -966,8 +993,12 @@ class TestThresholdCmd:
         refl = table.column("S_bb_abs")
         assert all(b <= a for a, b in zip(refl, refl[1:]))  # falls with C here
 
-    def test_circulator_config_rejected(self, circ_cfg, tmp_path):
+    def test_circulator_config_rejected(self, circ_cfg, tmp_path, capsys):
+        # the topology check is conversion_sweep's own, before any solve or write
         assert run("threshold", "--config", circ_cfg, "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == ("error: TopologyError: device is not a directional "
+                                           "amplifier (needs one conversion and two gains)\n")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestTuneCmd:
@@ -1041,6 +1072,35 @@ class TestTuneCmd:
         assert all(len([k for k in cli.STRENGTH_KEYS if k in e]) == 1 for e in entries)
         assert [e["target_c"] for e in entries] == [1.0, 1.0, 1.0]
         assert cli.load_config(str(out)).device.is_circulator
+
+    @pytest.mark.parametrize("name", sorted(TUNE_ARGS))
+    def test_tuned_rho_keys_reload(self, name, circ_cfg, diramp_cfg, tmp_path, monkeypatch):
+        # the circulator's conversions, or the diramp's gains, stated as rho: the tuned
+        # file keeps those keys and holds the tuned device's own rho
+        config, *extra = TUNE_ARGS[name]
+        key, to_rho = {
+            "circulator": ("target_c", cmt.rho_for_conversion),
+            "diramp": ("target_g_db", lambda g: cmt.rho_for_gain(10 ** (g / 10))),
+        }[config]
+        raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
+        for entry in raw["device"]["couplings"]:
+            if key in entry:
+                entry["rho"] = to_rho(entry.pop(key))
+        cfg_path, out = tmp_path / "start.cfg", tmp_path / "tuned.cfg"
+        cfg_path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        results = count_calls(monkeypatch, "tune", tuner)
+        assert run("tune", "--config", cfg_path, "--out", out, *extra) == 0
+        (result,) = results
+
+        def strength_keys(doc):
+            return [[k for k in cli.STRENGTH_KEYS if k in e] for e in doc["device"]["couplings"]]
+
+        assert strength_keys(yaml.safe_load(out.read_text())) == strength_keys(raw)
+        assert ["rho"] in strength_keys(raw)
+        tuned = cli.load_config(str(out)).device
+        assert [c.rho for c in tuned.couplings] == [c.rho for c in result.device.couplings]
+        drift = nr.total_pump_phase(tuned) - nr.total_pump_phase(result.device)
+        assert abs(math.remainder(drift, 2 * math.pi)) <= 1e-12
 
     def test_tuned_file_keeps_a_date_and_an_integer_key(self, circ_cfg, tmp_path):
         cfg_path = tmp_path / "start.cfg"
@@ -1289,11 +1349,18 @@ class TestErrorExits:
         ("circulator", ("declared_pumps_ghz", "a"), math.nan),
         ("circulator", ("declared_pumps_ghz", "z"), 99),
         ("diramp", ("device", "couplings", 1, "target_g_db"), True),
+        ("circulator", ("outputs", "format"), "xml"),
+        ("circulator", ("device", "modes", 0), {"freq_ghz": 9.167, "kappa_mhz": 44.0}),
+        ("circulator", ("device", "couplings", 0),
+         {"pair": ["a", "b"], "kind": "conversion", "target_g_db": 10.0}),
+        ("diramp", ("device", "couplings", 1),
+         {"pair": ["a", "c"], "kind": "gain", "target_c": 0.5}),
     ], ids=["device", "modes", "mode-entry", "couplings", "coupling-entry", "pair", "sweep",
             "outputs", "declared-pumps", "delta-span-bool", "freq-bool", "kappa-list",
             "freq-null", "target-c-bool", "phase-mapping", "rho-bool", "tolerance-bool",
             "tolerance-negative", "tolerance-nan", "declared-pump-list", "declared-pump-nan",
-            "declared-pump-unknown-mode", "target-g-bool"])
+            "declared-pump-unknown-mode", "target-g-bool", "format-xml", "mode-without-name",
+            "target-g-on-conversion", "target-c-on-gain"])
     def test_config_shape(self, config, path, value, circ_cfg, diramp_cfg, tmp_path, capsys):
         raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
         *parents, key = path
@@ -1307,6 +1374,31 @@ class TestErrorExits:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError: "), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["- device\n", "5\n", ""], ids=["list", "number", "empty"])
+    def test_config_not_a_mapping(self, text, tmp_path, capsys):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
+        cfg.write_text(text)
+        assert run("sparams", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: ConfigError: {cfg}: config must be a mapping\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_interrupted_write_keeps_the_old_file(self, error, tmp_path):
+        # the temporary file goes; the target keeps its earlier bytes
+        target = tmp_path / "table.csv"
+        target.write_bytes(b"earlier,bytes\n")
+        raised = error("stopped after the first chunk")
+
+        def chunks():
+            yield "delta_hz\n"
+            raise raised
+
+        with pytest.raises(error) as caught:
+            cli._atomic_write(str(target), chunks())
+        assert caught.value is raised
+        assert os.listdir(tmp_path) == ["table.csv"]
+        assert target.read_bytes() == b"earlier,bytes\n"
 
     @pytest.mark.parametrize("section, key, value, error", [
         ("couplings", "kind", "convert", "ValueError"),
