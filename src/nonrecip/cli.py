@@ -136,10 +136,13 @@ def _list(value, context: str) -> list:
 
 def _number(value, context: str) -> float:
     """``float(value)`` of a YAML number or string; a boolean, list, mapping or
-    null is not a number."""
+    null is not a number, nor is an integer beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{context} is beyond the float range") from None
 
 
 def _mode_from_entry(entry) -> ModeSpec:
@@ -153,6 +156,8 @@ def _mode_from_entry(entry) -> ModeSpec:
 def _coupling_from_entry(entry) -> PumpedCoupling:
     entry = _mapping(entry, "coupling")
     pair = tuple(_list(_require(entry, "pair", "coupling"), "coupling pair"))
+    if not all(isinstance(name, str) for name in pair):
+        raise ConfigError(f"coupling pair must hold mode names, got {list(pair)!r}")
     kind = ProcessKind(str(_require(entry, "kind", f"coupling {pair}")).lower())
     present = [k for k in STRENGTH_KEYS if k in entry]
     if len(present) != 1:
@@ -167,7 +172,11 @@ def _coupling_from_entry(entry) -> PumpedCoupling:
     elif key == "target_g_db":
         if kind is not ProcessKind.GAIN:
             raise ConfigError(f"coupling {pair}: target_g_db only applies to gain couplings")
-        rho = cmt.rho_for_gain(10.0 ** (value / 10.0))
+        try:
+            rho = cmt.rho_for_gain(10.0 ** (value / 10.0))
+        except OverflowError:
+            raise ConfigError(f"coupling {pair}: target_g_db = {value:g} dB is a gain "
+                              "beyond the float range") from None
     else:
         if kind is not ProcessKind.CONVERSION:
             raise ConfigError(f"coupling {pair}: target_c only applies to conversion couplings")

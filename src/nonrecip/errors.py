@@ -38,4 +38,4 @@ class TopologyError(RuntimeError):
 
 
 class AmbiguousMinimumError(RuntimeError):
-    """Phase calibration objective is flat; no minimum can be identified."""
+    """Phase calibration with a coupling at rho = 0: the objective is flat in the pump phase."""

@@ -4,8 +4,8 @@ Scattering magnitudes depend on the individual pump phases only through their
 signed sum phi_tot, so one phase variable suffices.  ``tune`` puts a template
 at the closed-form working point of its objective (Sliwa et al., PRX 5,
 041020; Metelmann & Clerk, PRX 5, 021025) and scores that one device;
-``calibrate_phase_offset`` reads its two minima off one solve at the cardinal
-phases.
+``calibrate_phase_offset`` takes its two minima, a cardinal pair, from the
+topology alone.
 
 The calibration and the conversion sweep solve from parameter arrays (rho per
 coupling, phi_tot) with ``cmt.solve_batch``, the phase map with its two stages
@@ -207,45 +207,40 @@ def calibrate_phase_offset(
     calibration response |S_kk| at delta = 0: the middle mode's reflection for
     a circulator, the idler reflection for a directional amplifier.
 
-    No search is needed.  At delta = 0 every reverse entry of M is +- the
-    conjugate of its forward entry (+ for a gain, - for a conversion), and both
-    topologies have an odd number of conversions, so phi_tot (a loop gauge
-    flux) enters det M only as 2i Im P, P the one loop product, and the
+    No search or solve picks them.  At delta = 0 every reverse entry of M is
+    +- the conjugate of its forward entry (+ for a gain, - for a conversion),
+    and both topologies have an odd number of conversions, so phi_tot (a loop
+    gauge flux) enters det M only as 2i Im P, P the one loop product, and the
     numerator of S_kk, kappa_k adj_kk - det M, is a real number minus the same
     2i Im P.  Hence |S_kk|^2 = (n^2 + t^2) / (r^2 + t^2) with t = 2 Im P, which
-    is proportional to sin(phi_tot + m pi/2) for an integer m.  That is
-    monotone in t^2, so the minima are exactly the pair {0, pi} or the pair
-    {+-pi/2}.  One batch solves phi_tot in {0, pi/2}; the lower response's pair
-    {base, base + pi}, less the device's own phi_tot, gives the candidates,
-    wrapped to (-pi, pi] by ``wrap_signed``.  An exact half-turn reads +pi, so
-    the bundled circulator (phi_tot = pi/2) gives (0.0, pi).  Both candidates
-    share one objective value, since t^2 has period pi.  The first is
-    ``primary``: a passive circulator has n^2 <= r^2, so base = pi/2 (clockwise),
-    and for a directional amplifier sin(base + pi/2) >= 0 (signal on the head).
+    is proportional to sin(phi_tot + m pi/2) for an integer m and monotone in
+    t^2, so the minima are the pair {base, base + pi}, and the topology fixes
+    base: pi/2 (clockwise) for a circulator, whose passivity gives n^2 <= r^2,
+    and 0 for a directional amplifier, where sin(base + pi/2) >= 0 puts the
+    signal on the head.  Less the device's own phi_tot and wrapped to (-pi, pi]
+    by ``wrap_signed``, the pair gives the candidates, the first ``primary``.
+    An exact half-turn reads +pi: the bundled circulator (phi_tot = pi/2) gives
+    (0.0, pi).  Raises AmbiguousMinimumError when a coupling has rho = 0, so
+    that P = 0 and |S_kk| does not vary with the pump phase.
 
-    ``coarse_points`` is accepted and ignored.  Raises AmbiguousMinimumError
-    when the two responses differ by less than 1e-12 (e.g. pumps off): the
-    response does not vary with the pump phase.
+    ``objective_values`` is the response at both candidates (t^2 has period
+    pi), from one solve at phi_tot = base (SingularMatrixError where singular)
+    that exists only because the benchmark reads it; that solve and the ignored
+    ``coarse_points`` go with ROADMAP item 1.
     """
-    names = device.mode_names
     if device.is_circulator:
-        port = names[1]
+        port, base = device.mode_names[1], math.pi / 2.0
     elif device.is_directional_amp:
-        port = directional_amp_parts(device)[3]
+        port, base = directional_amp_parts(device)[3], 0.0
     else:
         raise TopologyError("phase calibration needs a circulator or directional amplifier")
-    k = device.index(port)
-    s = cmt.solve_batch(device, 0.0, phi_tot=np.array([0.0, math.pi / 2.0]))
-    response = np.abs(s[:, k, k])
-    if abs(float(response[1] - response[0])) < 1e-12:
-        raise AmbiguousMinimumError(
-            f"|S_{port}{port}| does not vary with pump phase; nothing to calibrate"
-        )
-    lo = int(response[1] < response[0])
-    base, t0 = lo * math.pi / 2.0, total_pump_phase(device)
-    m1 = wrap_signed(base - t0)
+    if any(c.rho == 0.0 for c in device.couplings):
+        raise AmbiguousMinimumError(f"|S_{port}{port}| does not vary with pump phase; "
+                                    "nothing to calibrate")
+    m1 = wrap_signed(base - total_pump_phase(device))
     m2 = wrap_signed(m1 + math.pi)
-    value = float(response[lo])
+    k = device.index(port)
+    value = float(np.abs(cmt.solve_batch(device, 0.0, phi_tot=np.array([base]))[:, k, k])[0])
     return PhaseCalibration(candidates=(m1, m2), primary=m1, objective_values=(value, value))
 
 

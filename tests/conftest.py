@@ -1,9 +1,15 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 import nonrecip as nr
 from nonrecip import cmt
+
+# every property test draws the same examples on each run and keeps none between runs;
+# each sets its own max_examples
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
 
 KAPPA_A = 44e6
 KAPPA_B = 19e6

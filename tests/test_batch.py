@@ -64,7 +64,7 @@ def caps(device):
 
 
 class TestSolveBatch:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(name=st.sampled_from(sorted(TEMPLATES)),
            fractions=st.tuples(*[st.floats(0.0, 1.0)] * 3),
            phi=st.floats(-10.0, 10.0),
@@ -236,7 +236,7 @@ class TestPoleDeterminant:
     _DET_TOL just above and just below each point's ``np.linalg.det`` must move
     that point across the check, and report the first point below it."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(name=st.sampled_from(sorted(TEMPLATES)), seed=st.integers(0, 2 ** 32 - 1),
            per_point=st.booleans())
     def test_check_matches_det_of_each_point(self, name, seed, per_point):
@@ -340,7 +340,7 @@ class TestPhaseRows:
         assert keys[1] == keys[0] and abs(int(keys[2] - keys[0])) == 1
         assert self.solved_rows(TEMPLATES[name], phis) == 2
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(name=st.sampled_from(sorted(TEMPLATES)),
            phis=st.lists(st.sampled_from(PHI_EDGES) | st.floats(-10.0, 10.0), min_size=1,
                          max_size=8)
@@ -350,7 +350,7 @@ class TestPhaseRows:
         keys = model.split_total_phase(TEMPLATES[name], np.array(phis))[0].view(np.int64)
         assert self.solved_rows(TEMPLATES[name], phis) == len(set(keys.tolist()))
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(name=st.sampled_from(sorted(TEMPLATES)),
            phis=st.lists(st.sampled_from(PHI_EDGES) | st.floats(-10.0, 10.0), min_size=2,
                          max_size=4)

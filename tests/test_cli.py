@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -39,6 +42,27 @@ def diramp_cfg(tmp_path):
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def node_paths(node, path=()):
+    """The path (mapping keys and list indices) to every value below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from node_paths(value, path + (key,))
+
+
+def mutated(raw, mutations):
+    """A copy of ``raw`` with each (path, value) of ``mutations`` set; the deeper paths go
+    first, so a value set on an outer path replaces the mutated inner one."""
+    raw = copy.deepcopy(raw)
+    for (*parents, key), value in sorted(mutations, key=lambda m: -len(m[0])):
+        node = raw
+        for p in parents:
+            node = node[p]
+        node[key] = value
+    return raw
 
 
 class TestConfigParsing:
@@ -194,7 +218,7 @@ class TestConfigLoader:
         expected = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
         assert repr(cli.load_config(str(path)).raw) == repr(expected)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(text=config_documents())
     def test_documents_load_as_pure_python(self, text, tmp_path_factory):
         # repr, not ==: it tells 1 from 1.0 and True, and nan equals itself
@@ -394,6 +418,17 @@ class TestSparams:
         assert ([s for s in lines if "bandwidth" not in s]
                 == [s for s in pinned if "bandwidth" not in s])
 
+    def test_diramp_without_gain_prints_an_empty_band(self, diramp_cfg, tmp_path, capsys):
+        raw = yaml.safe_load(diramp_cfg.read_text())
+        for entry in raw["device"]["couplings"][1:]:
+            entry["target_g_db"] = 0  # both gains at rho = 0: no forward transmission
+        cfg = tmp_path / "no-gain.cfg"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "3 dB gain bandwidth: empty band (no transmission b->c at zero detuning)" in lines
+        assert not any(s.startswith(("forward gain", "added noise")) for s in lines)
+
     def test_band_thresholds_are_the_metrics_constants(self, circ_cfg, tmp_path, capsys,
                                                        monkeypatch):
         monkeypatch.setattr(nr.metrics, "BAND_MATCH_DB", -15.0)
@@ -533,7 +568,7 @@ class TestPhaseMapWriter:
     """``write_phase_map`` writes, from the row stream, the bytes of the per-float
     writer on the flat phi-major rows."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(name=st.sampled_from(sorted(PHASE_MAP_DEVICES)),
            phis=st.lists(st.sampled_from([-0.0, 0.0, 2.5, -math.pi, 2 * math.pi])
                          | st.floats(-10.0, 10.0), min_size=1, max_size=4)
@@ -1127,7 +1162,7 @@ class TestTuneCmd:
         assert tuned["note"] == note and '\\a bell\\\n' in text
         assert text == yaml.safe_dump(tuned, sort_keys=False)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(text=config_documents() | ascii_config_texts())
     @example(text=config_text({"": 1}))  # PyYAML writes "? ''", libyaml "'':"
     @example(text=config_text({"k" * 123: 1}))  # PyYAML writes a "? " key, libyaml a plain one
@@ -1245,6 +1280,24 @@ class TestParser:
         assert built == []
 
 
+# the bundled configs at 5 detuning points, the values a mutation sets and the paths it sets
+# them on; no mutation reaches the sweep's size, nor does a command's grid option
+FUZZ_CONFIGS = {name: mutated(yaml.safe_load(cli.bundled_config_path(name).read_text()),
+                              [(("sweep", "points"), 5)]) for name in ("circulator", "diramp")}
+FUZZ_VALUES = (None, True, False, 0, -1, 10 ** 400, -10 ** 400, 1e308, -1e308, "nan", "inf",
+               "-inf", [], [1, "a"], ["a", "b"], {}, {"name": "a"}, "a", "b", "c")
+FUZZ_PATHS = list(dict.fromkeys(
+    path for raw in FUZZ_CONFIGS.values() for path in node_paths(raw) if path[0] != "sweep"
+    or path[1:] not in ((), ("points",))))
+FUZZ_ARGS = {
+    "sparams": ["sparams"],
+    "threshold": ["threshold", "--c-points", "3"],
+    "tune-circulator": ["tune", "--objective", "circulator-cw"],
+    "tune-diramp": ["tune", "--objective", "diramp"],
+    "phase-sweep": ["phase-sweep", "--phi-points", "3"],
+}
+
+
 class TestErrorExits:
     """Inputs that fail inside a command end with one ``error:`` line and exit 1."""
 
@@ -1355,12 +1408,18 @@ class TestErrorExits:
          {"pair": ["a", "b"], "kind": "conversion", "target_g_db": 10.0}),
         ("diramp", ("device", "couplings", 1),
          {"pair": ["a", "c"], "kind": "gain", "target_c": 0.5}),
+        ("diramp", ("device", "couplings", 0, "pair"), ["a", None]),
+        ("diramp", ("device", "couplings", 0, "pair"), ["a", 2]),
+        ("diramp", ("device", "couplings", 0, "pair"), ["a", ["b"]]),
+        ("diramp", ("device", "modes", 0, "kappa_mhz"), 10 ** 400),
+        ("diramp", ("device", "couplings", 1, "target_g_db"), 1e308),
     ], ids=["device", "modes", "mode-entry", "couplings", "coupling-entry", "pair", "sweep",
             "outputs", "declared-pumps", "delta-span-bool", "freq-bool", "kappa-list",
             "freq-null", "target-c-bool", "phase-mapping", "rho-bool", "tolerance-bool",
             "tolerance-negative", "tolerance-nan", "declared-pump-list", "declared-pump-nan",
             "declared-pump-unknown-mode", "target-g-bool", "format-xml", "mode-without-name",
-            "target-g-on-conversion", "target-c-on-gain"])
+            "target-g-on-conversion", "target-c-on-gain", "pair-null", "pair-int", "pair-list",
+            "kappa-beyond-float", "target-g-beyond-float"])
     def test_config_shape(self, config, path, value, circ_cfg, diramp_cfg, tmp_path, capsys):
         raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
         *parents, key = path
@@ -1374,6 +1433,30 @@ class TestErrorExits:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError: "), err
         assert not out.exists()
+
+    @settings(max_examples=60)
+    @given(name=st.sampled_from(sorted(FUZZ_CONFIGS)), command=st.sampled_from(sorted(FUZZ_ARGS)),
+           mutations=st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_VALUES)),
+                              min_size=1, max_size=2, unique_by=lambda m: m[0]))
+    @example(name="diramp", command="sparams",
+             mutations=[(("device", "couplings", 0, "pair"), ["a", None])])
+    @example(name="circulator", command="tune-circulator",
+             mutations=[(("device", "modes", 0, "kappa_mhz"), 10 ** 400)])
+    @example(name="diramp", command="threshold",
+             mutations=[(("device", "couplings", 1, "target_g_db"), 1e308)])
+    def test_mutated_config_ends_on_the_error_path(self, name, command, mutations,
+                                                   tmp_path_factory):
+        directory = tmp_path_factory.mktemp("mutated")
+        cfg = directory / "run.cfg"
+        cfg.write_text(yaml.safe_dump(mutated(FUZZ_CONFIGS[name], mutations)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(*FUZZ_ARGS[command], "--config", cfg, "--out", directory / "out")
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error: ")
+        if code:
+            assert os.listdir(directory) == ["run.cfg"]
 
     @pytest.mark.parametrize("text", ["- device\n", "5\n", ""], ids=["list", "number", "empty"])
     def test_config_not_a_mapping(self, text, tmp_path, capsys):

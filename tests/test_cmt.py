@@ -30,6 +30,10 @@ class TestClosedForms:
         # 4*(1/3)/(4/3)^2 = 3/4
         assert math.isclose(cmt.conversion_coefficient(1.0 / 3.0), 0.75, rel_tol=1e-14)
 
+    def test_conversion_coefficient_domain(self):
+        with pytest.raises(DomainError, match="conversion rho must be >= 0"):
+            cmt.conversion_coefficient(-0.1)
+
     def test_conversion_monotone_to_unity(self):
         cs = [cmt.conversion_coefficient(r) for r in np.linspace(0, 1, 50)]
         assert all(b >= a for a, b in zip(cs, cs[1:]))
@@ -292,6 +296,14 @@ class TestSweep:
     def test_empty_grid(self, circulator):
         sw = nr.sweep(circulator, [])
         assert len(sw) == 0
+
+    def test_empty_sweep_has_no_center(self, circulator):
+        with pytest.raises(DomainError, match="empty sweep has no center point"):
+            nr.sweep(circulator, []).center_index
+
+    def test_rejects_two_dimensional_grid(self, circulator):
+        with pytest.raises(DomainError, match="detuning grid must be one-dimensional"):
+            nr.sweep(circulator, [[0.0, 1.0]])
 
     def test_single_point(self, circulator):
         sw = nr.sweep(circulator, [0.0])

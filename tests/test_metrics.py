@@ -87,6 +87,13 @@ class TestCirculatorBandwidth:
         with pytest.raises(EmptyBandError):
             metrics.circulator_bandwidth(sw)
 
+    def test_circulating_center_outside_the_criteria_is_empty(self):
+        # C = 0.67 circulates at delta = 0 but matches worse than BAND_MATCH_DB there
+        sw = nr.sweep(make_circulator(0.67, 0.67, 0.67), np.linspace(-30e6, 30e6, 101))
+        assert metrics.circulation_sense(sw) is metrics.CirculationSense.CW
+        with pytest.raises(EmptyBandError, match="criteria fail at zero detuning"):
+            metrics.circulator_bandwidth(sw)
+
     def test_wrong_topology(self, diramp):
         sw = nr.sweep(diramp, np.linspace(-30e6, 30e6, 11))
         with pytest.raises(TopologyError):
@@ -120,6 +127,14 @@ class TestGainBandwidth:
         sw = nr.sweep(diramp, np.linspace(-40e6, 40e6, 8001))
         bw = metrics.gain_bandwidth_3db(sw, "b", "c")  # signal b -> idler c branch
         assert 5e6 < bw < 50e6
+
+
+class TestEmptySweep:
+    def test_has_no_band(self, circulator, diramp):
+        with pytest.raises(EmptyBandError, match="^empty sweep$"):
+            metrics.circulator_bandwidth(nr.sweep(circulator, []))
+        with pytest.raises(EmptyBandError, match="^empty sweep$"):
+            metrics.gain_bandwidth_3db(nr.sweep(diramp, []), "b", "c")
 
 
 class TestNvr:

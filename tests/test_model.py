@@ -110,6 +110,12 @@ class TestValidateDevice:
         with pytest.raises(DeviceValidationError):
             nr.validate_device(standard_modes(), coups)
 
+    def test_four_couplings_rejected(self):
+        coups = tuple(nr.PumpedCoupling(p, "conversion", 0.5)
+                      for p in (("a", "b"), ("b", "c"), ("a", "c"), ("a", "b")))
+        with pytest.raises(DeviceValidationError, match="at most three pairwise couplings"):
+            nr.validate_device(standard_modes(), coups)
+
     def test_wrong_mode_count_rejected(self):
         with pytest.raises(DeviceValidationError):
             nr.validate_device(standard_modes()[:2])
@@ -177,6 +183,10 @@ class TestTopologyHelpers:
         assert conversion_head(circulator, ("a", "b")) == "a"
         assert conversion_head(circulator, ("a", "c")) == "a"
         assert conversion_head(circulator, ("b", "c")) == "c"
+
+    def test_conversion_head_rejects_a_foreign_pair(self, circulator):
+        with pytest.raises(DeviceValidationError, match="does not belong to device modes"):
+            conversion_head(circulator, ("a", "x"))
 
     def test_directional_amp_parts(self, diramp):
         pair, head, other, idler = directional_amp_parts(diramp)

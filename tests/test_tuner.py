@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 
 import nonrecip as nr
 from nonrecip import cli, cmt, metrics, tuner
-from nonrecip.errors import AmbiguousMinimumError, DomainError, TopologyError
+from nonrecip.errors import (
+    AmbiguousMinimumError,
+    DomainError,
+    SingularMatrixError,
+    TopologyError,
+)
 from nonrecip.model import directional_amp_parts, wrap_signed
 
-from conftest import count_calls, db, make_circulator
+from conftest import count_calls, db, make_circulator, make_diramp, standard_modes
 
 
 MODE_PAIRS = [(o, i) for o in "abc" for i in "abc"]
@@ -177,6 +182,41 @@ class TestCalibratePhaseOffset:
         with pytest.raises(AmbiguousMinimumError):
             tuner.calibrate_phase_offset(dev)
 
+    @pytest.mark.parametrize("make", [make_circulator, make_diramp], ids=["circulator", "diramp"])
+    @pytest.mark.parametrize("pair", [("a", "b"), ("a", "c"), ("b", "c")], ids="".join)
+    def test_one_coupling_off_is_ambiguous(self, make, pair):
+        # the loop product is 0, so |S_kk| does not vary with phi_tot
+        with pytest.raises(AmbiguousMinimumError):
+            tuner.calibrate_phase_offset(nr.with_coupling(make(), pair, rho=0.0))
+
+    @pytest.mark.parametrize("make", [make_circulator, make_diramp], ids=["circulator", "diramp"])
+    @pytest.mark.parametrize("pair", [("a", "b"), ("a", "c"), ("b", "c")], ids="".join)
+    def test_tiny_coupling_calibrates_to_the_topology_pair(self, make, pair):
+        # rho = 1e-30 leaves the response flat to round-off, yet the loop product is not 0
+        dev = nr.with_coupling(make(phi_tot=0.3), pair, rho=1e-30)
+        k = dev.index("b" if dev.is_circulator else directional_amp_parts(dev)[3])
+        at_0, at_half_pi = np.abs(cmt.solve_batch(dev, 0.0, phi_tot=[0.0, math.pi / 2])[:, k, k])
+        assert abs(at_half_pi - at_0) < 1e-12
+        base = math.pi / 2 if dev.is_circulator else 0.0
+        cal = tuner.calibrate_phase_offset(dev)
+        assert abs(cal.candidates[0] - (base - 0.3)) < 1e-12
+        assert cal.candidates[1] == wrap_signed(cal.candidates[0] + math.pi)
+
+    def test_diramp_singular_at_its_working_points_calibrates(self):
+        # 1 + rho_ab = rho_ac + rho_bc: singular at delta = 0 at phi_tot = +-pi/2 alone; the
+        # anchor phi_tot = 0, where objective_values is read, is regular
+        dev = nr.with_total_phase(nr.validate_device(standard_modes(), (
+            nr.PumpedCoupling(("a", "b"), "conversion", 0.2),
+            nr.PumpedCoupling(("a", "c"), "gain", 0.6),
+            nr.PumpedCoupling(("b", "c"), "gain", 0.6),
+        )), -math.pi / 2)
+        with pytest.raises(SingularMatrixError):
+            cmt.solve_batch(dev, 0.0, phi_tot=math.pi / 2)
+        cal = tuner.calibrate_phase_offset(dev)
+        assert cal.candidates == (math.pi / 2, -math.pi / 2)  # phi_tot = 0 and -pi
+        assert cal.objective_values[0] == cal.objective_values[1]
+        assert math.isclose(cal.objective_values[0], 4.5826, rel_tol=1e-4)
+
     def test_wrong_topology(self, bare_device):
         with pytest.raises(TopologyError):
             tuner.calibrate_phase_offset(bare_device)
@@ -229,7 +269,7 @@ class TestCalibrationStructure:
     """At delta = 0 the calibration response depends on phi_tot only through
     sin^2 of a cardinal shift of it, so its minima are a cardinal pair."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(device=calibrated_devices(), phi=st.floats(-math.pi, math.pi))
     def test_cardinal_pair_is_the_minimum(self, device, phi):
         port = "b" if device.is_circulator else directional_amp_parts(device)[3]
@@ -258,7 +298,7 @@ class TestCalibrationStructure:
 class TestWorkingPoint:
     """The closed-form working points ``tune`` starts from, over random devices."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(problem=tuning_problems())
     def test_meets_its_target_and_is_stable(self, problem):
         template, objective = problem
