@@ -34,7 +34,6 @@ scores it once; its ``objective:`` line ends with the stop reason
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import io
 import itertools
@@ -134,6 +133,12 @@ def _list(value, context: str) -> list:
     return value
 
 
+def _string(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context} must be a string, got {value!r}")
+    return value
+
+
 def _number(value, context: str) -> float:
     """``float(value)`` of a YAML number or string; a boolean, list, mapping or
     null is not a number, nor is an integer beyond the float range."""
@@ -147,7 +152,7 @@ def _number(value, context: str) -> float:
 
 def _mode_from_entry(entry) -> ModeSpec:
     entry = _mapping(entry, "mode")
-    name = str(_require(entry, "name", "mode"))
+    name = _string(_require(entry, "name", "mode"), "mode: name")
     freq, kappa = (_number(_require(entry, key, "mode"), f"mode {name}: {key}")
                    for key in ("freq_ghz", "kappa_mhz"))
     return ModeSpec(name, freq * 1e9, kappa * 1e6)
@@ -206,10 +211,10 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"sweep.delta_span_mhz must be finite and > 0, got {span / 1e6:g}")
 
     outputs = _mapping(raw.get("outputs", {}), "outputs")
-    out_format = str(outputs.get("format", "csv")).lower()
+    out_format = _string(outputs.get("format", "csv"), "outputs.format").lower()
     if out_format not in ("csv", "json"):
         raise ConfigError(f"outputs.format must be csv or json, got {out_format!r}")
-    out_path = str(outputs.get("path", "sweep." + out_format))
+    out_path = _string(outputs.get("path", "sweep." + out_format), "outputs.path")
 
     declared = raw.get("declared_pumps_ghz")
     pumps = None if declared is None else {
@@ -505,21 +510,17 @@ def cmd_threshold(args) -> int:
 def cmd_tune(args) -> int:
     if args.budget < 1:
         raise ConfigError("--budget must be >= 1")
-    kind = {
-        "circulator-cw": tuner.ObjectiveKind.CIRCULATOR_CW,
-        "circulator-ccw": tuner.ObjectiveKind.CIRCULATOR_CCW,
-        "diramp": tuner.ObjectiveKind.DIRECTIONAL_AMP,
-    }[args.objective]
+    kind = tuner.ObjectiveKind(args.objective)
     target = {} if args.target_gain_db is None else {"target_gain_db": args.target_gain_db}
     if target and kind is not tuner.ObjectiveKind.DIRECTIONAL_AMP:
         raise ConfigError("--target-gain-db applies only to the diramp objective")
     cfg = load_config(args.config)
     result = tuner.tune(cfg.device, tuner.Objective(kind, **target))
     out_path = args.config + ".tuned" if args.out is None else args.out
-    _write_tuned_config(cfg, result.device, out_path)
+    phi = total_pump_phase(result.device)
+    _write_tuned_config(cfg, result.device, phi, out_path)
     print(f"objective: {result.objective_value:.6f} "
           f"(converged={result.converged}, stop_reason={result.stop_reason})")
-    phi = total_pump_phase(result.device)
     for c in result.device.couplings:
         print(f"  {c.kind.value} {c.pair}: rho = {c.rho:.9g}")
     print(f"  phi_tot = {phi:+.9g} rad")
@@ -527,34 +528,30 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
-def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, out_path: str) -> None:
-    # update only the optimized fields; everything else round-trips unchanged
-    raw = copy.deepcopy(cfg.raw)
+def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, phi_tot: float,
+                        out_path: str) -> None:
+    """Write ``cfg.raw`` with the tuned strengths and phases put in place; every other
+    value round-trips unchanged.  The control coupling's phase makes up ``phi_tot``."""
+    entries = {tuple(sorted(entry["pair"])): entry for entry in cfg.raw["device"]["couplings"]}
     signs = phase_signs(tuned)
     control = tuned.couplings[0].pair
-    target_tot = total_pump_phase(tuned)
     other_sum = 0.0
-    for entry in raw["device"]["couplings"]:
-        pair = tuple(sorted(entry["pair"]))
+    for pair, entry in entries.items():
+        rho = tuned.coupling_for(pair).rho
+        if "rho" in entry:  # parse_config allows exactly one strength key
+            entry["rho"] = float(rho)
+        elif "target_g_db" in entry:
+            entry["target_g_db"] = float(metrics.to_db(cmt.gain_coefficient(rho)))
+        else:  # a tuned conversion is matched: rho = 1, so C = 1 exactly
+            entry["target_c"] = float(cmt.conversion_coefficient(rho))
         if pair != control:
             other_sum += signs[pair] * math.radians(float(entry.get("phase_deg", 0.0)))
-    for entry in raw["device"]["couplings"]:
-        pair = tuple(sorted(entry["pair"]))
-        coupling = tuned.coupling_for(pair)
-        (key,) = (k for k in STRENGTH_KEYS if k in entry)  # parse_config allows exactly one
-        if key == "rho":
-            entry["rho"] = float(coupling.rho)
-        elif key == "target_g_db":
-            entry["target_g_db"] = float(metrics.to_db(cmt.gain_coefficient(coupling.rho)))
-        else:  # a tuned conversion is matched: rho = 1, so C = 1 exactly
-            entry["target_c"] = float(cmt.conversion_coefficient(coupling.rho))
-        if pair == control:
-            phase = signs[control] * (target_tot - other_sum)
-            entry["phase_deg"] = float(math.degrees(wrap_phase(phase)))
+    phase = signs[control] * (phi_tot - other_sum)
+    entries[control]["phase_deg"] = float(math.degrees(wrap_phase(phase)))
     # libyaml's emitter where PyYAML has it and both emitters write this document alike
-    dumper = (yaml.CSafeDumper if yaml.__with_libyaml__ and _emits_alike(raw, set())
+    dumper = (yaml.CSafeDumper if yaml.__with_libyaml__ and _emits_alike(cfg.raw, set())
               else yaml.SafeDumper)
-    _atomic_write(out_path, [yaml.dump(raw, Dumper=dumper, sort_keys=False)])
+    _atomic_write(out_path, [yaml.dump(cfg.raw, Dumper=dumper, sort_keys=False)])
 
 
 def _emits_alike(node, seen: set) -> bool:
@@ -674,8 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="optimize pump parameters toward an objective")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="path for the tuned config (default: <config>.tuned)")
-    p.add_argument("--objective", required=True,
-                   choices=("circulator-cw", "circulator-ccw", "diramp"))
+    p.add_argument("--objective", required=True, choices=[k.value for k in tuner.ObjectiveKind])
     p.add_argument("--target-gain-db", type=float, help="diramp objective only (default: 0 dB)")
     p.add_argument("--budget", type=int, default=1, help="ignored; a tune scores one point")
     p.set_defaults(func=cmd_tune)

@@ -168,10 +168,11 @@ def added_noise(sweep: SweepResult, signal_port: str, output_port: str) -> float
 
 def symplectic_defect(sweep: SweepResult) -> float:
     """Largest |element| of S Sigma S^dag - Sigma over every point of the
-    sweep, in one stacked evaluation; zero for a lossless device."""
-    sigma = np.diag(sweep.device.detuning_signs).astype(complex)
+    sweep, in one stacked evaluation; zero for a lossless device.  S Sigma is
+    S with each column scaled by its sign."""
+    signs = np.array(sweep.device.detuning_signs, dtype=float)
     s = sweep.entries
-    return float(np.max(np.abs(s @ sigma @ np.swapaxes(s.conj(), -1, -2) - sigma)))
+    return float(np.max(np.abs((s * signs) @ np.swapaxes(s.conj(), -1, -2) - np.diag(signs))))
 
 
 def role_map(device: ValidatedDevice, phi_tot: float) -> PortRoles:

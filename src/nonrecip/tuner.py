@@ -55,10 +55,10 @@ CIRCULATOR_TARGET_DB = -60.0
 PHASE_BATCH_MATRICES = 8192
 
 
-class ObjectiveKind(enum.Enum):
-    CIRCULATOR_CW = "circulator_cw"
-    CIRCULATOR_CCW = "circulator_ccw"
-    DIRECTIONAL_AMP = "directional_amp"
+class ObjectiveKind(enum.Enum):  # each value is the objective's name on tune --objective
+    CIRCULATOR_CW = "circulator-cw"
+    CIRCULATOR_CCW = "circulator-ccw"
+    DIRECTIONAL_AMP = "diramp"
 
 
 @dataclass(frozen=True)

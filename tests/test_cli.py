@@ -1137,6 +1137,31 @@ class TestTuneCmd:
         drift = nr.total_pump_phase(tuned) - nr.total_pump_phase(result.device)
         assert abs(math.remainder(drift, 2 * math.pi)) <= 1e-12
 
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "without-libyaml"])
+    def test_mixed_couplings_tuned_bytes_pinned(self, libyaml, tmp_path, monkeypatch):
+        # couplings out of pair order, one pair reversed, one strength key of each kind;
+        # the control coupling (a, b) comes last, after the phases it makes up for
+        if not libyaml:
+            monkeypatch.setattr(yaml, "__with_libyaml__", False)
+            monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+        cfg_path, out = tmp_path / "start.cfg", tmp_path / "tuned.cfg"
+        cfg_path.write_text(
+            "device:\n"
+            "  modes:\n"
+            "    - {name: a, freq_ghz: 9.167, kappa_mhz: 44.0}\n"
+            "    - {name: b, freq_ghz: 5.241, kappa_mhz: 19.0}\n"
+            "    - {name: c, freq_ghz: 7.174, kappa_mhz: 50.0}\n"
+            "  couplings:\n"
+            "    - {pair: [c, b], kind: gain, rho: 0.6, phase_deg: 35.0}\n"
+            "    - {pair: [a, c], kind: gain, target_g_db: 13.0, phase_deg: -20.0}\n"
+            "    - {pair: [a, b], kind: conversion, target_c: 0.998, phase_deg: 250.0}\n")
+        assert run("tune", "--config", cfg_path, "--objective", "diramp",
+                   "--target-gain-db", 14, "--out", out) == 0
+        entries = yaml.safe_load(out.read_text())["device"]["couplings"]
+        assert [e["phase_deg"] for e in entries] == [35.0, -20.0, 215.0]
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "f908c3ae0d56aecd085af36ebbffbbcb38650ec8ba7c8bc4132048471e3c151f")
+
     def test_tuned_file_keeps_a_date_and_an_integer_key(self, circ_cfg, tmp_path):
         cfg_path = tmp_path / "start.cfg"
         cfg_path.write_text(circ_cfg.read_text() + "measured: 2015-11-04\n7: seven\n")
@@ -1278,6 +1303,12 @@ class TestParser:
         for _ in range(2):
             assert run("sparams", "--config", circ_cfg, "--out", tmp_path / "x.csv") == 0
         assert built == []
+
+    def test_objective_choices_are_the_objective_kinds(self):
+        (tune,) = (a.choices["tune"] for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        (objective,) = (a for a in tune._actions if a.dest == "objective")
+        assert objective.choices == [k.value for k in tuner.ObjectiveKind]
 
 
 # the bundled configs at 5 detuning points, the values a mutation sets and the paths it sets
@@ -1457,6 +1488,27 @@ class TestErrorExits:
         assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error: ")
         if code:
             assert os.listdir(directory) == ["run.cfg"]
+
+    @pytest.mark.parametrize("value", [None, [1, 2], {"k": "v"}, 7],
+                             ids=["null", "list", "mapping", "integer"])
+    @pytest.mark.parametrize("path, key", [
+        (("device", "modes", 0, "name"), "mode: name"),
+        (("outputs", "path"), "outputs.path"),
+        (("outputs", "format"), "outputs.format"),
+    ], ids=["mode-name", "outputs-path", "outputs-format"])
+    def test_string_value_not_a_string(self, path, key, value, circ_cfg, tmp_path, capsys,
+                                       monkeypatch):
+        # a mode name (a numeric one too) and the output path and format are YAML strings;
+        # with no --out, sparams would otherwise write a table named after the value
+        directory = tmp_path / "run"
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        raw = yaml.safe_load(circ_cfg.read_text())
+        (directory / "bad.cfg").write_text(yaml.safe_dump(mutated(raw, [(path, value)])))
+        assert run("sparams", "--config", "bad.cfg") == 1
+        assert (capsys.readouterr().err
+                == f"error: ConfigError: {key} must be a string, got {value!r}\n")
+        assert os.listdir(directory) == ["bad.cfg"]
 
     @pytest.mark.parametrize("text", ["- device\n", "5\n", ""], ids=["list", "number", "empty"])
     def test_config_not_a_mapping(self, text, tmp_path, capsys):
