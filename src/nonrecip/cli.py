@@ -41,7 +41,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Sequence
@@ -163,7 +162,10 @@ def _coupling_from_entry(entry) -> PumpedCoupling:
     pair = tuple(_list(_require(entry, "pair", "coupling"), "coupling pair"))
     if not all(isinstance(name, str) for name in pair):
         raise ConfigError(f"coupling pair must hold mode names, got {list(pair)!r}")
-    kind = ProcessKind(str(_require(entry, "kind", f"coupling {pair}")).lower())
+    kind = _string(_require(entry, "kind", f"coupling {pair}"), f"coupling {pair}: kind")
+    if kind.lower() not in (kinds := [k.value for k in ProcessKind]):
+        raise ConfigError(f"coupling {pair}: kind must be {' or '.join(kinds)}, got {kind!r}")
+    kind = ProcessKind(kind.lower())
     present = [k for k in STRENGTH_KEYS if k in entry]
     if len(present) != 1:
         raise ConfigError(
@@ -387,12 +389,14 @@ def read_table(path: str) -> SweepTable:
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write the string ``chunks`` to ``path`` through a temporary file in the
-    same directory, then rename it."""
+    same directory, then rename it.  The file gets the mode ``open(path, "w")``
+    gives a new file, 0o666 less the umask, whether or not ``path`` existed."""
     if not path:  # else the temporary file would go to the working directory's parent
         raise ConfigError("empty output path")
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp_{os.urandom(6).hex()}{name}")
+    try:  # 0o666, not mkstemp's 0o600, so that the umask sets the mode
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # name the requested file, not the temporary one
         raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:

@@ -136,17 +136,19 @@ def _dynamics_batch(device: ValidatedDevice, rhos=None, phases=None) -> np.ndarr
     """Zero-detuning dynamics matrices A = M(0), shape P + (3, 3): ``rhos`` and ``phases``
     (one per coupling, else the device's own), scalars, 1-D or 2-D, broadcast to P ((1,) for
     scalars); g = sqrt(rho kappa_i kappa_j)/2 enters at A[r, k] = a g / exp(i phase) and
-    A[k, r] = b g exp(i phase).  Raises DomainError on a ``rhos`` of the wrong length, or on a
-    rho that is not finite, or outside [0, 1) on a gain and [0, inf) on a conversion."""
+    A[k, r] = b g exp(i phase).  Only passed ``rhos`` are checked: DomainError on the wrong
+    length, or on a rho not finite, or outside [0, 1) on a gain and [0, inf) on a conversion."""
     couplings, kappas, sig = device.couplings, device.kappas, device.detuning_signs
-    rhos = [c.rho for c in couplings] if rhos is None else rhos
     phases = [c.phase for c in couplings] if phases is None else phases
-    if len(rhos) != len(couplings):
+    if rhos is None:
+        rhos = [c.rho for c in couplings]
+    elif len(rhos) != len(couplings):
         raise DomainError(f"rhos needs {len(couplings)} values, got {len(rhos)}")
-    rhos = [_finite(rho, "rhos", 2) for rho in rhos]
-    if any(((rho < 0) | ((c.kind is ProcessKind.GAIN) & (rho >= 1))).any()
-           for c, rho in zip(couplings, rhos)):
-        raise DomainError("rhos must be >= 0, and < 1 on a gain coupling")
+    else:
+        rhos = [_finite(rho, "rhos", 2) for rho in rhos]
+        if any(((rho < 0) | ((c.kind is ProcessKind.GAIN) & (rho >= 1))).any()
+               for c, rho in zip(couplings, rhos)):
+            raise DomainError("rhos must be >= 0, and < 1 on a gain coupling")
     m = np.zeros((np.broadcast(*phases, *rhos).shape or (1,)) + (3, 3), dtype=complex)
     m[..., _DIAG, _DIAG] = np.asarray(kappas) / 2.0
     for c, rho, phase in zip(couplings, rhos, phases):

@@ -223,10 +223,10 @@ def split_total_phase(device: ValidatedDevice, phi_tot):
 
 
 def with_total_phase(device: ValidatedDevice, value: float) -> ValidatedDevice:
-    """Device whose total pump phase is ``value``, split by ``split_total_phase``."""
-    phases = split_total_phase(device, value)
-    couplings = (replace(c, phase=p) for c, p in zip(device.couplings, phases))
-    return validate_device(device.modes, couplings)
+    """Device whose total pump phase is ``value``, split by ``split_total_phase``; like
+    ``with_coupling``, it keeps the validated modes, pairs, kinds and conjugation."""
+    split = zip(device.couplings, split_total_phase(device, value))
+    return replace(device, couplings=tuple(replace(c, phase=p) for c, p in split))
 
 
 def with_coupling(
@@ -235,11 +235,11 @@ def with_coupling(
     rho: Optional[float] = None,
     phase: Optional[float] = None,
 ) -> ValidatedDevice:
-    """Copy of the device with one coupling's rho and/or phase replaced."""
+    """The device with one coupling's rho and/or phase replaced; only that coupling is checked."""
     key = tuple(sorted(pair))
     if device.coupling_for(key) is None:
         raise DeviceValidationError(f"device has no coupling on pair {key!r}")
-    return validate_device(device.modes, (
+    return replace(device, couplings=tuple(
         replace(c, rho=c.rho if rho is None else rho,
                 phase=c.phase if phase is None else wrap_phase(phase)) if c.pair == key else c
         for c in device.couplings))
@@ -269,13 +269,13 @@ def validate_device(
     """Check every structural invariant and return an immutable device:
     exactly three modes, up to three couplings.
 
-    Rejects duplicate pairs, non-member pairs, gain couplings at rho >= 1
-    (enforced by PumpedCoupling itself) and coupling graphs with no
-    consistent conjugation 2-coloring.  An odd number of gains on the mode
-    triangle has none, so a device with three couplings is a circulator
-    (three conversions) or a directional amp (one conversion, two gains).
-    Idempotent: re-validating a ValidatedDevice's modes and couplings yields
-    an equivalent device.
+    Rejects duplicate pairs, non-member pairs, gain couplings at rho >= 1 (enforced by
+    PumpedCoupling itself) and coupling graphs with no consistent conjugation 2-coloring.
+    An odd number of gains on the mode triangle has none, so a device with three couplings
+    is a circulator (three conversions) or a directional amp (one conversion, two gains).
+    Idempotent, and run once, when a device is described: a rho or phase change
+    (``with_coupling``, ``with_total_phase``, a tune's working point) keeps the modes,
+    pairs, kinds and conjugation, and each new PumpedCoupling checks its own rho and phase.
     """
     modes, couplings = tuple(modes), tuple(couplings)
     if len(modes) != 3:

@@ -10,8 +10,8 @@ topology alone.
 The calibration and the conversion sweep solve from parameter arrays (rho per
 coupling, phi_tot) with ``cmt.solve_batch``, the phase map with its two stages
 apart (``phase_rows``), and take magnitudes with ``np.abs``; no device is built
-or validated per point, only the one ``tune`` returns.  There, as in the
-kernel, phi_tot is put on the couplings by ``model.split_total_phase``.
+per point, only the one ``tune`` returns, and none is validated again.  There,
+as in the kernel, phi_tot is put on the couplings by ``model.split_total_phase``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .model import (
     directional_amp_parts,
     split_total_phase,
     total_pump_phase,
-    validate_device,
     wrap_signed,
 )
 
@@ -282,10 +281,9 @@ def _working_point(template: ValidatedDevice, objective: Objective) -> Validated
     else:
         rho_gain, up = None, objective.kind is ObjectiveKind.CIRCULATOR_CW
     phi = math.pi / 2 if up else -math.pi / 2
-    couplings = (
+    return replace(template, couplings=tuple(
         replace(c, rho=rho_gain if c.kind is ProcessKind.GAIN else 1.0, phase=phase)
-        for c, phase in zip(template.couplings, split_total_phase(template, phi)))
-    return validate_device(template.modes, couplings)
+        for c, phase in zip(template.couplings, split_total_phase(template, phi))))
 
 
 def tune(template: ValidatedDevice, objective: Objective) -> TuneResult:

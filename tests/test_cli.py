@@ -8,6 +8,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -893,6 +894,24 @@ class TestWriterBytes:
         assert run(command, "--config", cfg, "--out", out, *extra) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITER_DIGESTS[name]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    @pytest.mark.parametrize("argv", [["sparams"], ["tune", "--objective", "circulator-cw"]],
+                             ids=["table", "tuned-config"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "overwritten"])
+    def test_written_file_mode_is_the_umask_default(self, umask, argv, existing, circ_cfg,
+                                                    tmp_path):
+        # the mode open(path, "w") gives a new file, 0o666 less the umask, over an old one too
+        out = tmp_path / "out"
+        if existing:
+            out.write_text("earlier\n")
+            out.chmod(0o600 if umask == 0o022 else 0o644)
+        previous = os.umask(umask)
+        try:
+            assert run(*argv, "--config", circ_cfg, "--out", out) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
     def test_benchmark_digests_match(self):
         # bench/digests.json pins the sparams tables and the default phase map the benchmark
         # checks: workload sweep-io is sparams, phase-map is phase-sweep
@@ -1444,13 +1463,18 @@ class TestErrorExits:
         ("diramp", ("device", "couplings", 0, "pair"), ["a", ["b"]]),
         ("diramp", ("device", "modes", 0, "kappa_mhz"), 10 ** 400),
         ("diramp", ("device", "couplings", 1, "target_g_db"), 1e308),
+        ("diramp", ("device", "couplings", 0, "kind"), ["gain"]),
+        ("diramp", ("device", "couplings", 0, "kind"), None),
+        ("diramp", ("device", "couplings", 0, "kind"), 7),
+        ("diramp", ("device", "couplings", 0, "kind"), "amplify"),
     ], ids=["device", "modes", "mode-entry", "couplings", "coupling-entry", "pair", "sweep",
             "outputs", "declared-pumps", "delta-span-bool", "freq-bool", "kappa-list",
             "freq-null", "target-c-bool", "phase-mapping", "rho-bool", "tolerance-bool",
             "tolerance-negative", "tolerance-nan", "declared-pump-list", "declared-pump-nan",
             "declared-pump-unknown-mode", "target-g-bool", "format-xml", "mode-without-name",
             "target-g-on-conversion", "target-c-on-gain", "pair-null", "pair-int", "pair-list",
-            "kappa-beyond-float", "target-g-beyond-float"])
+            "kappa-beyond-float", "target-g-beyond-float", "kind-list", "kind-null",
+            "kind-int", "kind-unknown"])
     def test_config_shape(self, config, path, value, circ_cfg, diramp_cfg, tmp_path, capsys):
         raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
         *parents, key = path
@@ -1510,6 +1534,20 @@ class TestErrorExits:
                 == f"error: ConfigError: {key} must be a string, got {value!r}\n")
         assert os.listdir(directory) == ["bad.cfg"]
 
+    @pytest.mark.parametrize("kind, code, err", [
+        ("CONVERSION", 0, ""),
+        ("amplify", 1, "error: ConfigError: coupling ('a', 'b'): kind must be gain or "
+                       "conversion, got 'amplify'\n"),
+    ], ids=["upper-case", "unknown"])
+    def test_coupling_kind(self, kind, code, err, diramp_cfg, tmp_path, capsys):
+        # any letter case names a kind; an unknown one names its coupling and the two kinds
+        raw = yaml.safe_load(diramp_cfg.read_text())
+        cfg, out = tmp_path / "kind.cfg", tmp_path / "x.csv"
+        cfg.write_text(yaml.safe_dump(mutated(raw, [(("device", "couplings", 0, "kind"), kind)])))
+        assert run("sparams", "--config", cfg, "--out", out) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code == 0)
+
     @pytest.mark.parametrize("text", ["- device\n", "5\n", ""], ids=["list", "number", "empty"])
     def test_config_not_a_mapping(self, text, tmp_path, capsys):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
@@ -1536,7 +1574,7 @@ class TestErrorExits:
         assert target.read_bytes() == b"earlier,bytes\n"
 
     @pytest.mark.parametrize("section, key, value, error", [
-        ("couplings", "kind", "convert", "ValueError"),
+        ("couplings", "kind", "convert", "ConfigError"),
         ("modes", "kappa_mhz", "abc", "ValueError"),
         ("couplings", "phase_deg", math.nan, "DeviceValidationError"),
         ("couplings", "phase_deg", math.inf, "DeviceValidationError"),

@@ -9,7 +9,9 @@ import nonrecip as nr
 from nonrecip import cli, cmt, metrics, tuner
 from nonrecip.errors import (
     AmbiguousMinimumError,
+    DeviceValidationError,
     DomainError,
+    GainAboveThresholdError,
     SingularMatrixError,
     TopologyError,
 )
@@ -314,6 +316,26 @@ class TestWorkingPoint:
         assert nr.total_pump_phase(result.device) == (math.pi / 2 if up else -math.pi / 2)
         poles = np.linalg.eigvals(cmt.build_dynamics_matrix(result.device, 0.0))
         assert poles.real.min() > 0.0
+
+    @settings(max_examples=100)
+    @given(problem=tuning_problems(), phi=st.floats(-7.0, 7.0), pick=st.integers(0, 2),
+           rho=st.floats(0.0, 0.99), phase=st.floats(-7.0, 7.0), over=st.floats(1.0, 1e6))
+    def test_parameter_changes_keep_the_validated_device(self, problem, phi, pick, rho, phase,
+                                                         over):
+        # the working point and both helpers keep the template's modes, kinds and conjugation
+        template, objective = problem
+        pair = template.couplings[pick].pair
+        for device in (tuner.tune(template, objective).device,
+                       nr.with_total_phase(template, phi),
+                       nr.with_coupling(template, pair, rho=rho, phase=phase)):
+            assert device == nr.validate_device(device.modes, device.couplings)
+        # each new coupling still checks itself
+        for c in template.couplings:
+            if c.kind is nr.ProcessKind.GAIN:
+                with pytest.raises(GainAboveThresholdError):
+                    nr.with_coupling(template, c.pair, rho=over)
+        with pytest.raises(DeviceValidationError):
+            nr.with_coupling(template, pair, phase=math.nan)
 
     def test_topologies_cover_conjugated_frames(self):
         # the gain-coupled idler is conjugated; a conversion on (b, c) links two
