@@ -4,11 +4,10 @@ comparison against reference data.
 Config files are nested key/value YAML with interface units matching how the
 numbers are usually quoted: frequencies in GHz, kappas and spans in MHz,
 angles in degrees.  Everything is converted to Hz/radians internally.  libyaml
-parses them where PyYAML has it: the same values as PyYAML's own parser, but
-tabs between tokens load and syntax errors are worded differently.  Tuned configs
-are written by libyaml's emitter where the document is in the class both emitters
-write alike (``_emits_alike``) and by PyYAML's otherwise, so their bytes never
-depend on libyaml.
+parses them and writes tuned configs where PyYAML has it.  Its parser builds the
+same values as PyYAML's own, but tabs between tokens load and syntax errors are
+worded differently; its emitter may write an empty key, a long key or a long
+escaped string in other bytes, which load back to the same values.
 
 Tables (CSV or JSON) lead with their axis columns: ``delta_hz`` (``sparams``),
 ``phi_rad, delta_hz`` in phi-major order (``phase-sweep``), ``c``
@@ -111,7 +110,7 @@ class RunConfig:
     pump_detuning_tolerance: float  # Hz; inf never warns
     delta_grid: np.ndarray  # Hz, symmetric about 0; [0.0] for one point
     out_format: str
-    out_path: str
+    out_path: Optional[str]  # outputs.path; None: sparams writes "sweep.<format>"
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -216,7 +215,7 @@ def parse_config(raw: dict) -> RunConfig:
     out_format = _string(outputs.get("format", "csv"), "outputs.format").lower()
     if out_format not in ("csv", "json"):
         raise ConfigError(f"outputs.format must be csv or json, got {out_format!r}")
-    out_path = _string(outputs.get("path", "sweep." + out_format), "outputs.path")
+    out_path = _string(outputs["path"], "outputs.path") if "path" in outputs else None
 
     declared = raw.get("declared_pumps_ghz")
     pumps = None if declared is None else {
@@ -468,8 +467,9 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult, s0: cmt.SweepResult)
 
 def cmd_sparams(args) -> int:
     cfg = load_config(args.config)
-    out_path = cfg.out_path if args.out is None else args.out
     fmt = args.format or cfg.out_format
+    out_path = cfg.out_path if args.out is None else args.out
+    out_path = "sweep." + fmt if out_path is None else out_path
     result = cmt.sweep(cfg.device, cfg.delta_grid)
     s0 = cmt.scattering_at(cfg.device, 0.0)  # the grid may not hold delta = 0
     write_table(sweep_table(result), out_path, fmt)
@@ -552,26 +552,9 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, phi_tot: float,
             other_sum += signs[pair] * math.radians(float(entry.get("phase_deg", 0.0)))
     phase = signs[control] * (phi_tot - other_sum)
     entries[control]["phase_deg"] = float(math.degrees(wrap_phase(phase)))
-    # libyaml's emitter where PyYAML has it and both emitters write this document alike
-    dumper = (yaml.CSafeDumper if yaml.__with_libyaml__ and _emits_alike(cfg.raw, set())
-              else yaml.SafeDumper)
+    # libyaml's emitter where PyYAML has it, as _YAML_LOADER's parser
+    dumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
     _atomic_write(out_path, [yaml.dump(cfg.raw, Dumper=dumper, sort_keys=False)])
-
-
-def _emits_alike(node, seen: set) -> bool:
-    """Whether both YAML emitters write ``node`` alike: dicts and lists, each met once, of
-    None, bools, ints, floats and strings of 1-99 printable ASCII characters.  Outside it,
-    PyYAML writes an empty key or one of 123+ characters as ``? key`` (libyaml does not)
-    and libyaml folds a long escaped string at other places."""
-    if isinstance(node, str):
-        return 0 < len(node) < 100 and node.isascii() and node.isprintable()
-    if node is None or isinstance(node, (bool, int, float)):
-        return True
-    if type(node) not in (dict, list) or id(node) in seen:  # an alias, or a recursive document
-        return False
-    seen.add(id(node))
-    items = itertools.chain.from_iterable(node.items()) if type(node) is dict else node
-    return all(_emits_alike(item, seen) for item in items)
 
 
 def cmd_compare(args) -> int:

@@ -46,9 +46,10 @@ def _canonical_pair(pair: Iterable[str]) -> tuple[str, str]:
     return tuple(sorted(names))  # type: ignore[return-value]
 
 
-def wrap_phase(phi: float) -> float:
-    """Wrap an angle to [0, 2pi)."""
-    return float(phi) % TWO_PI
+def wrap_phase(phi):
+    """Wrap an angle (a float or an array) to [0, 2pi); the second fold sends the
+    2pi that the first gives just below zero to 0."""
+    return phi % TWO_PI % TWO_PI
 
 
 def wrap_signed(phi: float) -> float:
@@ -92,7 +93,7 @@ class PumpedCoupling:
         object.__setattr__(self, "pair", _canonical_pair(self.pair))
         object.__setattr__(self, "kind", ProcessKind(self.kind))
         object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "phase", wrap_phase(self.phase))
+        object.__setattr__(self, "phase", wrap_phase(float(self.phase)))
         if not math.isfinite(self.rho) or self.rho < 0:
             raise DeviceValidationError(f"coupling {self.pair}: rho must be finite and >= 0")
         if not math.isfinite(self.phase):  # wrap_phase turns +-inf into nan
@@ -214,11 +215,10 @@ def total_pump_phase(device: ValidatedDevice) -> float:
 def split_total_phase(device: ValidatedDevice, phi_tot):
     """Per-coupling phases, in coupling order, that give total pump phase
     ``phi_tot`` (a float or an array): phi_tot on the first pair with that
-    pair's sign in ``phase_signs``, wrapped to [0, 2pi) twice (just below
-    zero the first wrap rounds to 2pi), and 0.0 on the other pairs.  The one
-    place phi_tot is put on the couplings; gauge freedom makes this split
-    representative of every split with the same signed sum."""
-    first = phase_signs(device)[device.couplings[0].pair] * phi_tot % TWO_PI % TWO_PI
+    pair's sign in ``phase_signs``, wrapped by ``wrap_phase``, and 0.0 on the
+    other pairs.  The one place phi_tot is put on the couplings; gauge freedom
+    makes this split representative of every split with the same signed sum."""
+    first = wrap_phase(phase_signs(device)[device.couplings[0].pair] * phi_tot)
     return [first] + [0.0] * (len(device.couplings) - 1)
 
 
@@ -241,7 +241,7 @@ def with_coupling(
         raise DeviceValidationError(f"device has no coupling on pair {key!r}")
     return replace(device, couplings=tuple(
         replace(c, rho=c.rho if rho is None else rho,
-                phase=c.phase if phase is None else wrap_phase(phase)) if c.pair == key else c
+                phase=c.phase if phase is None else phase) if c.pair == key else c
         for c in device.couplings))
 
 

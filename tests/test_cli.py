@@ -45,6 +45,11 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+# the emitter that writes tuned configs and the loaders a written config must load under
+PLATFORM_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+SAFE_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
 def node_paths(node, path=()):
     """The path (mapping keys and list indices) to every value below ``node``."""
     items = (node.items() if isinstance(node, dict)
@@ -446,6 +451,21 @@ class TestSparams:
         doc = json.loads(out.read_text())
         assert doc["columns"][0] == "delta_hz"
         assert len(doc["rows"]) == 1001
+
+    @pytest.mark.parametrize("config_format, option, written", [
+        ("csv", "json", "json"), ("json", "csv", "csv"), ("json", None, "json")])
+    def test_default_file_is_named_by_the_written_format(self, config_format, option, written,
+                                                         circ_cfg, tmp_path, monkeypatch):
+        raw = yaml.safe_load(circ_cfg.read_text())
+        raw["outputs"] = {"format": config_format}  # no outputs.path
+        cfg_path = tmp_path / "start.cfg"
+        cfg_path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        monkeypatch.chdir(tmp_path)
+        argv = ["sparams", "--config", cfg_path] + (["--format", option] if option else [])
+        assert run(*argv) == 0
+        assert sorted(os.listdir(tmp_path)) == ["circulator.cfg", "start.cfg", "sweep." + written]
+        assert (tmp_path / ("sweep." + written)).read_text().startswith(
+            "{" if written == "json" else "delta_hz,")
 
 
 class TestRoundTrip:
@@ -1181,6 +1201,18 @@ class TestTuneCmd:
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == "f908c3ae0d56aecd085af36ebbffbbcb38650ec8ba7c8bc4132048471e3c151f")
 
+    def test_tuned_phase_just_below_a_turn_is_written_as_zero(self, circ_cfg, tmp_path):
+        # the (a, b) phase that makes up phi_tot is -1e-16 rad, which one % 2pi rounds to 2pi
+        raw = yaml.safe_load(circ_cfg.read_text())
+        raw["device"]["couplings"][1]["phase_deg"] = 89.99999999999999
+        cfg_path, out = tmp_path / "start.cfg", tmp_path / "tuned.cfg"
+        cfg_path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        assert run("tune", "--config", cfg_path, "--objective", "circulator-cw",
+                   "--out", out) == 0
+        entries = yaml.safe_load(out.read_text())["device"]["couplings"]
+        assert entries[0]["pair"] == ["a", "b"] and entries[0]["phase_deg"] == 0.0
+        assert all(0.0 <= e["phase_deg"] < 360.0 for e in entries)
+
     def test_tuned_file_keeps_a_date_and_an_integer_key(self, circ_cfg, tmp_path):
         cfg_path = tmp_path / "start.cfg"
         cfg_path.write_text(circ_cfg.read_text() + "measured: 2015-11-04\n7: seven\n")
@@ -1191,9 +1223,9 @@ class TestTuneCmd:
         assert raw["measured"] == date(2015, 11, 4) and raw[7] == "seven"
         assert "7" not in raw
 
-    def test_tuned_file_is_the_pure_python_emitters_text(self, diramp_cfg, tmp_path):
-        # libyaml's emitter folds a long double-quoted string holding escapes
-        # at other places; cli._emits_alike sends this note to PyYAML's emitter
+    def test_tuned_file_is_the_platform_emitters_text(self, diramp_cfg, tmp_path):
+        # the two emitters fold a long double-quoted string holding escapes at
+        # different places; either way the note loads back as it was
         note = "Ωmega ünïcødé \a bell " * 12
         raw = yaml.safe_load(diramp_cfg.read_text())
         raw["note"] = note
@@ -1202,9 +1234,9 @@ class TestTuneCmd:
         assert run("tune", "--config", cfg_path, "--objective", "diramp",
                    "--target-gain-db", 14, "--out", out) == 0
         text = out.read_text(encoding="utf-8")
-        tuned = yaml.safe_load(text)
-        assert tuned["note"] == note and '\\a bell\\\n' in text
-        assert text == yaml.safe_dump(tuned, sort_keys=False)
+        assert text == yaml.dump(yaml.safe_load(text), Dumper=PLATFORM_DUMPER, sort_keys=False)
+        for loader in SAFE_LOADERS:
+            assert yaml.load(text, Loader=loader)["note"] == note
 
     @settings(max_examples=40)
     @given(text=config_documents() | ascii_config_texts())
@@ -1216,22 +1248,19 @@ class TestTuneCmd:
         cfg_path = tmp_path_factory.getbasetemp() / "start.cfg"
         out = cfg_path.with_suffix(".tuned")
         cfg_path.write_text(text, encoding="utf-8")
-        start = cli.load_config(str(cfg_path)).raw
-        if yaml.__with_libyaml__ and cli._emits_alike(start, set()):
-            assert (yaml.dump(start, Dumper=yaml.CSafeDumper, sort_keys=False)
-                    == yaml.safe_dump(start, sort_keys=False))
         assert run("tune", "--config", cfg_path, "--objective", "circulator-cw",
                    "--out", out) == 0
         tuned = out.read_text(encoding="utf-8")
-        assert tuned == yaml.safe_dump(cli.load_config(str(out)).raw, sort_keys=False)
+        raw = cli.load_config(str(out)).raw
+        assert tuned == yaml.dump(raw, Dumper=PLATFORM_DUMPER, sort_keys=False)
+        for loader in SAFE_LOADERS:  # repr: a nan value is not equal to itself
+            assert repr(yaml.load(tuned, Loader=loader)) == repr(raw)
 
     def test_aliased_and_recursive_config_keeps_its_anchors(self, circ_cfg, tmp_path):
-        # PyYAML's emitter writes the anchors; without its seen-set _emits_alike would
-        # recurse without end on the recursive list
+        # both emitters write the anchors, also the recursive list's, with these bytes
         cfg_path, out = tmp_path / "start.cfg", tmp_path / "tuned.cfg"
         cfg_path.write_text(circ_cfg.read_text()
                             + "extra: &x [1, *x]\nshared: &s {k: 1}\nshared2: *s\n")
-        assert not cli._emits_alike(cli.load_config(str(cfg_path)).raw, set())
         assert run("tune", "--config", cfg_path, "--objective", "circulator-cw",
                    "--out", out) == 0
         text = out.read_text()

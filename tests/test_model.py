@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nonrecip as nr
 from nonrecip.errors import (
@@ -16,6 +18,7 @@ from nonrecip.model import (
     conversion_head,
     directional_amp_parts,
     phase_signs,
+    split_total_phase,
     total_pump_phase,
     with_coupling,
     with_total_phase,
@@ -249,6 +252,42 @@ class TestTotalPumpPhase:
             tot = total_pump_phase(dev)
             assert -math.pi < tot <= math.pi
             assert math.isclose(tot, wrapped)
+
+
+def nudged(x: float, steps: int) -> float:
+    """``x`` moved by ``steps`` ulps."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# floats at and next to whole turns k 2pi, where a single % 2pi can round to 2pi
+NEAR_TURNS = st.one_of(
+    st.builds(lambda k, steps: nudged(k * 2 * math.pi, steps),
+              st.integers(-3, 3), st.integers(-3, 3)),
+    st.floats(-1e-12, 1e-12),
+)
+
+
+class TestPhaseWrap:
+    @settings(max_examples=60)
+    @given(phi=NEAR_TURNS)
+    @example(phi=-1e-17)
+    @example(phi=-1e-15)
+    @example(phi=-2 * math.pi * (1 + 1e-16))
+    @example(phi=2 * math.pi)
+    @example(phi=4 * math.pi - 1e-15)
+    def test_every_stored_phase_is_below_two_pi(self, phi):
+        def in_range(phases):
+            return all(0.0 <= p < 2 * math.pi for p in np.ravel(phases).tolist())
+
+        assert in_range(nr.PumpedCoupling(("a", "b"), "conversion", 0.5, phi).phase)
+        for device in (make_circulator(), make_diramp()):
+            assert in_range(split_total_phase(device, phi)[0])
+            assert in_range(split_total_phase(device, np.array([phi, -phi]))[0])
+            assert in_range([c.phase for c in with_total_phase(device, phi).couplings])
+            assert in_range(with_coupling(device, ("a", "b"), phase=phi)
+                            .coupling_for(("a", "b")).phase)
 
 
 class TestWithCoupling:
