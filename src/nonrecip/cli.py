@@ -17,7 +17,7 @@ written in fixed blocks, so a writer's memory does not grow with the file;
 ``phase-sweep`` is written one phi row at a time, as ``tuner.phase_rows``
 solves it, from one row template in which every delta cell is formatted once.
 Its memory is one batch of solved rows (``tuner.PHASE_BATCH_MATRICES``
-matrices, the written input columns alone) plus the text of the rows repeated
+matrices, the written (out, in) entries alone) plus the text of the rows repeated
 later: a tracemalloc peak under 8 MB for the default bundled map, solve and
 write together.  ``compare`` splits both tables into runs (a
 run ends where an axis but the last changes or the last stops increasing),

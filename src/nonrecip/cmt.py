@@ -5,10 +5,11 @@ The frequency-domain dynamics matrix M(delta) acts on channel envelopes
 from input-output theory as S = K M^{-1} K - I with K = diag(sqrt(kappa)).
 Everything is expressed in ordinary frequencies (Hz), so the mode
 susceptibility is (kappa/2 - i*delta)^{-1}.  A solve checks M(0) for singular
-points (``_checked``), then solves it (``_solve``); ``solve_batch`` runs both.
-The kernel takes one phase per coupling; a total pump phase phi_tot is put on
-the couplings by ``model.split_total_phase``.  Singular points come from the
-poles lambda_p of M(0): det M(delta) = prod_p (lambda_p - i delta).
+points (``_checked``), then gives S at the (out, in) entries its caller names
+(``_solve``); ``solve_batch`` runs both, for all nine entries.  The kernel
+takes one phase per coupling; a total pump phase phi_tot is put on the
+couplings by ``model.split_total_phase``.  Singular points come from the poles
+lambda_p of M(0): det M(delta) = prod_p (lambda_p - i delta).
 
 Closed forms provided as independent oracles:
   sqrt(G) = (1+rho)/(1-rho)          zero-detuning gain of one pumped pair
@@ -119,6 +120,7 @@ class SweepResult:
 
 _DIAG = np.arange(3)
 _EYE = np.eye(3, dtype=complex)
+_ALL_ENTRIES = [(o, i) for o in range(3) for i in range(3)]  # row-major
 
 
 def _finite(values, name: str, ndim: int = 1) -> np.ndarray:
@@ -201,24 +203,26 @@ def _checked(device: ValidatedDevice, deltas, rhos=None,
     return a, deltas
 
 
-def _solve(device: ValidatedDevice, a: np.ndarray, deltas: np.ndarray, columns) -> np.ndarray:
-    """The solve stage: input ``columns`` j of S[..., i, j] = K M^{-1} K - I, shape B + (3, k),
-    M = A - i*delta on ``_checked``'s (A, deltas), by LAPACK zgesv against identity columns."""
-    columns = np.array(columns, dtype=np.intp)
+def _solve(device: ValidatedDevice, a: np.ndarray, deltas: np.ndarray, entries) -> np.ndarray:
+    """The solve stage: S = K M^{-1} K - I at the (out, in) ``entries``, shape B + (len(entries),),
+    M = A - i*delta on ``_checked``'s (A, deltas), by zgesv on the inputs' identity columns."""
+    outs, ins = np.array(entries, dtype=np.intp).reshape(-1, 2).T
+    columns, at = np.unique(ins, return_inverse=True)
     m = np.broadcast_to(a, deltas.shape + (3, 3)).copy()
     m[..., _DIAG, _DIAG] -= 1j * deltas[..., None]
     root_k = np.sqrt(np.asarray(device.kappas))
-    # (sqrt(kappa_i) x_ij) sqrt(kappa_j): the rounding order the written bytes depend on
-    s = root_k[:, None] * np.linalg.solve(m, _EYE.take(columns, axis=1)) * root_k[columns]
-    s[..., columns, _DIAG[:len(columns)]] -= 1.0
+    # (sqrt(kappa_o) x_oi) sqrt(kappa_i): the rounding order the written bytes depend on
+    s = root_k[outs] * np.linalg.solve(m, _EYE[:, columns])[..., outs, at] * root_k[ins]
+    s[..., outs == ins] -= 1.0
     return s
 
 
 def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None) -> np.ndarray:
-    """S over a batch of points, shape B + (3, 3): ``_checked``, then ``_solve`` for all three
-    columns.  Bit for bit ``scattering_at`` on the device rebuilt with ``with_coupling`` and
+    """S over a batch of points, shape B + (3, 3): ``_checked``, then ``_solve`` for all nine
+    entries.  Bit for bit ``scattering_at`` on the device rebuilt with ``with_coupling`` and
     ``with_total_phase``, without building one."""
-    return _solve(device, *_checked(device, deltas, rhos, phi_tot), (0, 1, 2))
+    a, deltas = _checked(device, deltas, rhos, phi_tot)
+    return _solve(device, a, deltas, _ALL_ENTRIES).reshape(deltas.shape + (3, 3))
 
 
 def scattering_at(device: ValidatedDevice, delta: float) -> SweepResult:

@@ -67,8 +67,8 @@ class ModeSpec:
     kappa: float
 
     def __post_init__(self):
-        if not self.name or not str(self.name).strip():
-            raise DeviceValidationError("mode name must be a non-empty identifier")
+        if not (isinstance(self.name, str) and self.name.isidentifier()):
+            raise DeviceValidationError(f"mode name must be an identifier, got {self.name!r}")
         for key in ("resonance_freq", "kappa"):
             if not (0 < getattr(self, key) < math.inf):
                 raise DeviceValidationError(f"mode {self.name}: {key} must be finite and > 0")

@@ -155,7 +155,7 @@ def phase_rows(device: ValidatedDevice, phi_grid: Sequence[float],
     the check stage ``cmt._checked`` before this returns, so DomainError or
     SingularMatrixError (the first singular row, then delta) is raised here, not from the
     stream.  The stream runs the solve stage ``cmt._solve`` on each batch's checked A,
-    for the input columns of ``pairs`` alone, only when it reaches that batch."""
+    for the (out, in) entries of ``pairs`` alone, only when it reaches that batch."""
     phis = cmt._finite(phi_grid, "phi_tot")
     deltas = cmt.delta_grid(delta_grid)
     if len(phis) == 0 or len(deltas) == 0:
@@ -167,11 +167,9 @@ def phase_rows(device: ValidatedDevice, phi_grid: Sequence[float],
     step = max(1, PHASE_BATCH_MATRICES // len(deltas))
     batches = [solved[k:k + step] for k in range(0, len(solved), step)]
     checked = [cmt._checked(device, deltas, phi_tot=batch) for batch in batches]
-    outs = [device.index(o) for o, _ in pairs]
-    columns = sorted({device.index(i) for _, i in pairs})
-    at = [columns.index(device.index(i)) for _, i in pairs]
+    entries = [(device.index(o), device.index(i)) for o, i in pairs]
     solved_rows = itertools.chain.from_iterable(
-        np.abs(cmt._solve(device, a, grid, columns)[:, :, outs, at]) for a, grid in checked)
+        np.abs(cmt._solve(device, a, grid, entries)) for a, grid in checked)
     rows = (next(solved_rows) if q == r else None for r, q in enumerate(first_rows))
     return PhaseRows(phis, deltas, tuple(pairs), first_rows, rows)
 

@@ -115,8 +115,8 @@ class TestSolveBatch:
             assert same_bits(cmt.build_dynamics_matrix(template, delta), expected), delta
 
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
-    def test_columns_are_those_of_inv(self, name):
-        # S = (sqrt(kappa_i) inv(M)_ij) sqrt(kappa_j) - I, the inverse taken whole
+    def test_entries_are_those_of_inv(self, name):
+        # S_oi = (sqrt(kappa_o) inv(M)_oi) sqrt(kappa_i) - delta_oi, the inverse taken whole
         template = TEMPLATES[name]
         deltas = np.random.default_rng(5).uniform(-5e7, 5e7, 40)
         root_k = np.sqrt(np.asarray(template.kappas))
@@ -124,9 +124,12 @@ class TestSolveBatch:
         expected = root_k[None, :, None] * inv * root_k[None, None, :] - np.eye(3)
         got = cmt.solve_batch(template, deltas)
         assert same_bits(got, expected)
-        for columns in [(0,), (1,), (2,), (0, 2), (1, 2)]:
-            assert same_bits(cmt._solve(template, *cmt._checked(template, deltas), columns),
-                             expected[..., columns])
+        # one diagonal entry, one off-diagonal, two sharing an input, all three inputs with
+        # a repeated output
+        for entries in [[(1, 1)], [(2, 0)], [(0, 2), (1, 2)], [(2, 1), (0, 0), (2, 2), (1, 0)]]:
+            outs, ins = zip(*entries)
+            assert same_bits(cmt._solve(template, *cmt._checked(template, deltas), entries),
+                             expected[:, outs, ins])
 
     def test_per_point_phases_broadcast_a_one_point_grid(self, circulator):
         phis = np.linspace(-3.0, 3.0, 7)
@@ -271,9 +274,9 @@ MODE_PAIRS = [(o, i) for o in "abc" for i in "abc"]
 
 class TestPhaseRows:
     """``tuner.phase_rows`` checks and solves each distinct first-coupling phase once, several
-    distinct phi rows per ``cmt._checked`` and ``cmt._solve`` call, for the input columns of
-    its pairs alone; every row, and every column the kernel solves, is bit for bit that of
-    the per-row solve of all three columns."""
+    distinct phi rows per ``cmt._checked`` and ``cmt._solve`` call, for the (out, in) entries
+    of its pairs alone; every row, and every entry the kernel returns, is bit for bit that of
+    the per-row solve of all nine entries."""
 
     DELTAS = np.linspace(-2e7, 2e7, 5)
     THREE_ROWS = np.linspace(-3e7, 3e7, tuner.PHASE_BATCH_MATRICES // 3)  # three rows a call
@@ -363,11 +366,11 @@ class TestPhaseRows:
                                      3.0, 4.0], pairs=[("c", "a"), ("a", "c")])
     def test_rows_match_per_row_full_solves(self, name, phis, pairs):
         device = TEMPLATES[name]
-        columns = sorted({device.index(i) for _, i in pairs})
+        outs, ins = ([device.index(m) for m in ms] for ms in zip(*pairs))
         rows, batches = self.check(device, phis, pairs, self.THREE_ROWS)
         distinct = [r for r, q in enumerate(rows.first_rows) if q == r]
         assert [len(s) for s in batches] == [len(distinct[k:k + 3])
                                               for k in range(0, len(distinct), 3)]
-        assert all(s.shape[-1] == len(columns) for s in batches)
+        assert all(s.shape[-1] == len(pairs) for s in batches)
         full = [cmt.solve_batch(device, self.THREE_ROWS, phi_tot=phis[r]) for r in distinct]
-        assert same_bits(np.concatenate(batches), np.stack(full)[..., columns])
+        assert same_bits(np.concatenate(batches), np.stack(full)[..., outs, ins])

@@ -1563,6 +1563,22 @@ class TestErrorExits:
                 == f"error: ConfigError: {key} must be a string, got {value!r}\n")
         assert os.listdir(directory) == ["bad.cfg"]
 
+    def test_mode_name_not_an_identifier_exits_1(self, circ_cfg, tmp_path, capsys):
+        # "a,x" in a CSV header would put 46 names over rows of 28 cells, which compare
+        # cannot read back; the name is refused before any file is written
+        raw = yaml.safe_load(circ_cfg.read_text())
+        raw["device"]["modes"][0]["name"] = "a,x"
+        for entry in raw["device"]["couplings"]:
+            entry["pair"] = ["a,x" if m == "a" else m for m in entry["pair"]]
+        raw["declared_pumps_ghz"]["a,x"] = raw["declared_pumps_ghz"].pop("a")
+        raw["sweep"]["points"] = 5
+        cfg, out = tmp_path / "comma.cfg", tmp_path / "comma.csv"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert run("sparams", "--config", cfg, "--out", out) == 1
+        assert (capsys.readouterr().err
+                == "error: DeviceValidationError: mode name must be an identifier, got 'a,x'\n")
+        assert sorted(os.listdir(tmp_path)) == ["circulator.cfg", "comma.cfg"]
+
     @pytest.mark.parametrize("kind, code, err", [
         ("CONVERSION", 0, ""),
         ("amplify", 1, "error: ConfigError: coupling ('a', 'b'): kind must be gain or "

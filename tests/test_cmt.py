@@ -1,14 +1,17 @@
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import nonrecip as nr
-from nonrecip import cmt
+from nonrecip import cmt, model
 from nonrecip.errors import DomainError, SingularMatrixError
 
-from conftest import make_circulator, make_diramp, make_single
+from conftest import make_circulator, make_diramp, make_single, standard_modes
 
 RHO_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99]
 
@@ -341,3 +344,69 @@ class TestSweep:
         with pytest.raises(SingularMatrixError) as err:
             nr.sweep(dev, np.linspace(-1e6, 1e6, 3))
         assert err.value.delta == 0.0
+
+
+def doubled_space_s(device, delta):
+    """S6 = K6 M6^-1 K6 - I over (a1, a2, a3, a1^dag, a2^dag, a3^dag), built from the
+    Hamiltonian alone, after Ranzani & Aumentado: M6 = diag(kappa/2 - i delta) + i C6 on both
+    blocks, with g = sqrt(rho kappa_i kappa_j)/2 and e = exp(-i phi) per coupling; no
+    conjugated channel, phase sign or detuning sign of the kernel enters."""
+    kappa = np.array(device.kappas * 2)
+    c6 = np.zeros((6, 6), dtype=complex)
+    for c in device.couplings:
+        i, j = (device.index(n) for n in c.pair)
+        g, e = math.sqrt(c.rho * kappa[i] * kappa[j]) / 2.0, cmath.exp(-1j * c.phase)
+        if c.kind is model.ProcessKind.CONVERSION:  # g (e a_h^dag a_o + h.c.)
+            h = device.index(model.conversion_head(device, c.pair))
+            o = i + j - h
+            c6[h, o], c6[o, h] = g * e, g * e.conjugate()
+            c6[h + 3, o + 3], c6[o + 3, h + 3] = -g * e.conjugate(), -g * e
+        else:  # g (e a_i^dag a_j^dag + h.c.)
+            c6[i, j + 3] = c6[j, i + 3] = g * e
+            c6[i + 3, j] = c6[j + 3, i] = -g * e.conjugate()
+    root_k = np.sqrt(kappa)
+    m6 = np.diag(kappa / 2.0 - 1j * delta) + 1j * c6
+    return root_k[:, None] * np.linalg.inv(m6) * root_k - np.eye(6)
+
+
+@st.composite
+def oracle_devices(draw):
+    """A circulator (three conversions) or a directional amp (one conversion, two gains),
+    with random kappas, strengths and phases."""
+    conversion = draw(st.sampled_from([None, 0, 1, 2]))  # None: all three convert
+    couplings = []
+    for k, pair in enumerate((("a", "b"), ("a", "c"), ("b", "c"))):
+        kind = "conversion" if conversion in (None, k) else "gain"
+        rho = draw(st.floats(0.0, 2.0 if kind == "conversion" else 0.9))
+        couplings.append(nr.PumpedCoupling(pair, kind, rho, draw(st.floats(0.0, 2 * math.pi))))
+    kappas = [draw(st.floats(10e6, 60e6)) for _ in range(3)]
+    modes = tuple(nr.ModeSpec(m.name, m.resonance_freq, k)
+                  for m, k in zip(standard_modes(), kappas))
+    return nr.validate_device(modes, tuple(couplings))
+
+
+class TestDoubledSpaceOracle:
+    """The kernel against ``doubled_space_s``: channel k of the kernel is row and column
+    k + 3 conjugated[k] of S6, and S6 has no entry between those channels and the rest."""
+
+    @settings(max_examples=100)
+    @given(device=oracle_devices(),
+           deltas=st.lists(st.floats(-50e6, 50e6), min_size=1, max_size=5),
+           entries=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1,
+                            max_size=9))
+    def test_kernel_is_the_doubled_space_block(self, device, deltas, entries):
+        try:
+            got = cmt.solve_batch(device, deltas)
+        except SingularMatrixError:
+            reject()
+        idx = np.arange(3) + 3 * np.array(device.conjugated)
+        rest = np.setdiff1d(np.arange(6), idx)
+        outs, ins = zip(*entries)
+        picked = cmt._solve(device, *cmt._checked(device, deltas), entries)
+        for s, row, delta in zip(got, picked, deltas):
+            s6 = doubled_space_s(device, delta)
+            want = s6[np.ix_(idx, idx)]
+            assert np.all(np.abs(s - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), delta
+            assert np.all(np.abs(s6[np.ix_(idx, rest)]) < 1e-12), delta
+            want = want[outs, ins]
+            assert np.all(np.abs(row - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), delta

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ class TestModeSpec:
     def test_rejects_empty_name(self):
         with pytest.raises(DeviceValidationError):
             nr.ModeSpec("", 9.167e9, 44e6)
+
+    @pytest.mark.parametrize("name", ["a,x", " a", "a b", "a\n", "1", ""])
+    def test_rejects_a_name_that_is_not_an_identifier(self, name):
+        # a comma would split the name across two cells of a written CSV header
+        with pytest.raises(DeviceValidationError, match=f"got {re.escape(repr(name))}"):
+            nr.ModeSpec(name, 9.167e9, 44e6)
 
 
 class TestPumpedCoupling:
