@@ -378,6 +378,8 @@ def read_table(path: str) -> SweepTable:
         data = (np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
                 if body.strip("\n") else [])
     cols = [str(c) for c in cols]
+    if len(set(cols)) != len(cols):  # compare looks a column up by its name
+        raise ConfigError(f"{path}: a column name is repeated")
     rows = np.asarray(data, dtype=float)
     if rows.size == 0:
         rows = rows.reshape(0, len(cols))

@@ -60,15 +60,15 @@ def wrap_signed(phi: float) -> float:
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One resonant mode: name, resonance frequency (Hz) and energy decay rate (Hz)."""
+    """One resonant mode: a one-letter name, resonance frequency (Hz) and energy decay rate (Hz)."""
 
     name: str
     resonance_freq: float
     kappa: float
 
     def __post_init__(self):
-        if not (isinstance(self.name, str) and self.name.isidentifier()):
-            raise DeviceValidationError(f"mode name must be an identifier, got {self.name!r}")
+        if not (isinstance(self.name, str) and len(self.name) == 1 and self.name.isalpha()):
+            raise DeviceValidationError(f"mode name must be one letter, got {self.name!r}")
         for key in ("resonance_freq", "kappa"):
             if not (0 < getattr(self, key) < math.inf):
                 raise DeviceValidationError(f"mode {self.name}: {key} must be finite and > 0")

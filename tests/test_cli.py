@@ -71,6 +71,18 @@ def mutated(raw, mutations):
     return raw
 
 
+def renamed_modes(raw, names):
+    """A copy of the config ``raw`` with its modes a, b and c renamed ``names``, in
+    its couplings and declared pumps too."""
+    raw, new = copy.deepcopy(raw), dict(zip("abc", names))
+    for mode in raw["device"]["modes"]:
+        mode["name"] = new[mode["name"]]
+    for entry in raw["device"]["couplings"]:
+        entry["pair"] = [new[m] for m in entry["pair"]]
+    raw["declared_pumps_ghz"] = {new[m]: f for m, f in raw["declared_pumps_ghz"].items()}
+    return raw
+
+
 class TestConfigParsing:
     def test_bundled_circulator(self, circ_cfg):
         cfg = cli.load_config(str(circ_cfg))
@@ -749,6 +761,21 @@ class TestCompare:
         assert captured.err == "error: schema mismatch: c grids do not overlap\n"
         assert sorted(os.listdir(tmp_path)) == files
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_column_name_exit_2(self, fmt, tmp_path, capsys):
+        # compare looks a column up by name, so it would read the first copy twice and
+        # never the second: here 1, 2 against 1, 2, though 5, 7 differ from 9, 9
+        columns = ["delta_hz", "S_ab_db", "S_ab_db"]
+        sweep, ref = tmp_path / f"sweep.{fmt}", tmp_path / f"ref.{fmt}"
+        cli.write_table(cli.SweepTable(columns, np.array([[0.0, 1.0, 5.0], [1.0, 2.0, 7.0]])),
+                        str(sweep), fmt)
+        cli.write_table(cli.SweepTable(columns, np.array([[0.0, 1.0, 9.0], [1.0, 2.0, 9.0]])),
+                        str(ref), fmt)
+        assert run("compare", sweep, ref, "--tol-db", 0) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ConfigError: {sweep}: a column name is repeated\n"
+
     def test_header_only_table_reads_as_no_rows(self, tmp_path, recwarn):
         path = tmp_path / "empty.csv"
         path.write_text("delta_hz,S_ab_db,S_ba_db\n")
@@ -1054,6 +1081,36 @@ class TestPhaseSweepCmd:
                 == WRITER_DIGESTS["phase-sweep-circulator-csv"])
         assert peak < 8e6
         assert capsys.readouterr().out == f"wrote 241241 (phi, delta) points to {out}\n"
+
+
+class TestColumnSpelling:
+    """Each command spells an S entry's column as ``sparams`` does."""
+
+    def config_and_header(self, name, tmp_path):
+        """A 5-point copy of the bundled config ``name`` and its ``sparams`` header."""
+        config, out = tmp_path / f"{name}.cfg", tmp_path / "sparams.csv"
+        raw = yaml.safe_load(cli.bundled_config_path(name).read_text())
+        config.write_text(yaml.safe_dump(mutated(raw, [(("sweep", "points"), 5)])))
+        assert run("sparams", "--config", config, "--out", out) == 0
+        return config, cli.read_table(str(out)).columns
+
+    @pytest.mark.parametrize("name", ["circulator", "diramp"])
+    def test_pairs_of_all_nine_entries_write_the_sparams_db_columns(self, name, tmp_path):
+        config, header = self.config_and_header(name, tmp_path)
+        out = tmp_path / "ps.csv"
+        assert run("phase-sweep", "--config", config, "--out", out, "--phi-points", 1,
+                   "--pairs", "aa,ab,ac,ba,bb,bc,ca,cb,cc") == 0
+        assert cli.read_table(str(out)).columns == (
+            ["phi_rad", "delta_hz"] + [c for c in header if c.endswith("_db")])
+
+    def test_threshold_s_columns_are_sparams_columns(self, tmp_path):
+        config, header = self.config_and_header("diramp", tmp_path)
+        out = tmp_path / "th.csv"
+        assert run("threshold", "--config", config, "--out", out, "--c-points", 3) == 0
+        s_columns = [c for c in cli.read_table(str(out)).columns if c.startswith("S_")]
+        assert len(s_columns) == 4
+        # |S| has no sparams column of its own; its entry's dB column names it there
+        assert all(c.rpartition("_")[0] + "_db" in header for c in s_columns)
 
 
 class TestThresholdCmd:
@@ -1563,21 +1620,34 @@ class TestErrorExits:
                 == f"error: ConfigError: {key} must be a string, got {value!r}\n")
         assert os.listdir(directory) == ["bad.cfg"]
 
-    def test_mode_name_not_an_identifier_exits_1(self, circ_cfg, tmp_path, capsys):
+    def test_mode_name_not_one_letter_exits_1(self, circ_cfg, tmp_path, capsys):
         # "a,x" in a CSV header would put 46 names over rows of 28 cells, which compare
         # cannot read back; the name is refused before any file is written
-        raw = yaml.safe_load(circ_cfg.read_text())
-        raw["device"]["modes"][0]["name"] = "a,x"
-        for entry in raw["device"]["couplings"]:
-            entry["pair"] = ["a,x" if m == "a" else m for m in entry["pair"]]
-        raw["declared_pumps_ghz"]["a,x"] = raw["declared_pumps_ghz"].pop("a")
+        raw = renamed_modes(yaml.safe_load(circ_cfg.read_text()), ["a,x", "b", "c"])
         raw["sweep"]["points"] = 5
         cfg, out = tmp_path / "comma.cfg", tmp_path / "comma.csv"
         cfg.write_text(yaml.safe_dump(raw))
         assert run("sparams", "--config", cfg, "--out", out) == 1
         assert (capsys.readouterr().err
-                == "error: DeviceValidationError: mode name must be an identifier, got 'a,x'\n")
+                == "error: DeviceValidationError: mode name must be one letter, got 'a,x'\n")
         assert sorted(os.listdir(tmp_path)) == ["circulator.cfg", "comma.cfg"]
+
+    @pytest.mark.parametrize("names, bad", [(["a", "aa", "b"], "aa"),
+                                            (["alpha", "beta", "gamma"], "alpha")],
+                             ids=["a-aa-b", "alpha-beta-gamma"])
+    def test_mode_names_of_more_than_one_letter_exit_1(self, names, bad, circ_cfg, tmp_path,
+                                                       capsys):
+        # modes a and aa would write (a, aa) and (aa, a) as the one column S_aaa, and no
+        # --pairs token could name an entry of modes alpha, beta and gamma
+        raw = renamed_modes(yaml.safe_load(circ_cfg.read_text()), names)
+        raw["sweep"]["points"] = 5
+        cfg = tmp_path / "renamed.cfg"
+        cfg.write_text(yaml.safe_dump(raw))
+        files = sorted(os.listdir(tmp_path))
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "renamed.csv") == 1
+        assert (capsys.readouterr().err
+                == f"error: DeviceValidationError: mode name must be one letter, got {bad!r}\n")
+        assert sorted(os.listdir(tmp_path)) == files
 
     @pytest.mark.parametrize("kind, code, err", [
         ("CONVERSION", 0, ""),

@@ -47,6 +47,13 @@ class TestModeSpec:
         with pytest.raises(DeviceValidationError, match=f"got {re.escape(repr(name))}"):
             nr.ModeSpec(name, 9.167e9, 44e6)
 
+    @pytest.mark.parametrize("name", ["aa", "alpha", "_", "1"])
+    def test_rejects_a_name_that_is_not_one_letter(self, name):
+        # modes a and aa would give (a, aa) and (aa, a) the one column S_aaa
+        with pytest.raises(DeviceValidationError,
+                           match=f"^mode name must be one letter, got {re.escape(repr(name))}$"):
+            nr.ModeSpec(name, 9.167e9, 44e6)
+
 
 class TestPumpedCoupling:
     def test_pair_is_canonicalized(self):
