@@ -14,9 +14,9 @@ Tables (CSV or JSON) lead with their axis columns: ``delta_hz`` (``sparams``),
 (``threshold``).  Floats have 9 significant digits and lines end in "\n", so
 emit -> parse -> emit is byte-identical.  ``sparams`` and ``threshold`` rows are
 written in fixed blocks, so a writer's memory does not grow with the file;
-``phase-sweep`` is written one phi row at a time, as ``tuner.phase_rows``
+``phase-sweep`` is written one phi row at a time, as ``cmt.phase_rows``
 solves it, from one row template in which every delta cell is formatted once.
-Its memory is one batch of solved rows (``tuner.PHASE_BATCH_MATRICES``
+Its memory is one batch of solved rows (``cmt.PHASE_BATCH_MATRICES``
 matrices, the written (out, in) entries alone) plus the text of the rows repeated
 later: a tracemalloc peak under 8 MB for the default bundled map, solve and
 write together.  ``compare`` splits both tables into runs (a
@@ -333,7 +333,7 @@ def write_table(table: SweepTable, path: str, fmt: str) -> None:
     _atomic_write(path, _table_chunks(table, fmt))
 
 
-def _phase_map_chunks(rows: tuner.PhaseRows, fmt: str):
+def _phase_map_chunks(rows: cmt.PhaseRows, fmt: str):
     """Yield the phase map of ``rows`` as the bytes ``_table_chunks`` writes for its
     phi-major rows (phi, delta, then the dB of each (out, in) pair), one phi row
     at a time, each as the stream yields it.  Each delta cell is formatted once into a
@@ -354,7 +354,7 @@ def _phase_map_chunks(rows: tuner.PhaseRows, fmt: str):
     yield tail
 
 
-def write_phase_map(rows: tuner.PhaseRows, path: str, fmt: str) -> None:
+def write_phase_map(rows: cmt.PhaseRows, path: str, fmt: str) -> None:
     """Write the phase map ``rows`` streams to ``path`` as a CSV (``fmt`` "csv") or
     JSON table with axes ``phi_rad, delta_hz``, each row as it is solved."""
     _atomic_write(path, _phase_map_chunks(rows, fmt))
@@ -486,7 +486,7 @@ def cmd_phase_sweep(args) -> int:
     if not (math.isfinite(args.phi_min) and math.isfinite(args.phi_max)):
         raise ConfigError("--phi-min and --phi-max must be finite")
     phis = np.linspace(args.phi_min, args.phi_max, args.phi_points)
-    rows = tuner.phase_rows(cfg.device, phis, cfg.delta_grid, pairs)  # raises before a write
+    rows = cmt.phase_rows(cfg.device, phis, cfg.delta_grid, pairs)  # raises before a write
     fmt = args.format or cfg.out_format
     out_path = "phase_sweep." + fmt if args.out is None else args.out
     write_phase_map(rows, out_path, fmt)

@@ -6,10 +6,11 @@ from input-output theory as S = K M^{-1} K - I with K = diag(sqrt(kappa)).
 Everything is expressed in ordinary frequencies (Hz), so the mode
 susceptibility is (kappa/2 - i*delta)^{-1}.  A solve checks M(0) for singular
 points (``_checked``), then gives S at the (out, in) entries its caller names
-(``_solve``); ``solve_batch`` runs both, for all nine entries.  The kernel
-takes one phase per coupling; a total pump phase phi_tot is put on the
-couplings by ``model.split_total_phase``.  Singular points come from the poles
-lambda_p of M(0): det M(delta) = prod_p (lambda_p - i delta).
+(``_solve``); ``solve_batch`` runs both for all nine entries, ``phase_rows``
+batch by batch for a phase map.  The kernel takes one phase per coupling; a
+total pump phase phi_tot is put on the couplings by ``model.split_total_phase``.
+Singular points come from the poles lambda_p of M(0):
+det M(delta) = prod_p (lambda_p - i delta).
 
 Closed forms provided as independent oracles:
   sqrt(G) = (1+rho)/(1-rho)          zero-detuning gain of one pumped pair
@@ -22,8 +23,10 @@ Closed forms provided as independent oracles:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +34,9 @@ from .errors import DomainError, SingularMatrixError
 from .model import ProcessKind, ValidatedDevice, conversion_head, split_total_phase
 
 _DET_TOL = 1e-12  # on the dimensionless (normalized) dynamics matrix
+# Dynamics matrices per solve in a phase map: 8 phi rows of a 1,001-point delta grid.
+# More rows per call hold more memory and solve no faster; one row per call is slower.
+PHASE_BATCH_MATRICES = 8192
 
 
 def gain_coefficient(rho: float) -> float:
@@ -223,6 +229,47 @@ def solve_batch(device: ValidatedDevice, deltas, rhos=None, phi_tot=None) -> np.
     ``with_total_phase``, without building one."""
     a, deltas = _checked(device, deltas, rhos, phi_tot)
     return _solve(device, a, deltas, _ALL_ENTRIES).reshape(deltas.shape + (3, 3))
+
+
+@dataclass(frozen=True)
+class PhaseRows:
+    """A phase map as a one-pass stream of |S| rows, in phi order.
+
+    ``magnitudes`` yields, for phi row ``r``, the (n_delta, len(pairs)) |S| of the
+    (out, in) ``pairs``, or None for a row that repeats row ``first_rows[r] < r``."""
+
+    phis: np.ndarray
+    deltas: np.ndarray
+    pairs: tuple[tuple[str, str], ...]
+    first_rows: tuple[int, ...]
+    magnitudes: Iterator[Optional[np.ndarray]]
+
+
+def phase_rows(device: ValidatedDevice, phi_grid: Sequence[float],
+               deltas: Sequence[float], pairs: Sequence[tuple[str, str]]) -> PhaseRows:
+    """The |S| of the (out, in) ``pairs`` across total pump phases and detunings, streamed
+    row by row.  Each distinct phase is solved once: a row that ``split_total_phase`` puts
+    on the bits of an earlier row repeats that row.  The distinct rows go in batches of
+    ``PHASE_BATCH_MATRICES`` matrices through the two stages.  Every batch passes
+    ``_checked`` before this returns, so DomainError or SingularMatrixError (the first
+    singular row, then delta) is raised here, not from the stream, which runs ``_solve``
+    on a batch's checked A, for the entries of ``pairs`` alone, once it reaches it."""
+    phis = _finite(phi_grid, "phi_tot")
+    deltas = delta_grid(deltas)
+    if len(phis) == 0 or len(deltas) == 0:
+        raise DomainError("phase map grids must be non-empty")
+    keys = split_total_phase(device, phis)[0].view(np.int64).tolist()
+    first_row: dict[int, int] = {}
+    first_rows = tuple(first_row.setdefault(key, r) for r, key in enumerate(keys))
+    solved = phis[[r for r, q in enumerate(first_rows) if q == r], None]
+    step = max(1, PHASE_BATCH_MATRICES // len(deltas))
+    batches = [solved[k:k + step] for k in range(0, len(solved), step)]
+    checked = [_checked(device, deltas, phi_tot=batch) for batch in batches]
+    entries = [(device.index(o), device.index(i)) for o, i in pairs]
+    solved_rows = itertools.chain.from_iterable(
+        np.abs(_solve(device, a, grid, entries)) for a, grid in checked)
+    rows = (next(solved_rows) if q == r else None for r, q in enumerate(first_rows))
+    return PhaseRows(phis, deltas, tuple(pairs), first_rows, rows)
 
 
 def scattering_at(device: ValidatedDevice, delta: float) -> SweepResult:

@@ -43,7 +43,8 @@ def amp_db(x: float) -> float:
     return 20.0 * math.log10(x)
 
 
-def _amp_db_floored(x: float) -> float:
+def amp_db_floored(x: float) -> float:
+    """``amp_db(x)``, or DB_FLOOR where that would be below it (an exact zero too)."""
     return amp_db(x) if x > 10 ** (DB_FLOOR / 20.0) else DB_FLOOR
 
 
@@ -61,7 +62,8 @@ class CirculationSense(enum.Enum):
     NONE = "none"
 
 
-def _cycle_pairs(names: tuple[str, str, str]):
+def cycle_pairs(names: tuple[str, str, str]):
+    """The (out, in) pairs along the cycle of ``names`` (forward) and against it (reverse)."""
     a, b, c = names
     forward = ((b, a), (c, b), (a, c))  # transmission out <- in along a->b->c->a
     reverse = ((a, b), (b, c), (c, a))
@@ -76,7 +78,7 @@ def circulation_sense(sweep: SweepResult) -> CirculationSense:
     (a->b->c->a) still exceeds the strongest reverse one by at least
     ISOLATION_MARGIN_DB (power dB); CCW is the transposed condition.
     """
-    forward, reverse = _cycle_pairs(sweep.device.mode_names)
+    forward, reverse = cycle_pairs(sweep.device.mode_names)
     margin = 10 ** (ISOLATION_MARGIN_DB / 20.0)  # amplitude ratio for a power-dB margin
     center = sweep.center_index
     fwd = [sweep.magnitudes(o, i)[center] for o, i in forward]
@@ -114,7 +116,7 @@ def circulator_bandwidth(sweep: SweepResult) -> float:
     sense = circulation_sense(sweep)
     if sense is CirculationSense.NONE:
         raise EmptyBandError("no circulation at zero detuning")
-    forward, reverse = _cycle_pairs(device.mode_names)
+    forward, reverse = cycle_pairs(device.mode_names)
     fwd_pairs = forward if sense is CirculationSense.CW else reverse
     match_lin, loss_lin = 10 ** (BAND_MATCH_DB / 20.0), 10 ** (-BAND_LOSS_DB / 20.0)
     ok = np.ones(len(sweep), dtype=bool)

@@ -1,4 +1,4 @@
-"""Parameter sweeps, phase-offset calibration and pump tuning.
+"""Conversion sweep, phase-offset calibration and pump tuning.
 
 Scattering magnitudes depend on the individual pump phases only through their
 signed sum phi_tot, so one phase variable suffices.  ``tune`` puts a template
@@ -8,28 +8,23 @@ at the closed-form working point of its objective (Sliwa et al., PRX 5,
 topology alone.
 
 The calibration and the conversion sweep solve from parameter arrays (rho per
-coupling, phi_tot) with ``cmt.solve_batch``, the phase map with its two stages
-apart (``phase_rows``), and take magnitudes with ``np.abs``; no device is built
-per point, only the one ``tune`` returns, and none is validated again.  There,
-as in the kernel, phi_tot is put on the couplings by ``model.split_total_phase``.
+coupling, phi_tot) with ``cmt.solve_batch`` and take magnitudes with ``np.abs``;
+no device is built per point, only the one ``tune`` returns, and none is
+validated again.  There, as in the kernel, phi_tot is put on the couplings by
+``model.split_total_phase``.  The phase map is the kernel's ``cmt.phase_rows``.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from . import cmt, metrics
-from .errors import (
-    AmbiguousMinimumError,
-    DomainError,
-    TopologyError,
-)
+from .errors import AmbiguousMinimumError, DomainError, TopologyError
 from .model import (
     ProcessKind,
     ValidatedDevice,
@@ -49,9 +44,6 @@ MATCH_REWARD_FLOOR_DB = -60.0
 # A circulator tune meets its target when the worst input match and the worst
 # reverse leakage are each at or below this (amplitude dB).
 CIRCULATOR_TARGET_DB = -60.0
-# Dynamics matrices per solve in a phase map: 8 phi rows of a 1,001-point delta grid.
-# More rows per call hold more memory and solve no faster; one row per call is slower.
-PHASE_BATCH_MATRICES = 8192
 
 
 class ObjectiveKind(enum.Enum):  # each value is the objective's name on tune --objective
@@ -98,20 +90,6 @@ class TuneResult:
 
 
 @dataclass(frozen=True)
-class PhaseRows:
-    """A phase map as a one-pass stream of |S| rows, in phi order.
-
-    ``magnitudes`` yields, for phi row ``r``, the (n_delta, len(pairs)) |S| of the
-    (out, in) ``pairs``, or None for a row that repeats row ``first_rows[r] < r``."""
-
-    phis: np.ndarray
-    deltas: np.ndarray
-    pairs: tuple[tuple[str, str], ...]
-    first_rows: tuple[int, ...]
-    magnitudes: Iterator[Optional[np.ndarray]]
-
-
-@dataclass(frozen=True)
 class ConversionSweepResult:
     """On-resonance response versus conversion coefficient.
 
@@ -144,34 +122,6 @@ class PhaseCalibration:
     candidates: tuple[float, float]
     primary: float
     objective_values: tuple[float, float]
-
-
-def phase_rows(device: ValidatedDevice, phi_grid: Sequence[float],
-               delta_grid: Sequence[float], pairs: Sequence[tuple[str, str]]) -> PhaseRows:
-    """The |S| of the (out, in) ``pairs`` across total pump phases and detunings, streamed
-    row by row.  Each distinct phase is solved once: a row that ``split_total_phase`` puts
-    on the bits of an earlier row repeats that row.  The distinct rows go in batches of
-    ``PHASE_BATCH_MATRICES`` matrices through the kernel's two stages.  Every batch passes
-    the check stage ``cmt._checked`` before this returns, so DomainError or
-    SingularMatrixError (the first singular row, then delta) is raised here, not from the
-    stream.  The stream runs the solve stage ``cmt._solve`` on each batch's checked A,
-    for the (out, in) entries of ``pairs`` alone, only when it reaches that batch."""
-    phis = cmt._finite(phi_grid, "phi_tot")
-    deltas = cmt.delta_grid(delta_grid)
-    if len(phis) == 0 or len(deltas) == 0:
-        raise DomainError("phase map grids must be non-empty")
-    keys = split_total_phase(device, phis)[0].view(np.int64).tolist()
-    first_row: dict[int, int] = {}
-    first_rows = tuple(first_row.setdefault(key, r) for r, key in enumerate(keys))
-    solved = phis[[r for r, q in enumerate(first_rows) if q == r], None]
-    step = max(1, PHASE_BATCH_MATRICES // len(deltas))
-    batches = [solved[k:k + step] for k in range(0, len(solved), step)]
-    checked = [cmt._checked(device, deltas, phi_tot=batch) for batch in batches]
-    entries = [(device.index(o), device.index(i)) for o, i in pairs]
-    solved_rows = itertools.chain.from_iterable(
-        np.abs(cmt._solve(device, a, grid, entries)) for a, grid in checked)
-    rows = (next(solved_rows) if q == r else None for r, q in enumerate(first_rows))
-    return PhaseRows(phis, deltas, tuple(pairs), first_rows, rows)
 
 
 def conversion_sweep(
@@ -304,7 +254,7 @@ def tune(template: ValidatedDevice, objective: Objective) -> TuneResult:
     mag = np.abs(cmt.scattering_at(device, 0.0).entries[0]).tolist()
 
     def floored(out_mode: str, in_mode: str) -> float:
-        return metrics._amp_db_floored(mag[device.index(out_mode)][device.index(in_mode)])
+        return metrics.amp_db_floored(mag[device.index(out_mode)][device.index(in_mode)])
 
     if objective.kind is ObjectiveKind.DIRECTIONAL_AMP:
         signal, idler, vacuum = metrics.role_map(device, total_pump_phase(device))
@@ -314,7 +264,7 @@ def tune(template: ValidatedDevice, objective: Objective) -> TuneResult:
         met = value <= MATCH_REWARD_FLOOR_DB + _gain_tolerance_db(objective.target_gain_db)
     else:
         # the reverse pairs of the wanted sense: the cycle's, or its forward ones for CCW
-        rev = metrics._cycle_pairs(device.mode_names)[objective.kind is ObjectiveKind.CIRCULATOR_CW]
+        rev = metrics.cycle_pairs(device.mode_names)[objective.kind is ObjectiveKind.CIRCULATOR_CW]
         match = max(floored(n, n) for n in device.mode_names)
         leak = max(floored(o, i) for o, i in rev)
         value, met = match + leak, max(match, leak) <= CIRCULATOR_TARGET_DB

@@ -10,6 +10,8 @@ caller takes them.
 """
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -153,7 +155,7 @@ class TestSolveBatch:
         ("rhos", lambda dev: cmt.solve_batch(dev, 0.0, rhos=[0.5, math.inf, 0.5])),
         ("rhos", lambda dev: cmt.solve_batch(dev, 0.0, rhos=[0.5, [0.1, -0.1], 0.5])),
         ("phi_tot", lambda dev: cmt.solve_batch(dev, 0.0, phi_tot=-math.inf)),
-        ("phi_tot", lambda dev: tuner.phase_rows(dev, [math.nan, math.inf], [0.0], PAIRS)),
+        ("phi_tot", lambda dev: cmt.phase_rows(dev, [math.nan, math.inf], [0.0], PAIRS)),
         ("deltas", lambda dev: nr.sweep(dev, [0.0, math.inf])),
         ("deltas", lambda dev: nr.scattering_at(dev, math.nan)),
         # the diramp's couplings are a conversion and two gains, in pair order
@@ -212,6 +214,15 @@ class TestCallers:
             s = nr.scattering_at(dev, 0.0)
             assert same_bits(res.reflection_mag[k], s.magnitudes(other, other)[0]), k
             assert same_bits(res.forward_mag[k], s.magnitudes(idler, other)[0]), k
+
+    def test_no_module_names_another_modules_private_name(self):
+        # the kernel's stages (cmt._checked, cmt._solve) have callers in cmt alone
+        private = re.compile(r"\b(cmt|metrics|model|tuner|cli)\._[a-z]")
+        hits = [f"{path.name}:{n}: {line.strip()}"
+                for path in sorted(pathlib.Path(cmt.__file__).parent.glob("*.py"))
+                for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                if private.search(line)]
+        assert hits == []
 
 
 class TestNoPerPointValidation:
@@ -273,13 +284,13 @@ MODE_PAIRS = [(o, i) for o in "abc" for i in "abc"]
 
 
 class TestPhaseRows:
-    """``tuner.phase_rows`` checks and solves each distinct first-coupling phase once, several
+    """``cmt.phase_rows`` checks and solves each distinct first-coupling phase once, several
     distinct phi rows per ``cmt._checked`` and ``cmt._solve`` call, for the (out, in) entries
     of its pairs alone; every row, and every entry the kernel returns, is bit for bit that of
     the per-row solve of all nine entries."""
 
     DELTAS = np.linspace(-2e7, 2e7, 5)
-    THREE_ROWS = np.linspace(-3e7, 3e7, tuner.PHASE_BATCH_MATRICES // 3)  # three rows a call
+    THREE_ROWS = np.linspace(-3e7, 3e7, cmt.PHASE_BATCH_MATRICES // 3)  # three rows a call
 
     def check(self, device, phis, pairs=MODE_PAIRS, deltas=DELTAS):
         """Each row of ``phase_rows`` against its own per-row ``solve_batch``, a repeated
@@ -288,7 +299,7 @@ class TestPhaseRows:
         outs, ins = ([device.index(m) for m in ms] for ms in zip(*pairs))
         with pytest.MonkeyPatch.context() as mp:
             calls = count_calls(mp, "_solve", cmt)
-            rows = tuner.phase_rows(device, phis, deltas, pairs)
+            rows = cmt.phase_rows(device, phis, deltas, pairs)
             mags = list(rows.magnitudes)
         for r, q in enumerate(rows.first_rows):
             assert (mags[r] is None) == (q < r)
@@ -313,7 +324,7 @@ class TestPhaseRows:
         deltas = np.linspace(-3e7, 3e7, 1001)
         checked = count_calls(monkeypatch, "_checked", cmt)
         poles = count_calls(monkeypatch, "eigvals", np.linalg)
-        rows = tuner.phase_rows(device, phis, deltas, MODE_PAIRS)
+        rows = cmt.phase_rows(device, phis, deltas, MODE_PAIRS)
         assert len(checked) == 23  # every batch is checked before phase_rows returns
         assert sum(r is not None for r in rows.magnitudes) == 179
         distinct = phis[[r for r, q in enumerate(rows.first_rows) if q == r], None]
@@ -333,8 +344,8 @@ class TestPhaseRows:
         cfg = cli.parse_config(raw)
         solved = count_calls(monkeypatch, "_solve", cmt)
         with pytest.raises(SingularMatrixError) as err:
-            tuner.phase_rows(cfg.device, np.linspace(-2 * math.pi, math.pi, 241),
-                             cfg.delta_grid, [("c", "a")])
+            cmt.phase_rows(cfg.device, np.linspace(-2 * math.pi, math.pi, 241),
+                           cfg.delta_grid, [("c", "a")])
         assert err.value.delta == 0.0
         assert solved == []
 

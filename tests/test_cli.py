@@ -591,9 +591,9 @@ def flat_phase_map(device, phis, deltas, pairs):
 
 
 def rows_of(device, phis, deltas, pairs):
-    """``tuner.phase_rows`` with its stream read already: every row is solved before a
+    """``cmt.phase_rows`` with its stream read already: every row is solved before a
     writer reads the stream."""
-    rows = tuner.phase_rows(device, phis, deltas, pairs)
+    rows = cmt.phase_rows(device, phis, deltas, pairs)
     return replace(rows, magnitudes=iter(list(rows.magnitudes)))
 
 
@@ -615,13 +615,13 @@ class TestPhaseMapWriter:
         device = PHASE_MAP_DEVICES[name]
         pairs = [tuple(p) for p in pairs]
         out = tmp_path_factory.getbasetemp() / f"map.{fmt}"
-        cli.write_phase_map(tuner.phase_rows(device, phis, deltas, pairs), str(out), fmt)
+        cli.write_phase_map(cmt.phase_rows(device, phis, deltas, pairs), str(out), fmt)
         reference = {"csv": _old_format_csv, "json": _old_format_json}[fmt]
         assert out.read_bytes() == reference(flat_phase_map(device, phis, deltas, pairs))
 
     def test_unpumped_device_writes_minus_infinity(self, tmp_path):
         phis, pairs = [-0.0, 0.0, 2 * math.pi], [("a", "b"), ("b", "b")]
-        rows = tuner.phase_rows(UNPUMPED, phis, [0.0], pairs)
+        rows = cmt.phase_rows(UNPUMPED, phis, [0.0], pairs)
         assert rows.first_rows == (0, 0, 0)  # one solve, three phi cells
         out = tmp_path / "map.json"
         cli.write_phase_map(rows, str(out), "json")

@@ -26,7 +26,7 @@ MODE_PAIRS = [(o, i) for o in "abc" for i in "abc"]
 def phase_map_rows(device, phis, deltas, pairs):
     """The (n_delta, len(pairs)) |S| of each phi row of ``phase_rows``, a repeated row
     read through ``first_rows``."""
-    rows = tuner.phase_rows(device, phis, deltas, pairs)
+    rows = cmt.phase_rows(device, phis, deltas, pairs)
     mags = list(rows.magnitudes)
     return [mags[q] for q in rows.first_rows]
 
@@ -86,7 +86,7 @@ class TestPhaseSweep:
 
     def test_empty_grid_rejected(self, circulator):
         with pytest.raises(DomainError, match="phase map grids must be non-empty"):
-            tuner.phase_rows(circulator, [], [0.0], MODE_PAIRS)
+            cmt.phase_rows(circulator, [], [0.0], MODE_PAIRS)
 
 
 class TestConversionSweep:
@@ -137,7 +137,7 @@ class TestCalibratePhaseOffset:
         # every rho 0.2 isolates by less than ISOLATION_MARGIN_DB: both branches read NONE
         weak = nr.validate_device(circulator.modes, (
             nr.PumpedCoupling(c.pair, c.kind, 0.2, c.phase) for c in circulator.couplings))
-        forward, reverse = metrics._cycle_pairs(circulator.mode_names)
+        forward, reverse = metrics.cycle_pairs(circulator.mode_names)
         senses = []
         for dev in (nr.with_total_phase(circulator, -1.234), weak):
             cal = tuner.calibrate_phase_offset(dev)
