@@ -248,7 +248,7 @@ def bundled_config_path(name: str):
 
 
 _BLOCK_ROWS = 1024  # rows formatted per chunk handed to the file
-_PHI = "\0"  # the phi cell in a phase-map row template; no formatted number holds it
+_PHI = b"\0"  # the phi cell in a phase-map row template; no formatted number holds it
 
 # axis columns with the label and unit ``compare`` prints; a table leads with
 # its axes and is sorted by them, the last one varying fastest
@@ -295,31 +295,31 @@ def sweep_table(result: cmt.SweepResult) -> SweepTable:
     return SweepTable(columns, rows)
 
 
-def _frame(columns: list[str], fmt: str, cells: list[str]) -> tuple[str, str, str, str]:
+def _frame(columns: list[str], fmt: str, cells: list[bytes]) -> tuple[bytes, ...]:
     """Head, row (``cells`` joined), row separator and tail of a CSV (``fmt``
-    "csv") or JSON table."""
+    "csv") or JSON table, as UTF-8 bytes."""
     if fmt == "csv":
-        return ",".join(columns) + "\n", ",".join(cells) + "\n", "", ""
-    cols = json.dumps(columns, separators=(", ", ": "))
-    return ('{\n  "columns": ' + cols + ',\n  "rows": [\n', "    [" + ", ".join(cells) + "]",
-            ",\n", "\n  ]\n}\n")
+        return ",".join(columns).encode("utf-8") + b"\n", b",".join(cells) + b"\n", b"", b""
+    cols = json.dumps(columns, separators=(", ", ": ")).encode("utf-8")
+    return (b'{\n  "columns": ' + cols + b',\n  "rows": [\n', b"    [" + b", ".join(cells) + b"]",
+            b",\n", b"\n  ]\n}\n")
 
 
-def _fill(template: str, values: np.ndarray, fmt: str) -> str:
+def _fill(template: bytes, values: np.ndarray, fmt: str) -> bytes:
     """``template`` with its ``%.9g`` slots filled from ``values`` in C order; for
     float64 a cell is ``format(x, '.9g')`` (-0, +-inf and nan included), and JSON
     (``fmt`` not "csv") writes a non-finite cell as ``NaN``, ``Infinity`` or
     ``-Infinity``, the tokens Python's ``json`` reads and writes."""
     text = template % tuple(values.ravel().tolist())
     if fmt != "csv" and not np.isfinite(values).all():
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        text = text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
     return text
 
 
 def _table_chunks(table: SweepTable, fmt: str):
-    """Yield ``table`` as CSV (``fmt`` "csv") or JSON text, the rows in blocks of
+    """Yield ``table`` as CSV (``fmt`` "csv") or JSON bytes, the rows in blocks of
     ``_BLOCK_ROWS`` filled into one ``%``-template per block by ``_fill``."""
-    head, row, sep, tail = _frame(table.columns, fmt, ["%.9g"] * len(table.columns))
+    head, row, sep, tail = _frame(table.columns, fmt, [b"%.9g"] * len(table.columns))
     yield head
     for start in range(0, len(table.rows), _BLOCK_ROWS):
         block = table.rows[start:start + _BLOCK_ROWS]
@@ -341,16 +341,16 @@ def _phase_map_chunks(rows: cmt.PhaseRows, fmt: str):
     cell; a row that repeats an earlier row (``rows.first_rows``) reuses that
     row's dB text, kept only until the last row that repeats it."""
     columns = ["phi_rad", "delta_hz"] + [f"S_{o}{i}_db" for o, i in rows.pairs]
-    head, row, sep, tail = _frame(columns, fmt, [_PHI, "%.9g"] + ["%%.9g"] * len(rows.pairs))
+    head, row, sep, tail = _frame(columns, fmt, [_PHI, b"%.9g"] + [b"%%.9g"] * len(rows.pairs))
     template = sep.join(row % d for d in rows.deltas.tolist())  # phase_rows' axes are finite
     last = {q: r for r, q in enumerate(rows.first_rows)}  # the last row repeating row q
-    kept: dict[int, str] = {}
+    kept: dict[int, bytes] = {}
     yield head
     for r, (phi, q, mag) in enumerate(zip(rows.phis.tolist(), rows.first_rows, rows.magnitudes)):
         text = kept.pop(q) if mag is None else _fill(template, _db(mag), fmt)
         if last[q] > r:
             kept[q] = text
-        yield (sep if r else "") + text.replace(_PHI, "%.9g" % phi)
+        yield (sep if r else b"") + text.replace(_PHI, b"%.9g" % phi)
     yield tail
 
 
@@ -361,7 +361,7 @@ def write_phase_map(rows: cmt.PhaseRows, path: str, fmt: str) -> None:
 
 
 def read_table(path: str) -> SweepTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8") as fh:  # universal newlines: "\r\n" reads as "\n"
         text = fh.read()
     if text.lstrip().startswith("{"):
         doc = json.loads(text, parse_int=float)  # every cell is a float; keeps "-0" negative
@@ -385,11 +385,14 @@ def read_table(path: str) -> SweepTable:
         rows = rows.reshape(0, len(cols))
     if rows.ndim != 2 or rows.shape[1] != len(cols):
         raise ConfigError(f"{path}: every row needs {len(cols)} cells, one per column")
+    cells = itertools.chain.from_iterable(data) if isinstance(data, list) else ()  # JSON rows
+    if not set(map(type, cells)) <= {float}:  # numpy reads true, null and "1.5" as numbers
+        raise ConfigError(f"{path}: a JSON cell is not a number")
     return SweepTable(cols, rows)
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the string ``chunks`` to ``path`` through a temporary file in the
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the byte ``chunks`` to ``path`` through a temporary file in the
     same directory, then rename it.  The file gets the mode ``open(path, "w")``
     gives a new file, 0o666 less the umask, whether or not ``path`` existed."""
     if not path:  # else the temporary file would go to the working directory's parent
@@ -401,7 +404,7 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     except OSError as exc:  # name the requested file, not the temporary one
         raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -556,7 +559,7 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, phi_tot: float,
     entries[control]["phase_deg"] = float(math.degrees(wrap_phase(phase)))
     # libyaml's emitter where PyYAML has it, as _YAML_LOADER's parser
     dumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
-    _atomic_write(out_path, [yaml.dump(cfg.raw, Dumper=dumper, sort_keys=False)])
+    _atomic_write(out_path, [yaml.dump(cfg.raw, Dumper=dumper, sort_keys=False).encode("utf-8")])
 
 
 def cmd_compare(args) -> int:

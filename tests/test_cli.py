@@ -820,6 +820,28 @@ class TestCompare:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: TypeError: ")
 
+    @pytest.mark.parametrize("cell", [True, None, "1.5"], ids=["true", "null", "string"])
+    def test_json_cell_not_a_number_exit_2(self, cell, tmp_path, capsys):
+        # numpy would read these as 1.0, nan and 1.5
+        columns, bad, ref = ["delta_hz", "S_ab_db"], tmp_path / "bad.json", tmp_path / "ref.json"
+        bad.write_text(json.dumps({"columns": columns, "rows": [[0, cell], [1, 2]]}))
+        cli.write_table(cli.SweepTable(columns, np.array([[0.0, 1.5], [1.0, 2.0]])),
+                        str(ref), "json")
+        assert run("compare", bad, ref, "--tol-db", 0) == 2
+        assert (capsys.readouterr().err
+                == f"error: ConfigError: {bad}: a JSON cell is not a number\n")
+
+    def test_crlf_table_reads_its_last_column(self, tmp_path, capsys):
+        # the header's last name is S_ba_db, not S_ba_db plus a carriage return
+        crlf, changed, lf = (tmp_path / f"{name}.csv" for name in ("crlf", "changed", "lf"))
+        crlf.write_bytes(b"delta_hz,S_ab_db,S_ba_db\r\n0,1,5\r\n1,2,7\r\n")
+        changed.write_bytes(b"delta_hz,S_ab_db,S_ba_db\r\n0,1,9\r\n1,2,9\r\n")
+        lf.write_bytes(b"delta_hz,S_ab_db,S_ba_db\n0,1,5\n1,2,7\n")
+        assert cli.read_table(str(crlf)).columns == ["delta_hz", "S_ab_db", "S_ba_db"]
+        assert run("compare", crlf, changed, "--tol-db", 0) == 1
+        assert capsys.readouterr().out.startswith("worst |delta dB| = 4 in column S_ba_db ")
+        assert run("compare", crlf, lf, "--tol-db", 0) == 0
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command, config", [
         ("sparams", "circulator"), ("sparams", "diramp"), ("phase-sweep", "circulator"),
@@ -1679,7 +1701,7 @@ class TestErrorExits:
         raised = error("stopped after the first chunk")
 
         def chunks():
-            yield "delta_hz\n"
+            yield b"delta_hz\n"
             raise raised
 
         with pytest.raises(error) as caught:
