@@ -66,7 +66,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 1  # invalid input; also a `compare` outside its tolerance
 EXIT_SOLVER = 2  # singular dynamics matrix; also tables `compare` cannot line up
 
-STRENGTH_KEYS = ("rho", "target_g_db", "target_c")
+# a coupling's strength key: the one kind it applies to (None: any), value -> rho, and
+# rho -> the value a tuned config writes back under that key
+STRENGTH_KEYS = {
+    "rho": (None, float, float),
+    "target_g_db": (ProcessKind.GAIN, lambda db: cmt.rho_for_gain(10.0 ** (db / 10.0)),
+                    lambda rho: metrics.to_db(cmt.gain_coefficient(rho))),
+    "target_c": (ProcessKind.CONVERSION, cmt.rho_for_conversion, cmt.conversion_coefficient),
+}
 
 
 class _UniqueKeys:
@@ -173,20 +180,14 @@ def _coupling_from_entry(entry) -> PumpedCoupling:
         )
     key = present[0]
     value = _number(entry[key], f"coupling {pair}: {key}")
-    if key == "rho":
-        rho = value
-    elif key == "target_g_db":
-        if kind is not ProcessKind.GAIN:
-            raise ConfigError(f"coupling {pair}: target_g_db only applies to gain couplings")
-        try:
-            rho = cmt.rho_for_gain(10.0 ** (value / 10.0))
-        except OverflowError:
-            raise ConfigError(f"coupling {pair}: target_g_db = {value:g} dB is a gain "
-                              "beyond the float range") from None
-    else:
-        if kind is not ProcessKind.CONVERSION:
-            raise ConfigError(f"coupling {pair}: target_c only applies to conversion couplings")
-        rho = cmt.rho_for_conversion(value)
+    applies_to, to_rho, _ = STRENGTH_KEYS[key]
+    if applies_to not in (None, kind):
+        raise ConfigError(f"coupling {pair}: {key} only applies to {applies_to.value} couplings")
+    try:
+        rho = to_rho(value)
+    except OverflowError:  # only a gain in dB overflows
+        raise ConfigError(f"coupling {pair}: {key} = {value:g} dB is a gain "
+                          "beyond the float range") from None
     phase = math.radians(_number(entry.get("phase_deg", 0.0), f"coupling {pair}: phase_deg"))
     return PumpedCoupling(pair=pair, kind=kind, rho=rho, phase=phase)
 
@@ -546,13 +547,8 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, phi_tot: float,
     control = tuned.couplings[0].pair
     other_sum = 0.0
     for pair, entry in entries.items():
-        rho = tuned.coupling_for(pair).rho
-        if "rho" in entry:  # parse_config allows exactly one strength key
-            entry["rho"] = float(rho)
-        elif "target_g_db" in entry:
-            entry["target_g_db"] = float(metrics.to_db(cmt.gain_coefficient(rho)))
-        else:  # a tuned conversion is matched: rho = 1, so C = 1 exactly
-            entry["target_c"] = float(cmt.conversion_coefficient(rho))
+        (key,) = (k for k in STRENGTH_KEYS if k in entry)  # parse_config allows exactly one
+        entry[key] = float(STRENGTH_KEYS[key][2](tuned.coupling_for(pair).rho))
         if pair != control:
             other_sum += signs[pair] * math.radians(float(entry.get("phase_deg", 0.0)))
     phase = signs[control] * (phi_tot - other_sum)
