@@ -559,8 +559,12 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, phi_tot: float,
 
 
 def cmd_compare(args) -> int:
+    if not (args.tol_db >= 0):
+        raise ConfigError(f"--tol-db must be >= 0, got {args.tol_db:g}")
     try:
-        sweep_t, ref_t = read_table(args.sweep), read_table(args.reference)
+        sweep_t = read_table(args.sweep)  # a file named twice is read once
+        ref_t = (sweep_t if os.path.samefile(args.sweep, args.reference)
+                 else read_table(args.reference))
     except (OSError, ValueError, TypeError) as exc:  # TypeError: a JSON cell not a number
         raise SchemaError(f"{type(exc).__name__}: {exc}") from exc
     if sweep_t.columns != ref_t.columns:

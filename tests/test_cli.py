@@ -109,6 +109,25 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="exactly one"):
             cli.load_config(str(bad))
 
+    @pytest.mark.parametrize("config, index, key, message", [
+        ("circulator", 0, "target_g_db", "coupling ('a', 'b'): target_g_db only applies to "
+                                         "gain couplings"),
+        ("diramp", 1, "target_c", "coupling ('a', 'c'): target_c only applies to "
+                                  "conversion couplings"),
+    ])
+    def test_strength_key_on_the_other_kind(self, config, index, key, message, circ_cfg,
+                                            diramp_cfg, tmp_path, capsys):
+        raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
+        entry = raw["device"]["couplings"][index]
+        for k in cli.STRENGTH_KEYS:
+            entry.pop(k, None)
+        entry[key] = 0.5
+        bad, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
+        bad.write_text(yaml.safe_dump(raw))
+        assert run("sparams", "--config", bad, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+        assert not out.exists()
+
     def test_points_validated(self, tmp_path, circ_cfg):
         raw = yaml.safe_load(circ_cfg.read_text())
         raw["sweep"]["points"] = 0
@@ -912,6 +931,47 @@ class TestCompare:
         assert run("compare", sweep, ref) == 2
         assert capsys.readouterr().err == "error: schema mismatch: delta_hz runs differ\n"
 
+    @pytest.mark.parametrize("reference, reads", [("t.csv", 1), ("./t.csv", 1), ("u.csv", 2)],
+                             ids=["same-name", "same-file", "other-file"])
+    def test_a_file_named_twice_is_read_once(self, reference, reads, circ_cfg, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("sparams", "--config", circ_cfg, "--out", "t.csv") == 0
+        shutil.copy("t.csv", "u.csv")
+        capsys.readouterr()
+        tables = count_calls(monkeypatch, "read_table", cli)
+        assert run("compare", "t.csv", reference, "--tol-db", 0) == 0
+        assert capsys.readouterr().out.startswith("worst |delta dB| = 0 in column S_")
+        assert len(tables) == reads
+
+    def test_missing_reference_named_as_before(self, circ_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("sparams", "--config", circ_cfg, "--out", "t.csv") == 0
+        capsys.readouterr()
+        assert run("compare", "t.csv", "missing.csv") == 2
+        assert capsys.readouterr().err == (
+            "error: FileNotFoundError: [Errno 2] No such file or directory: 'missing.csv'\n")
+
+    @pytest.mark.parametrize("tol, code, err", [
+        ("nan", 1, "error: ConfigError: --tol-db must be >= 0, got nan\n"),
+        ("-1", 1, "error: ConfigError: --tol-db must be >= 0, got -1\n"),
+        ("0", 0, ""),
+        ("inf", 0, ""),
+    ], ids=["nan", "negative", "zero", "inf"])
+    def test_tolerance_must_be_at_least_zero(self, tol, code, err, circ_cfg, tmp_path,
+                                             monkeypatch, capsys):
+        # a table against itself is off by 0 dB: a tolerance that 0 does not meet is refused
+        # before any table is read
+        out = tmp_path / "t.csv"
+        assert run("sparams", "--config", circ_cfg, "--out", out) == 0
+        capsys.readouterr()
+        tables = count_calls(monkeypatch, "read_table", cli)
+        assert run("compare", out, out, "--tol-db", tol) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out.startswith("worst |delta dB| = 0 ") == (code == 0)
+        assert tables or code
+
 
 # sha256 of every writer's file for the bundled configs; the sparams and default
 # phase-sweep digests are the ones the benchmark checks (bench/digests.json)
@@ -1279,6 +1339,30 @@ class TestTuneCmd:
         assert [e["phase_deg"] for e in entries] == [35.0, -20.0, 215.0]
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == "f908c3ae0d56aecd085af36ebbffbbcb38650ec8ba7c8bc4132048471e3c151f")
+
+    @pytest.mark.parametrize("index, key, value", [
+        (0, "rho", 0.3), (0, "rho", 1.7), (0, "target_c", 0.5), (0, "target_c", 0.998),
+        (0, "target_c", 1.0), (1, "rho", 0.6), (1, "target_g_db", 3.0),
+        (1, "target_g_db", 13.0), (1, "target_g_db", 25.0),
+    ])
+    def test_strength_key_written_back_reads_the_same_rho(self, index, key, value,
+                                                          diramp_cfg, tmp_path):
+        # the diramp's coupling 0 is a conversion and 1 a gain: each key on a kind it
+        # applies to, read, written back under its own key and read again
+        raw = yaml.safe_load(diramp_cfg.read_text())
+        entry = raw["device"]["couplings"][index]
+        for k in cli.STRENGTH_KEYS:
+            entry.pop(k, None)
+        entry[key] = value
+        cfg_path, out = tmp_path / "start.cfg", tmp_path / "written.cfg"
+        cfg_path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        cfg = cli.load_config(str(cfg_path))
+        cli._write_tuned_config(cfg, cfg.device, nr.total_pump_phase(cfg.device), str(out))
+        written = yaml.safe_load(out.read_text())["device"]["couplings"][index]
+        assert [k for k in cli.STRENGTH_KEYS if k in written] == [key]
+        before = [c.rho for c in cfg.device.couplings]
+        after = [c.rho for c in cli.load_config(str(out)).device.couplings]
+        assert after == pytest.approx(before, rel=1e-13, abs=0)
 
     def test_tuned_phase_just_below_a_turn_is_written_as_zero(self, circ_cfg, tmp_path):
         # the (a, b) phase that makes up phi_tot is -1e-16 rad, which one % 2pi rounds to 2pi
