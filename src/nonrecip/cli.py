@@ -48,7 +48,7 @@ import numpy as np
 import yaml
 
 from . import cmt, metrics, tuner
-from .errors import EmptyBandError, SingularMatrixError, TopologyError
+from .errors import DomainError, EmptyBandError, SingularMatrixError, TopologyError
 from .model import (
     PUMP_DETUNING_TOLERANCE_HZ,
     ModeSpec,
@@ -126,49 +126,47 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _mapping(value, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context} must be a mapping, got {value!r}")
+_TYPE_NAMES = {dict: "a mapping", list: "a list", str: "a string", int: "an integer"}
+
+
+def _typed(value, context: str, kind: type):
+    """``value`` if it is a ``kind`` (a key of ``_TYPE_NAMES``); a boolean is not an integer."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise ConfigError(f"{context} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
-def _list(value, context: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{context} must be a list, got {value!r}")
-    return value
-
-
-def _string(value, context: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{context} must be a string, got {value!r}")
-    return value
-
-
-def _number(value, context: str) -> float:
-    """``float(value)`` of a YAML number or string; a boolean, list, mapping or
-    null is not a number, nor is an integer beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{context} must be a number, got {value!r}")
+def _number(value, context: str, scale: float = 1.0, bound: str = "") -> float:
+    """``float(value) * scale`` of a YAML number or numeric string, checked against
+    ``bound`` (">= 0", "finite and > 0" or "" for none); a boolean, list, mapping,
+    null or other string is not a number, nor is an integer beyond the float range."""
     try:
-        return float(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError
+        x = float(value) * scale
     except OverflowError:
         raise ConfigError(f"{context} is beyond the float range") from None
+    except ValueError:
+        raise ConfigError(f"{context} must be a number, got {value!r}") from None
+    if not {"": True, ">= 0": x >= 0, "finite and > 0": 0 < x < math.inf}[bound]:
+        raise ConfigError(f"{context} must be {bound}, got {x / scale:g}")
+    return x
 
 
 def _mode_from_entry(entry) -> ModeSpec:
-    entry = _mapping(entry, "mode")
-    name = _string(_require(entry, "name", "mode"), "mode: name")
-    freq, kappa = (_number(_require(entry, key, "mode"), f"mode {name}: {key}")
-                   for key in ("freq_ghz", "kappa_mhz"))
-    return ModeSpec(name, freq * 1e9, kappa * 1e6)
+    entry = _typed(entry, "mode", dict)
+    name = _typed(_require(entry, "name", "mode"), "mode: name", str)
+    freq, kappa = (_number(_require(entry, key, "mode"), f"mode {name}: {key}", scale)
+                   for key, scale in (("freq_ghz", 1e9), ("kappa_mhz", 1e6)))
+    return ModeSpec(name, freq, kappa)
 
 
 def _coupling_from_entry(entry) -> PumpedCoupling:
-    entry = _mapping(entry, "coupling")
-    pair = tuple(_list(_require(entry, "pair", "coupling"), "coupling pair"))
+    entry = _typed(entry, "coupling", dict)
+    pair = tuple(_typed(_require(entry, "pair", "coupling"), "coupling pair", list))
     if not all(isinstance(name, str) for name in pair):
         raise ConfigError(f"coupling pair must hold mode names, got {list(pair)!r}")
-    kind = _string(_require(entry, "kind", f"coupling {pair}"), f"coupling {pair}: kind")
+    kind = _typed(_require(entry, "kind", f"coupling {pair}"), f"coupling {pair}: kind", str)
     if kind.lower() not in (kinds := [k.value for k in ProcessKind]):
         raise ConfigError(f"coupling {pair}: kind must be {' or '.join(kinds)}, got {kind!r}")
     kind = ProcessKind(kind.lower())
@@ -188,45 +186,40 @@ def _coupling_from_entry(entry) -> PumpedCoupling:
     except OverflowError:  # only a gain in dB overflows
         raise ConfigError(f"coupling {pair}: {key} = {value:g} dB is a gain "
                           "beyond the float range") from None
-    phase = math.radians(_number(entry.get("phase_deg", 0.0), f"coupling {pair}: phase_deg"))
+    except DomainError as exc:  # a target_c outside [0, 1], a target_g_db below 0 or infinite
+        raise ConfigError(f"coupling {pair}: {key} = {value:g} is out of range ({exc})") from None
+    phase = _number(entry.get("phase_deg", 0.0), f"coupling {pair}: phase_deg", math.pi / 180)
     return PumpedCoupling(pair=pair, kind=kind, rho=rho, phase=phase)
 
 
 def parse_config(raw: dict) -> RunConfig:
-    device_doc = _mapping(_require(raw, "device", "config"), "device")
-    modes = _list(_require(device_doc, "modes", "device"), "device.modes")
-    couplings = _list(device_doc.get("couplings", []), "device.couplings")
+    device_doc = _typed(_require(raw, "device", "config"), "device", dict)
+    modes = _typed(_require(device_doc, "modes", "device"), "device.modes", list)
+    couplings = _typed(device_doc.get("couplings", []), "device.couplings", list)
     tol = _number(device_doc.get("pump_detuning_tolerance_mhz", PUMP_DETUNING_TOLERANCE_HZ / 1e6),
-                  "device.pump_detuning_tolerance_mhz") * 1e6
-    if not (tol >= 0):
-        raise ConfigError(f"device.pump_detuning_tolerance_mhz must be >= 0, got {tol / 1e6:g}")
+                  "device.pump_detuning_tolerance_mhz", 1e6, ">= 0")
     device = validate_device(map(_mode_from_entry, modes), map(_coupling_from_entry, couplings))
 
-    sweep_doc = _mapping(raw.get("sweep", {}), "sweep")
-    span = _number(sweep_doc.get("delta_span_mhz", 60.0), "sweep.delta_span_mhz") * 1e6
-    points = sweep_doc.get("points", 1001)
-    if isinstance(points, bool) or not isinstance(points, int):
-        raise ConfigError(f"sweep.points must be an integer, got {points!r}")
+    sweep_doc = _typed(raw.get("sweep", {}), "sweep", dict)
+    span = _number(sweep_doc.get("delta_span_mhz", 60.0), "sweep.delta_span_mhz", 1e6,
+                   "finite and > 0")
+    points = _typed(sweep_doc.get("points", 1001), "sweep.points", int)
     if points < 1:
         raise ConfigError("sweep.points must be >= 1")
-    if not (0 < span < math.inf):
-        raise ConfigError(f"sweep.delta_span_mhz must be finite and > 0, got {span / 1e6:g}")
 
-    outputs = _mapping(raw.get("outputs", {}), "outputs")
-    out_format = _string(outputs.get("format", "csv"), "outputs.format").lower()
+    outputs = _typed(raw.get("outputs", {}), "outputs", dict)
+    out_format = _typed(outputs.get("format", "csv"), "outputs.format", str).lower()
     if out_format not in ("csv", "json"):
         raise ConfigError(f"outputs.format must be csv or json, got {out_format!r}")
-    out_path = _string(outputs["path"], "outputs.path") if "path" in outputs else None
+    out_path = _typed(outputs["path"], "outputs.path", str) if "path" in outputs else None
 
     declared = raw.get("declared_pumps_ghz")
     pumps = None if declared is None else {
-        str(k): _number(v, f"declared_pumps_ghz.{k}") * 1e9
-        for k, v in _mapping(declared, "declared_pumps_ghz").items()}
-    for name, f in (pumps or {}).items():
+        str(k): _number(v, f"declared_pumps_ghz.{k}", 1e9, "finite and > 0")
+        for k, v in _typed(declared, "declared_pumps_ghz", dict).items()}
+    for name in pumps or ():
         if name not in device.mode_names:
             raise ConfigError(f"declared_pumps_ghz.{name}: no mode {name!r} in the device")
-        if not (0 < f < math.inf):
-            raise ConfigError(f"declared_pumps_ghz.{name} must be finite and > 0, got {f / 1e9:g}")
     grid = np.linspace(-span / 2.0, span / 2.0, points) if points > 1 else np.array([0.0])
     return RunConfig(raw, device, pumps, tol, grid, out_format, out_path)
 
@@ -550,7 +543,8 @@ def _write_tuned_config(cfg: RunConfig, tuned: ValidatedDevice, phi_tot: float,
         (key,) = (k for k in STRENGTH_KEYS if k in entry)  # parse_config allows exactly one
         entry[key] = float(STRENGTH_KEYS[key][2](tuned.coupling_for(pair).rho))
         if pair != control:
-            other_sum += signs[pair] * math.radians(float(entry.get("phase_deg", 0.0)))
+            other_sum += signs[pair] * _number(entry.get("phase_deg", 0.0), "phase_deg",
+                                               math.pi / 180)
     phase = signs[control] * (phi_tot - other_sum)
     entries[control]["phase_deg"] = float(math.degrees(wrap_phase(phase)))
     # libyaml's emitter where PyYAML has it, as _YAML_LOADER's parser

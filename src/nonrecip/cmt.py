@@ -57,6 +57,8 @@ def rho_for_gain(gain: float) -> float:
     """Inverse of gain_coefficient: rho = (sqrt(G)-1)/(sqrt(G)+1)."""
     if not (gain >= 1.0):
         raise DomainError(f"gain must be >= 1, got {gain:g}")
+    if gain == math.inf:  # sqrt(inf) gives rho = inf / inf = nan
+        raise DomainError("gain must be finite, got inf")
     s = math.sqrt(gain)
     return (s - 1.0) / (s + 1.0)
 

@@ -1653,6 +1653,20 @@ class TestErrorExits:
         ("diramp", ("device", "couplings", 0, "kind"), None),
         ("diramp", ("device", "couplings", 0, "kind"), 7),
         ("diramp", ("device", "couplings", 0, "kind"), "amplify"),
+        ("circulator", ("device", "modes", 0, "freq_ghz"), "12 MHz"),
+        ("circulator", ("device", "modes", 1, "kappa_mhz"), "12 MHz"),
+        ("circulator", ("device", "couplings", 1, "phase_deg"), "12 MHz"),
+        ("circulator", ("device", "couplings", 2),
+         {"pair": ["a", "c"], "kind": "conversion", "rho": "12 MHz"}),
+        ("circulator", ("device", "couplings", 0, "target_c"), "12 MHz"),
+        ("diramp", ("device", "couplings", 1, "target_g_db"), "12 MHz"),
+        ("circulator", ("sweep", "delta_span_mhz"), "12 MHz"),
+        ("circulator", ("device", "pump_detuning_tolerance_mhz"), "12 MHz"),
+        ("circulator", ("declared_pumps_ghz", "b"), "12 MHz"),
+        ("circulator", ("device", "couplings", 0, "target_c"), -1),
+        ("circulator", ("device", "couplings", 0, "target_c"), 1.5),
+        ("diramp", ("device", "couplings", 1, "target_g_db"), -1),
+        ("diramp", ("device", "couplings", 1, "target_g_db"), math.inf),
     ], ids=["device", "modes", "mode-entry", "couplings", "coupling-entry", "pair", "sweep",
             "outputs", "declared-pumps", "delta-span-bool", "freq-bool", "kappa-list",
             "freq-null", "target-c-bool", "phase-mapping", "rho-bool", "tolerance-bool",
@@ -1660,7 +1674,10 @@ class TestErrorExits:
             "declared-pump-unknown-mode", "target-g-bool", "format-xml", "mode-without-name",
             "target-g-on-conversion", "target-c-on-gain", "pair-null", "pair-int", "pair-list",
             "kappa-beyond-float", "target-g-beyond-float", "kind-list", "kind-null",
-            "kind-int", "kind-unknown"])
+            "kind-int", "kind-unknown", "freq-string", "kappa-string", "phase-string",
+            "rho-string", "target-c-string", "target-g-string", "delta-span-string",
+            "tolerance-string", "declared-pump-string", "target-c-negative", "target-c-above-1",
+            "target-g-negative", "target-g-inf"])
     def test_config_shape(self, config, path, value, circ_cfg, diramp_cfg, tmp_path, capsys):
         raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
         *parents, key = path
@@ -1674,6 +1691,26 @@ class TestErrorExits:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError: "), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, path, value, err", [
+        ("circulator", ("device", "modes", 1, "kappa_mhz"), "12 MHz",
+         "mode b: kappa_mhz must be a number, got '12 MHz'"),
+        ("circulator", ("device", "couplings", 0, "target_c"), 1.5,
+         "coupling ('a', 'b'): target_c = 1.5 is out of range "
+         "(conversion coefficient must be in [0, 1], got 1.5)"),
+        ("diramp", ("device", "couplings", 1, "target_g_db"), -1,
+         "coupling ('a', 'c'): target_g_db = -1 is out of range "
+         "(gain must be >= 1, got 0.794328)"),
+    ], ids=["kappa-string", "target-c-above-1", "target-g-negative"])
+    def test_config_value_names_its_key(self, config, path, value, err, circ_cfg, diramp_cfg,
+                                        tmp_path, capsys):
+        # a string float() refuses, or a strength outside its closed form's domain, names
+        # the key and the value as written
+        raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(yaml.safe_dump(mutated(raw, [(path, value)])))
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == f"error: ConfigError: {err}\n"
 
     @settings(max_examples=60)
     @given(name=st.sampled_from(sorted(FUZZ_CONFIGS)), command=st.sampled_from(sorted(FUZZ_ARGS)),
@@ -1696,6 +1733,8 @@ class TestErrorExits:
         lines = err.getvalue().splitlines()
         assert code in (0, 1, 2)
         assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error: ")
+        if code == 1:  # a bare ValueError or DomainError names no config key
+            assert not lines[0].startswith(("error: ValueError:", "error: DomainError:"))
         if code:
             assert os.listdir(directory) == ["run.cfg"]
 
@@ -1790,7 +1829,7 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("section, key, value, error", [
         ("couplings", "kind", "convert", "ConfigError"),
-        ("modes", "kappa_mhz", "abc", "ValueError"),
+        ("modes", "kappa_mhz", "abc", "ConfigError"),
         ("couplings", "phase_deg", math.nan, "DeviceValidationError"),
         ("couplings", "phase_deg", math.inf, "DeviceValidationError"),
         ("couplings", "phase_deg", "-inf", "DeviceValidationError"),

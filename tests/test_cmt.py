@@ -47,8 +47,11 @@ class TestClosedForms:
         # 12 dB: rho = (sqrt(G)-1)/(sqrt(G)+1)
         rho = cmt.rho_for_gain(10 ** 1.2)
         assert math.isclose(rho, 0.5984799821737964, rel_tol=1e-12)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^gain must be >= 1, got 0.5$"):
             cmt.rho_for_gain(0.5)
+        # sqrt(inf) would give rho = inf / inf = nan, which names no gain
+        with pytest.raises(DomainError, match=r"^gain must be finite, got inf$"):
+            cmt.rho_for_gain(math.inf)
 
     def test_rho_for_conversion_branch_points(self):
         assert cmt.rho_for_conversion(0.0) == 0.0
