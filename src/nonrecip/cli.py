@@ -7,7 +7,9 @@ angles in degrees.  Everything is converted to Hz/radians internally.  libyaml
 parses them and writes tuned configs where PyYAML has it.  Its parser builds the
 same values as PyYAML's own, but tabs between tokens load and syntax errors are
 worded differently; its emitter may write an empty key, a long key or a long
-escaped string in other bytes, which load back to the same values.
+escaped string in other bytes, which load back to the same values.  A plain tree
+of mappings, lists and scalars is built from the parsed nodes in one pass; PyYAML's
+constructor builds any other document and raises every constructor error.
 
 Tables (CSV or JSON) lead with their axis columns: ``delta_hz`` (``sparams``),
 ``phi_rad, delta_hz`` in phi-major order (``phase-sweep``), ``c``
@@ -138,7 +140,7 @@ def _typed(value, context: str, kind: type):
 
 def _number(value, context: str, scale: float = 1.0, bound: str = "") -> float:
     """``float(value) * scale`` of a YAML number or numeric string, checked against
-    ``bound`` (">= 0", "finite and > 0" or "" for none); a boolean, list, mapping,
+    ``bound`` (">= 0", "finite", "finite and > 0" or "" for none); a boolean, list, mapping,
     null or other string is not a number, nor is an integer beyond the float range."""
     try:
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
@@ -148,7 +150,8 @@ def _number(value, context: str, scale: float = 1.0, bound: str = "") -> float:
         raise ConfigError(f"{context} is beyond the float range") from None
     except ValueError:
         raise ConfigError(f"{context} must be a number, got {value!r}") from None
-    if not {"": True, ">= 0": x >= 0, "finite and > 0": 0 < x < math.inf}[bound]:
+    if not {"": True, ">= 0": x >= 0, "finite": math.isfinite(x),
+            "finite and > 0": 0 < x < math.inf}[bound]:
         raise ConfigError(f"{context} must be {bound}, got {x / scale:g}")
     return x
 
@@ -156,7 +159,8 @@ def _number(value, context: str, scale: float = 1.0, bound: str = "") -> float:
 def _mode_from_entry(entry) -> ModeSpec:
     entry = _typed(entry, "mode", dict)
     name = _typed(_require(entry, "name", "mode"), "mode: name", str)
-    freq, kappa = (_number(_require(entry, key, "mode"), f"mode {name}: {key}", scale)
+    freq, kappa = (_number(_require(entry, key, "mode"), f"mode {name}: {key}", scale,
+                           "finite and > 0")
                    for key, scale in (("freq_ghz", 1e9), ("kappa_mhz", 1e6)))
     return ModeSpec(name, freq, kappa)
 
@@ -188,7 +192,8 @@ def _coupling_from_entry(entry) -> PumpedCoupling:
                           "beyond the float range") from None
     except DomainError as exc:  # a target_c outside [0, 1], a target_g_db below 0 or infinite
         raise ConfigError(f"coupling {pair}: {key} = {value:g} is out of range ({exc})") from None
-    phase = _number(entry.get("phase_deg", 0.0), f"coupling {pair}: phase_deg", math.pi / 180)
+    phase = _number(entry.get("phase_deg", 0.0), f"coupling {pair}: phase_deg", math.pi / 180,
+                    "finite")
     return PumpedCoupling(pair=pair, kind=kind, rho=rho, phase=phase)
 
 
@@ -224,9 +229,63 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(raw, device, pumps, tol, grid, out_format, out_path)
 
 
+_PLAIN_TAGS = [f"tag:yaml.org,2002:{t}" for t in ("map", "seq", "str", "int", "float", "bool",
+                                                   "null")]
+
+
+def _plain_document(loader, root):
+    """The value of the composed document ``root``, built in one pass over its nodes (an
+    explicit stack, so any depth) when it is a tree of mappings, lists and str, int, float,
+    bool or null scalars, each scalar through the loader's own constructor.  At the first
+    node it does not build (another tag, a node met twice, a collection key, a repeated key,
+    a scalar its constructor refuses) it returns ``loader.construct_document(root)``, so
+    PyYAML's constructor builds every other document and raises every constructor error."""
+    scalars = {("scalar", t): loader.yaml_constructors[t] for t in _PLAIN_TAGS[2:]}
+    mapping, sequence = ("mapping", _PLAIN_TAGS[0]), ("sequence", _PLAIN_TAGS[1])
+    seen, top = set(), [None]
+    todo = [(root, top, 0)]  # node, the container its value goes in, and its slot there
+    try:
+        while todo:
+            node, parent, slot = todo.pop()
+            if node in seen:
+                raise LookupError  # an alias, or a document that holds itself
+            seen.add(node)
+            kind = node.id, node.tag
+            if kind == mapping:
+                value = {}
+                for key_node, child in node.value:
+                    key = scalars[key_node.id, key_node.tag](loader, key_node)
+                    if key_node in seen or key in value:
+                        raise LookupError
+                    seen.add(key_node)
+                    value[key] = None  # the keys in document order
+                    todo.append((child, value, key))
+            elif kind == sequence:
+                value = [None] * len(node.value)
+                todo.extend((child, value, i) for i, child in enumerate(node.value))
+            else:
+                value = scalars[kind](loader, node)
+            parent[slot] = value
+    except (LookupError, ValueError):  # also a scalar such as "!!int x" or "!!bool 2"
+        return loader.construct_document(root)
+    return top[0]
+
+
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.load(fh, Loader=_YAML_LOADER)
+        try:
+            text = fh.read()  # decoded at once, so an error's offset is the file's
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at "
+                              f"offset {exc.start} ({exc.reason})") from None
+    stream = io.StringIO(text)
+    stream.name = path  # marks name the file, and give no snippet, as for the open file
+    loader = _YAML_LOADER(stream)  # libyaml composes the nodes where PyYAML has it
+    try:
+        node = loader.get_single_node()
+        raw = None if node is None else _plain_document(loader, node)
+    finally:
+        loader.dispose()
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return parse_config(raw)
@@ -478,10 +537,12 @@ def cmd_sparams(args) -> int:
 
 
 def cmd_phase_sweep(args) -> int:
-    cfg = load_config(args.config)
-    pairs = _parse_pairs(args.pairs, cfg.device)
+    if args.phi_points < 1:
+        raise ConfigError(f"--phi-points must be >= 1, got {args.phi_points}")
     if not (math.isfinite(args.phi_min) and math.isfinite(args.phi_max)):
         raise ConfigError("--phi-min and --phi-max must be finite")
+    cfg = load_config(args.config)
+    pairs = _parse_pairs(args.pairs, cfg.device)
     phis = np.linspace(args.phi_min, args.phi_max, args.phi_points)
     rows = cmt.phase_rows(cfg.device, phis, cfg.delta_grid, pairs)  # raises before a write
     fmt = args.format or cfg.out_format
@@ -492,6 +553,11 @@ def cmd_phase_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    if args.c_points < 1:
+        raise ConfigError(f"--c-points must be >= 1, got {args.c_points}")
+    for option, c in (("--c-min", args.c_min), ("--c-max", args.c_max)):
+        if not 0 <= c <= 1:
+            raise ConfigError(f"{option} must be in [0, 1], got {c:g}")
     cfg = load_config(args.config)
     cs = np.linspace(args.c_min, args.c_max, args.c_points)
     res = tuner.conversion_sweep(cfg.device, cs)

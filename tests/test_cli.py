@@ -264,6 +264,57 @@ class TestConfigLoader:
         expected = yaml.load(text, Loader=yaml.SafeLoader)
         assert repr(cli.load_config(str(path)).raw) == repr(expected)
 
+    @pytest.mark.parametrize("case", ["bundled", "tuned", "merge-key", "alias", "recursive-list",
+                                      "set", "date", "repeated-key", "unhashable-key",
+                                      "deep-list"])
+    def test_only_other_documents_reach_the_constructor(self, case, circ_cfg, diramp_cfg,
+                                                        tmp_path, monkeypatch):
+        # a tree of mappings, lists and plain scalars is built without PyYAML's constructor;
+        # any other document is built by it alone, to the value or error yaml.load gives
+        extra = {"merge-key": "{<<: {a: 1}, b: 2}", "alias": "[&x 1, *x]",
+                 "recursive-list": "&r [*r]", "set": "!!set {a, b}", "date": "2015-11-04",
+                 "repeated-key": "{a: 1, a: 2}", "unhashable-key": "{[a]: 1}",
+                 "deep-list": "\n" + "- " * 20000 + "[]"}  # flow: O(n²) scan
+        if case == "deep-list" and not yaml.__with_libyaml__:
+            pytest.skip("PyYAML's own composer recurses once per level")
+        one_pass = case in ("bundled", "tuned", "deep-list")
+        paths = [str(circ_cfg), str(diramp_cfg)]
+        if case == "tuned":
+            paths = [str(tmp_path / f"{name}.cfg") for name in TUNE_ARGS]
+            for path, (config, *options) in zip(paths, TUNE_ARGS.values()):
+                cfg = circ_cfg if config == "circulator" else diramp_cfg
+                assert run("tune", "--config", cfg, "--out", path, *options) == 0
+        elif case in extra:
+            paths = [str(tmp_path / "extra.cfg")]
+            with open(paths[0], "w", encoding="utf-8") as fh:
+                fh.write(circ_cfg.read_text() + f"extra: {extra[case]}\n")
+
+        def outcome(load, path):  # repr of the document, its error, or a deep list's depth
+            try:
+                raw = load(path)
+            except yaml.YAMLError as exc:
+                return f"{type(exc).__name__}: {exc}"
+            depth, inner = 0, raw["extra"] if case == "deep-list" else None
+            while inner:
+                depth, inner = depth + 1, inner[0]
+            return depth or repr(raw)
+
+        def yaml_load(path):  # the read load_config made before the one-pass build
+            with open(path, encoding="utf-8") as fh:
+                return yaml.load(fh, Loader=cli._YAML_LOADER)
+
+        expected = [outcome(yaml_load, path) for path in paths]
+        built, construct_document = [], cli._YAML_LOADER.construct_document
+
+        def counted(loader, node):
+            assert not one_pass, "a plain document reached PyYAML's constructor"
+            built.append(node)
+            return construct_document(loader, node)
+
+        monkeypatch.setattr(cli._YAML_LOADER, "construct_document", counted)
+        assert [outcome(lambda p: cli.load_config(p).raw, path) for path in paths] == expected
+        assert len(built) == (not one_pass)
+
     def test_fallback_parser_keeps_the_sparams_bytes(self, circ_cfg, tmp_path, monkeypatch):
         made = []
 
@@ -1567,21 +1618,33 @@ class TestErrorExits:
         assert f'in "{cfg}", line {line}, column 1' in err[0]
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["phase-sweep", "--config", "{circ}", "--phi-points", "0", "--out", "{tmp}/x.csv"],
-        ["phase-sweep", "--config", "{circ}", "--phi-points", "-1", "--out", "{tmp}/x.csv"],
-        ["threshold", "--config", "{diramp}", "--c-points", "0", "--out", "{tmp}/x.csv"],
-        ["threshold", "--config", "{diramp}", "--c-max", "1.5", "--out", "{tmp}/x.csv"],
-        ["sparams", "--config", "{circ}", "--out", "{tmp}/no-such-dir/x.csv"],
-        ["phase-sweep", "--config", "{circ}", "--phi-min=nan", "--out", "{tmp}/x.csv"],
-        ["phase-sweep", "--config", "{circ}", "--phi-max=inf", "--out", "{tmp}/x.csv"],
-        ["phase-sweep", "--config", "{circ}", "--phi-min=-inf", "--out", "{tmp}/x.csv"],
+    @pytest.mark.parametrize("argv, err", [
+        (["phase-sweep", "--config", "{circ}", "--phi-points", "0", "--out", "{tmp}/x.csv"],
+         "ConfigError: --phi-points must be >= 1, got 0"),
+        (["phase-sweep", "--config", "{circ}", "--phi-points", "-1", "--out", "{tmp}/x.csv"],
+         "ConfigError: --phi-points must be >= 1, got -1"),
+        (["threshold", "--config", "{diramp}", "--c-points", "0", "--out", "{tmp}/x.csv"],
+         "ConfigError: --c-points must be >= 1, got 0"),
+        (["threshold", "--config", "{diramp}", "--c-max", "1.5", "--out", "{tmp}/x.csv"],
+         "ConfigError: --c-max must be in [0, 1], got 1.5"),
+        (["sparams", "--config", "{circ}", "--out", "{tmp}/no-such-dir/x.csv"],
+         "FileNotFoundError: [Errno 2] No such file or directory: '{tmp}/no-such-dir/x.csv'"),
+        (["phase-sweep", "--config", "{circ}", "--phi-min=nan", "--out", "{tmp}/x.csv"],
+         "ConfigError: --phi-min and --phi-max must be finite"),
+        (["phase-sweep", "--config", "{circ}", "--phi-max=inf", "--out", "{tmp}/x.csv"],
+         "ConfigError: --phi-min and --phi-max must be finite"),
+        (["phase-sweep", "--config", "{circ}", "--phi-min=-inf", "--out", "{tmp}/x.csv"],
+         "ConfigError: --phi-min and --phi-max must be finite"),
+        (["threshold", "--config", "{diramp}", "--c-min=-0.5", "--out", "{tmp}/x.csv"],
+         "ConfigError: --c-min must be in [0, 1], got -0.5"),
+        (["threshold", "--config", "{diramp}", "--c-max=nan", "--out", "{tmp}/x.csv"],
+         "ConfigError: --c-max must be in [0, 1], got nan"),
     ], ids=["no-phi-points", "negative-phi-points", "no-c-points", "c-above-1", "missing-out-dir",
-            "phi-min-nan", "phi-max-inf", "phi-min--inf"])
-    def test_command_argument(self, argv, circ_cfg, diramp_cfg, tmp_path, capsys):
+            "phi-min-nan", "phi-max-inf", "phi-min--inf", "c-below-0", "c-max-nan"])
+    def test_command_argument(self, argv, err, circ_cfg, diramp_cfg, tmp_path, capsys):
+        # a grid option outside its range names itself before anything is solved or written
         assert run(*[a.format(circ=circ_cfg, diramp=diramp_cfg, tmp=tmp_path) for a in argv]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert capsys.readouterr().err == f"error: {err.format(tmp=tmp_path)}\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("pairs", ["bb,bb", "ab,cb, ab"])
@@ -1802,12 +1865,18 @@ class TestErrorExits:
         assert capsys.readouterr().err == err
         assert out.exists() == (code == 0)
 
-    @pytest.mark.parametrize("text", ["- device\n", "5\n", ""], ids=["list", "number", "empty"])
-    def test_config_not_a_mapping(self, text, tmp_path, capsys):
+    @pytest.mark.parametrize("data, err", [
+        (b"- device\n", "config must be a mapping"), (b"5\n", "config must be a mapping"),
+        (b"", "config must be a mapping"),
+        (b"device: {modes: []}\nsweep: {points: 11}\n" + b"#" * 9000 + b"\xff\n",
+         "not UTF-8: byte 0xff at offset 9040 (invalid start byte)"),
+    ], ids=["list", "number", "empty", "not-utf8"])
+    def test_config_not_a_mapping(self, data, err, tmp_path, capsys):
+        # a byte that is not UTF-8 is named by its offset in the file, past the first 8 KiB too
         cfg, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
-        cfg.write_text(text)
+        cfg.write_bytes(data)
         assert run("sparams", "--config", cfg, "--out", out) == 1
-        assert capsys.readouterr().err == f"error: ConfigError: {cfg}: config must be a mapping\n"
+        assert capsys.readouterr().err == f"error: ConfigError: {cfg}: {err}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
@@ -1830,11 +1899,11 @@ class TestErrorExits:
     @pytest.mark.parametrize("section, key, value, error", [
         ("couplings", "kind", "convert", "ConfigError"),
         ("modes", "kappa_mhz", "abc", "ConfigError"),
-        ("couplings", "phase_deg", math.nan, "DeviceValidationError"),
-        ("couplings", "phase_deg", math.inf, "DeviceValidationError"),
-        ("couplings", "phase_deg", "-inf", "DeviceValidationError"),
-        ("modes", "kappa_mhz", math.inf, "DeviceValidationError"),
-        ("modes", "freq_ghz", math.inf, "DeviceValidationError"),
+        ("couplings", "phase_deg", math.nan, "ConfigError"),
+        ("couplings", "phase_deg", math.inf, "ConfigError"),
+        ("couplings", "phase_deg", "-inf", "ConfigError"),
+        ("modes", "kappa_mhz", math.inf, "ConfigError"),
+        ("modes", "freq_ghz", math.inf, "ConfigError"),
     ], ids=["couplings-kind-convert", "modes-kappa_mhz-abc", "couplings-phase_deg-nan",
             "couplings-phase_deg-inf", "couplings-phase_deg--inf", "modes-kappa_mhz-inf",
             "modes-freq_ghz-inf"])
