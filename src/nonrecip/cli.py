@@ -229,21 +229,19 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(raw, device, pumps, tol, grid, out_format, out_path)
 
 
-_PLAIN_TAGS = [f"tag:yaml.org,2002:{t}" for t in ("map", "seq", "str", "int", "float", "bool",
-                                                   "null")]
+_YAML_TAG = "tag:yaml.org,2002:"
 
 
 def _plain_document(loader, root):
-    """The value of the composed document ``root``, built in one pass over its nodes (an
-    explicit stack, so any depth) when it is a tree of mappings, lists and str, int, float,
-    bool or null scalars, each scalar through the loader's own constructor.  At the first
-    node it does not build (another tag, a node met twice, a collection key, a repeated key,
-    a scalar its constructor refuses) it returns ``loader.construct_document(root)``, so
-    PyYAML's constructor builds every other document and raises every constructor error."""
-    scalars = {("scalar", t): loader.yaml_constructors[t] for t in _PLAIN_TAGS[2:]}
-    mapping, sequence = ("mapping", _PLAIN_TAGS[0]), ("sequence", _PLAIN_TAGS[1])
+    """The value of the composed document ``root`` if it is a tree of mappings, lists and
+    str/int/float/bool/null scalars (each built by the loader's own constructor), in one
+    pass with an explicit stack; else ``loader.construct_document(root)``, which builds and
+    raises as PyYAML does (another tag, a node met twice, a collection or repeated key)."""
+    scalars = {("scalar", _YAML_TAG + t): loader.yaml_constructors[_YAML_TAG + t]
+               for t in ("str", "int", "float", "bool", "null")}
+    mapping, sequence = ("mapping", _YAML_TAG + "map"), ("sequence", _YAML_TAG + "seq")
     seen, top = set(), [None]
-    todo = [(root, top, 0)]  # node, the container its value goes in, and its slot there
+    todo = [(root, top, 0)]  # a node, the container its value goes in and its slot there
     try:
         while todo:
             node, parent, slot = todo.pop()
@@ -278,8 +276,7 @@ def load_config(path: str) -> RunConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at "
                               f"offset {exc.start} ({exc.reason})") from None
-    stream = io.StringIO(text)
-    stream.name = path  # marks name the file, and give no snippet, as for the open file
+    (stream := io.StringIO(text)).name = path  # marks name the file, as for the open file
     loader = _YAML_LOADER(stream)  # libyaml composes the nodes where PyYAML has it
     try:
         node = loader.get_single_node()
