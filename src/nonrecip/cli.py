@@ -7,10 +7,13 @@ angles in degrees.  Everything is converted to Hz/radians internally.  libyaml
 parses them and writes tuned configs where PyYAML has it.  Its parser builds the
 same values as PyYAML's own, but tabs between tokens load and syntax errors are
 worded differently; its emitter may write an empty key, a long key or a long
-escaped string in other bytes, which load back to the same values.  A plain tree
+escaped string in other bytes, which load back to the same values.  A node nested
+deeper than ``_MAX_DEPTH`` levels is refused as it is composed.  A plain tree
 of mappings, lists and scalars is built from the parsed nodes in one pass; PyYAML's
 constructor builds any other document and raises every constructor error.
 
+``sparams`` solves delta = 0 with its grid in one kernel call and writes the grid's
+rows alone; its summary reads that exact delta = 0 point and grows both bands from it.
 Tables (CSV or JSON) lead with their axis columns: ``delta_hz`` (``sparams``),
 ``phi_rad, delta_hz`` in phi-major order (``phase-sweep``), ``c``
 (``threshold``).  Floats have 9 significant digits and lines end in "\n", so
@@ -25,7 +28,8 @@ write together.  ``compare`` splits both tables into runs (a
 run ends where an axis but the last changes or the last stops increasing),
 needs the runs' leading axis values to match exactly and interpolates the
 reference along the last axis within each run; it compares the ``*_db``
-columns by default and exits 2 when the tables cannot be lined up.
+columns by default and exits 2 when the tables cannot be read (a ConfigError that
+names the file) or lined up.  Configs and tables are read by one UTF-8 reader.
 
 ``tune`` puts the config at its objective's closed-form working point and
 scores it once; its ``objective:`` line ends with the stop reason
@@ -78,9 +82,28 @@ STRENGTH_KEYS = {
 }
 
 
-class _UniqueKeys:
-    """Loader mixin: a key given twice in one mapping, compared as constructed values (``yes``
-    is ``true``), is a ConstructorError; keys a ``<<`` merge brings in still give way."""
+_MAX_DEPTH = 100  # config nesting levels; the schema's deepest value, a pair's name, is at 6
+
+
+class _ConfigChecks:
+    """Loader mixin: a node more than ``_MAX_DEPTH`` levels deep is a ConfigError as it is
+    composed, before libyaml's composer, one C call per level, overflows the stack; a key
+    given twice in one mapping, compared as constructed values (``yes`` is ``true``), is a
+    ConstructorError; keys a ``<<`` merge brings in still give way."""
+
+    depth = 0
+
+    # both composers call these once per node; they replace the base resolver's, which act
+    # only on path resolvers, and a config loader has none
+    def descend_resolver(self, parent, index):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            mark = parent.start_mark
+            raise ConfigError(f"{mark.name}, line {mark.line + 1}: config nested deeper than "
+                              f"{_MAX_DEPTH} levels")
+
+    def ascend_resolver(self):
+        self.depth -= 1
 
     def flatten_mapping(self, node):
         if not hasattr(node, "own_keys"):  # as written: flattening prepends merged keys
@@ -97,7 +120,7 @@ class _UniqueKeys:
 
 
 # libyaml's parser where PyYAML was built with it; both build values with the same constructor
-_YAML_LOADER = type("ConfigLoader", (_UniqueKeys, yaml.CSafeLoader if yaml.__with_libyaml__
+_YAML_LOADER = type("ConfigLoader", (_ConfigChecks, yaml.CSafeLoader if yaml.__with_libyaml__
                                      else yaml.SafeLoader), {})
 
 
@@ -269,14 +292,18 @@ def _plain_document(loader, root):
     return top[0]
 
 
-def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file ``path``; a byte that is not UTF-8 is a ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:  # universal newlines: "\r\n" reads as "\n"
         try:
-            text = fh.read()  # decoded at once, so an error's offset is the file's
+            return fh.read()  # decoded at once, so an error's offset is the file's
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at "
                               f"offset {exc.start} ({exc.reason})") from None
-    (stream := io.StringIO(text)).name = path  # marks name the file, as for the open file
+
+
+def load_config(path: str) -> RunConfig:
+    (stream := io.StringIO(_read_text(path))).name = path  # marks name the file
     loader = _YAML_LOADER(stream)  # libyaml composes the nodes where PyYAML has it
     try:
         node = loader.get_single_node()
@@ -411,33 +438,36 @@ def write_phase_map(rows: cmt.PhaseRows, path: str, fmt: str) -> None:
 
 
 def read_table(path: str) -> SweepTable:
-    with open(path, "r", encoding="utf-8") as fh:  # universal newlines: "\r\n" reads as "\n"
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text, parse_int=float)  # every cell is a float; keeps "-0" negative
-        if not (isinstance(doc, dict) and isinstance(doc.get("columns"), list)
-                and isinstance(doc.get("rows"), list)):
-            raise ConfigError(f"{path}: JSON table needs 'columns' and 'rows' lists")
-        cols, data = doc["columns"], doc["rows"]
-    else:
-        head, _, body = text.lstrip("\n").partition("\n")
-        if not head:
-            raise ConfigError(f"{path}: empty table")
-        cols = head.split(",")
-        # comments=None: a "#" cell is an error, not the start of a comment
-        data = (np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-                if body.strip("\n") else [])
-    cols = [str(c) for c in cols]
-    if len(set(cols)) != len(cols):  # compare looks a column up by its name
-        raise ConfigError(f"{path}: a column name is repeated")
-    rows = np.asarray(data, dtype=float)
-    if rows.size == 0:
-        rows = rows.reshape(0, len(cols))
-    if rows.ndim != 2 or rows.shape[1] != len(cols):
-        raise ConfigError(f"{path}: every row needs {len(cols)} cells, one per column")
-    cells = itertools.chain.from_iterable(data) if isinstance(data, list) else ()  # JSON rows
-    if not set(map(type, cells)) <= {float}:  # numpy reads true, null and "1.5" as numbers
-        raise ConfigError(f"{path}: a JSON cell is not a number")
+    """The table in the file ``path``; ConfigError names the file on any malformed table."""
+    text = _read_text(path)
+    try:  # json's and numpy's own errors, and those raised here, get the path once
+        if text.lstrip().startswith("{"):
+            doc = json.loads(text, parse_int=float)  # every cell is a float; keeps "-0" negative
+            if not (isinstance(doc, dict) and isinstance(doc.get("columns"), list)
+                    and isinstance(doc.get("rows"), list)):
+                raise ConfigError("JSON table needs 'columns' and 'rows' lists")
+            cols, data = doc["columns"], doc["rows"]
+        else:
+            head, _, body = text.lstrip("\n").partition("\n")
+            if not head:
+                raise ConfigError("empty table")
+            cols = head.split(",")
+            # comments=None: a "#" cell is an error, not the start of a comment
+            data = (np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+                    if body.strip("\n") else [])
+        cols = [str(c) for c in cols]
+        if len(set(cols)) != len(cols):  # compare looks a column up by its name
+            raise ConfigError("a column name is repeated")
+        rows = np.asarray(data, dtype=float)  # a ragged JSON row or a mapping cell raises
+        if rows.size == 0:
+            rows = rows.reshape(0, len(cols))
+        if rows.ndim != 2 or rows.shape[1] != len(cols):
+            raise ConfigError(f"every row needs {len(cols)} cells, one per column")
+        cells = itertools.chain.from_iterable(data) if isinstance(data, list) else ()  # JSON
+        if not set(map(type, cells)) <= {float}:  # numpy reads true, null and "1.5" as numbers
+            raise ConfigError("a JSON cell is not a number")
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return SweepTable(cols, rows)
 
 
@@ -467,17 +497,17 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
 # summaries
 
 
-def _print_summary(cfg: RunConfig, result: cmt.SweepResult, s0: cmt.SweepResult) -> None:
-    """Print the delta=0 figures from ``s0`` and the bands and defect from ``result``."""
+def _print_summary(cfg: RunConfig, result: cmt.SweepResult) -> None:
+    """Print the figures at ``result``'s exact delta = 0, the bands from there and the defect."""
     device = cfg.device
     names = device.mode_names
-    db = _db(np.abs(s0.entries[0]))
+    db = _db(np.abs(result.entries[result.center_index]))
     print(f"on-resonance |S| (dB) at delta=0 Hz, modes {names}:")
     for o, row in zip(names, db):
         cells = "  ".join(f"{v:8.2f}" for v in row)
         print(f"  out {o}: {cells}")
     if device.is_circulator:
-        sense = metrics.circulation_sense(s0)
+        sense = metrics.circulation_sense(result)
         order = names if sense is metrics.CirculationSense.CW else names[::-1]
         cycle = "none" if sense is metrics.CirculationSense.NONE else "->".join(order + order[:1])
         print(f"circulation sense at delta=0: {sense.value} ({cycle})")
@@ -494,12 +524,12 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult, s0: cmt.SweepResult)
         print(f"roles at phi_tot={phi:+.4f} rad: "
               + ", ".join(f"{m}={role_of[m]}" for m in names))
         sig, vac = device.index(roles.signal), device.index(roles.vacuum)
-        fwd = s0.magnitudes(roles.idler, roles.signal)[0] ** 2
+        fwd = result.magnitudes(roles.idler, roles.signal)[result.center_index] ** 2
         if fwd > 0:
             print(f"forward gain {roles.signal}->{roles.idler} at delta=0: "
                   f"{metrics.to_db(fwd):.2f} dB")
             print(f"added noise {roles.signal}->{roles.idler} at delta=0: "
-                  f"{metrics.added_noise(s0, roles.signal, roles.idler):.4f} photons")
+                  f"{metrics.added_noise(result, roles.signal, roles.idler):.4f} photons")
         print(f"input reflections at delta=0: "
               f"{roles.signal}: {db[sig, sig]:.2f} dB, {roles.vacuum}: {db[vac, vac]:.2f} dB")
         print(f"{roles.vacuum}->{roles.signal} transmission at delta=0: {db[sig, vac]:.2f} dB")
@@ -508,7 +538,7 @@ def _print_summary(cfg: RunConfig, result: cmt.SweepResult, s0: cmt.SweepResult)
             print(f"3 dB gain bandwidth: {bw / 1e6:.3f} MHz around delta=0")
         except EmptyBandError as exc:
             print(f"3 dB gain bandwidth: empty band ({exc})")
-    nvr0 = metrics.nvr(s0)
+    nvr0 = metrics.nvr(result)
     print("NVR at delta=0 (dB): " + ", ".join(f"{n}: {v:.3f}" for n, v in nvr0.items()))
     print(f"max symplectic defect over the sweep: {metrics.symplectic_defect(result):.3e}")
     if cfg.declared_pumps:
@@ -525,11 +555,13 @@ def cmd_sparams(args) -> int:
     fmt = args.format or cfg.out_format
     out_path = cfg.out_path if args.out is None else args.out
     out_path = "sweep." + fmt if out_path is None else out_path
-    result = cmt.sweep(cfg.device, cfg.delta_grid)
-    s0 = cmt.scattering_at(cfg.device, 0.0)  # the grid may not hold delta = 0
-    write_table(sweep_table(result), out_path, fmt)
-    print(f"wrote {len(result)} detuning points to {out_path} ({fmt})")
-    _print_summary(cfg, result, s0)
+    grid = cfg.delta_grid  # solved with delta = 0 (np.union1d would import numpy.ma, 13 ms)
+    result = cmt.sweep(cfg.device, sorted({*grid.tolist(), 0.0}))
+    table = sweep_table(result)  # delta = 0 is summarised, but written only if the grid holds it
+    rows = table.rows if len(result) == len(grid) else table.rows[result.deltas != 0.0]
+    write_table(SweepTable(table.columns, rows), out_path, fmt)
+    print(f"wrote {len(grid)} detuning points to {out_path} ({fmt})")
+    _print_summary(cfg, result)
     return EXIT_OK
 
 

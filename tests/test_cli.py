@@ -71,6 +71,15 @@ def mutated(raw, mutations):
     return raw
 
 
+def with_points(config, points, tmp_path):
+    """A copy of the config file ``config`` with ``sweep.points`` set to ``points``."""
+    raw = yaml.safe_load(config.read_text())
+    raw["sweep"]["points"] = points
+    path = tmp_path / f"points-{points}.cfg"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
 def renamed_modes(raw, names):
     """A copy of the config ``raw`` with its modes a, b and c renamed ``names``, in
     its couplings and declared pumps too."""
@@ -238,7 +247,7 @@ def use_loader(loader, monkeypatch):
     """``pure-python``: parse configs with PyYAML's own parser, keeping the duplicate-key check."""
     if loader == "pure-python":
         monkeypatch.setattr(cli, "_YAML_LOADER",
-                            type("PurePython", (cli._UniqueKeys, yaml.SafeLoader), {}))
+                            type("PurePython", (cli._ConfigChecks, yaml.SafeLoader), {}))
 
 
 class TestConfigLoader:
@@ -270,13 +279,12 @@ class TestConfigLoader:
     def test_only_other_documents_reach_the_constructor(self, case, circ_cfg, diramp_cfg,
                                                         tmp_path, monkeypatch):
         # a tree of mappings, lists and plain scalars is built without PyYAML's constructor;
-        # any other document is built by it alone, to the value or error yaml.load gives
+        # any other document is built by it alone, to the value or error yaml.load gives; a
+        # document nested too deep is refused as it is composed and reaches neither
         extra = {"merge-key": "{<<: {a: 1}, b: 2}", "alias": "[&x 1, *x]",
                  "recursive-list": "&r [*r]", "set": "!!set {a, b}", "date": "2015-11-04",
                  "repeated-key": "{a: 1, a: 2}", "unhashable-key": "{[a]: 1}",
-                 "deep-list": "\n" + "- " * 20000 + "[]"}  # flow: O(n²) scan
-        if case == "deep-list" and not yaml.__with_libyaml__:
-            pytest.skip("PyYAML's own composer recurses once per level")
+                 "deep-list": "\n" + "- " * 20000 + "[]"}
         one_pass = case in ("bundled", "tuned", "deep-list")
         paths = [str(circ_cfg), str(diramp_cfg)]
         if case == "tuned":
@@ -289,21 +297,21 @@ class TestConfigLoader:
             with open(paths[0], "w", encoding="utf-8") as fh:
                 fh.write(circ_cfg.read_text() + f"extra: {extra[case]}\n")
 
-        def outcome(load, path):  # repr of the document, its error, or a deep list's depth
+        def outcome(load, path):  # repr of the document or its error
             try:
                 raw = load(path)
-            except yaml.YAMLError as exc:
+            except (yaml.YAMLError, cli.ConfigError) as exc:
                 return f"{type(exc).__name__}: {exc}"
-            depth, inner = 0, raw["extra"] if case == "deep-list" else None
-            while inner:
-                depth, inner = depth + 1, inner[0]
-            return depth or repr(raw)
+            return repr(raw)
 
         def yaml_load(path):  # the read load_config made before the one-pass build
             with open(path, encoding="utf-8") as fh:
                 return yaml.load(fh, Loader=cli._YAML_LOADER)
 
         expected = [outcome(yaml_load, path) for path in paths]
+        if case == "deep-list":
+            assert expected == [f"ConfigError: {paths[0]}, line 23: config nested deeper than "
+                                f"{cli._MAX_DEPTH} levels"]
         built, construct_document = [], cli._YAML_LOADER.construct_document
 
         def counted(loader, node):
@@ -314,6 +322,32 @@ class TestConfigLoader:
         monkeypatch.setattr(cli._YAML_LOADER, "construct_document", counted)
         assert [outcome(lambda p: cli.load_config(p).raw, path) for path in paths] == expected
         assert len(built) == (not one_pass)
+
+    @pytest.mark.parametrize("loader", ["libyaml-if-present", "pure-python"])
+    @pytest.mark.parametrize("extra, line", [
+        ("[" * 20000 + "]" * 20000, 22),  # libyaml scans it in time O(depth²)
+        ("\n" + "- " * 100000 + "[]", 23),  # libyaml's composer overflows the C stack
+        ("[" * cli._MAX_DEPTH + "]" * cli._MAX_DEPTH, 22),
+    ], ids=["flow-20000", "block-100000", "one-level-too-deep"])
+    def test_deep_config_exits_1(self, loader, extra, line, circ_cfg, tmp_path, capsys,
+                                 monkeypatch):
+        use_loader(loader, monkeypatch)
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(circ_cfg.read_text() + f"extra: {extra}\n")
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == (f"error: ConfigError: {cfg}, line {line}: config "
+                                           f"nested deeper than {cli._MAX_DEPTH} levels\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("loader", ["libyaml-if-present", "pure-python"])
+    def test_config_at_the_depth_limit_loads(self, loader, circ_cfg, tmp_path, monkeypatch):
+        # the root mapping is level 1, so the innermost of these lists is at the limit
+        use_loader(loader, monkeypatch)
+        lists = cli._MAX_DEPTH - 1
+        text = circ_cfg.read_text() + f"extra: {'[' * lists}{']' * lists}\n"
+        cfg = tmp_path / "deepest.cfg"
+        cfg.write_text(text)
+        assert cli.load_config(str(cfg)).raw == yaml.load(text, Loader=yaml.SafeLoader)
 
     def test_fallback_parser_keeps_the_sparams_bytes(self, circ_cfg, tmp_path, monkeypatch):
         made = []
@@ -496,15 +530,42 @@ class TestSparams:
     def test_even_grid_summary_reads_delta_zero(self, config, circ_cfg, diramp_cfg, tmp_path,
                                                 capsys):
         # two points: the grid is -span/2 and +span/2 and holds no delta = 0
-        raw = yaml.safe_load((circ_cfg if config == "circulator" else diramp_cfg).read_text())
-        raw["sweep"]["points"] = 2
-        cfg = tmp_path / "two.cfg"
-        cfg.write_text(yaml.safe_dump(raw))
+        cfg = with_points(circ_cfg if config == "circulator" else diramp_cfg, 2, tmp_path)
         assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 0
         lines = capsys.readouterr().out.splitlines()[1:-1]
-        pinned = SPARAMS_STDOUT[config]
-        assert ([s for s in lines if "bandwidth" not in s]
-                == [s for s in pinned if "bandwidth" not in s])
+        # the solved delta = 0 is in band and neither grid point is: each band is 0 Hz wide
+        assert lines == [re.sub(r"[\d.]+ MHz", "0.000 MHz", s) for s in SPARAMS_STDOUT[config]]
+
+    @pytest.mark.parametrize("config", sorted(SPARAMS_STDOUT))
+    @pytest.mark.parametrize("points", [2, 1000])
+    def test_grid_without_delta_zero_writes_only_the_grid(self, points, config, circ_cfg,
+                                                          diramp_cfg, tmp_path, capsys):
+        # delta = 0 is solved with the grid but written to no table, and every delta = 0
+        # line is that of the one-point sweep at delta = 0
+        cfg = with_points(circ_cfg if config == "circulator" else diramp_cfg, points, tmp_path)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"x.{fmt}"
+            assert run("sparams", "--config", cfg, "--out", out, "--format", fmt) == 0
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == GRID_WITHOUT_ZERO_DIGESTS[f"sparams-{config}-{points}-{fmt}"]
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == f"wrote {points} detuning points to {out} ({fmt})"
+        run_cfg = cli.load_config(str(cfg))
+        cli._print_summary(run_cfg, cmt.scattering_at(run_cfg.device, 0.0))
+        reference = capsys.readouterr().out.splitlines()
+        at_zero = [s for s in reference if "bandwidth" not in s and "defect" not in s]
+        assert at_zero == [s for s in lines[1:] if "bandwidth" not in s and "defect" not in s]
+        assert len(at_zero) == len(SPARAMS_STDOUT[config]) - 1
+
+    @pytest.mark.parametrize("config", sorted(SPARAMS_STDOUT))
+    @pytest.mark.parametrize("points", [1, 2, 1001])
+    def test_one_kernel_solve_per_run(self, points, config, circ_cfg, diramp_cfg, tmp_path,
+                                      monkeypatch):
+        cfg = with_points(circ_cfg if config == "circulator" else diramp_cfg, points, tmp_path)
+        checked = count_calls(monkeypatch, "_checked", cmt)
+        assert run("sparams", "--config", cfg, "--out", tmp_path / "x.csv") == 0
+        # an odd grid of the bundled span holds delta = 0 and an even one does not
+        assert [len(deltas) for _a, deltas in checked] == [points + (points % 2 == 0)]
 
     def test_diramp_without_gain_prints_an_empty_band(self, diramp_cfg, tmp_path, capsys):
         raw = yaml.safe_load(diramp_cfg.read_text())
@@ -855,10 +916,10 @@ class TestCompare:
         assert len(recwarn) == 0
 
     @pytest.mark.parametrize("body, message", [
-        ("0,1\n1\n", "ValueError: "),
+        ("0,1\n1\n", "ConfigError: {bad}: "),
         ("0,1,2\n1,2,3\n", "ConfigError: {bad}: every row needs 2 cells, one per column"),
-        ("0,1\n1,x\n", "ValueError: could not convert string"),
-        ("0,1\n1,#\n", "ValueError: could not convert string"),  # a cell, not a comment
+        ("0,1\n1,x\n", "ConfigError: {bad}: could not convert string"),
+        ("0,1\n1,#\n", "ConfigError: {bad}: could not convert string"),  # a cell, not a comment
     ], ids=["ragged-row", "rows-wider-than-header", "non-numeric-cell", "hash-cell"])
     def test_unreadable_csv_exit_2(self, body, message, tmp_path, capsys):
         bad, ref = tmp_path / "bad.csv", tmp_path / "ref.csv"
@@ -890,7 +951,29 @@ class TestCompare:
         bad.write_text(json.dumps({"columns": ["delta_hz", "S_ab_db"], "rows": [[0, {}]]}))
         assert run("compare", bad, bad) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: TypeError: ")
+        assert len(err) == 1 and err[0].startswith(f"error: ConfigError: {bad}: float() ")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"columns": ["delta_hz", "S_ab_db"], "rows": [[0, 1],]}', "Expecting value: line 1"),
+        ('{"columns": ["delta_hz", "S_ab_db"], "rows": [[0, 1], [1]]}', "setting an array"),
+    ], ids=["syntax-error", "ragged-row"])
+    def test_unreadable_json_exit_2(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("compare", bad, bad) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ConfigError: {bad}: {message}")
+
+    @pytest.mark.parametrize("fmt, head", [("csv", b"delta_hz,S_ab_db\n0,"),
+                                           ("json", b'{"columns": ["delta_hz"], "rows": [[')],
+                             ids=["csv", "json"])
+    def test_table_not_utf8_exit_2(self, fmt, head, tmp_path, capsys):
+        # named as a config's bad byte is, by its offset in the file
+        bad = tmp_path / f"bad.{fmt}"
+        bad.write_bytes(head + b"\xff")
+        assert run("compare", bad, bad) == 2
+        assert capsys.readouterr().err == (f"error: ConfigError: {bad}: not UTF-8: byte 0xff "
+                                           f"at offset {len(head)} (invalid start byte)\n")
 
     @pytest.mark.parametrize("cell", [True, None, "1.5"], ids=["true", "null", "string"])
     def test_json_cell_not_a_number_exit_2(self, cell, tmp_path, capsys):
@@ -1036,6 +1119,27 @@ WRITER_DIGESTS = {
     "tune-diramp-14db": "3456cbb4883a9a270569985ec4b07c1410b1f9d3a94a7d70823d47e1cd731dfb",
     "tune-circulator-cw": "4d744e3978c916ae0d57a69d181485b98785f8ac30153cf66989a569c8afaba3",
     "tune-circulator-ccw": "75284c168455a72171f8ac24bd3562b4cb72ba98f4db867e802dfe94c8d76e4b",
+}
+
+# sha256 of sparams tables for the bundled configs with sweep.points set to a count
+# whose grid holds no delta = 0: the bytes written before delta = 0 was solved with the grid
+GRID_WITHOUT_ZERO_DIGESTS = {
+    "sparams-circulator-1000-csv":
+        "38bbf1df85ab2d7a607c21bb499f5a3ea8b0516ec3e75a6b8f89765bb18d5371",
+    "sparams-circulator-1000-json":
+        "85186f397771b097e4fdc4ba58e7c95bef781adb85318fbadf702786a614bcad",
+    "sparams-circulator-2-csv":
+        "ed0c25312d28bcc6f47b7629d8f441795784797a7ea73fc7cc7c519971805f2d",
+    "sparams-circulator-2-json":
+        "e7fe83775336337ec72b3f53e7db30f681fb8c061f2841354486dd59bbc6b6b3",
+    "sparams-diramp-1000-csv":
+        "18b3b0523e62181d75858c5915d8bc835a610700bf0fee728e31fa4b4b608a2d",
+    "sparams-diramp-1000-json":
+        "4298e24f42631c346ccd49e3c5f600ed40e23fd84dbe60668691e3cc6e9c7bef",
+    "sparams-diramp-2-csv":
+        "46ef9ab86467e3b671c6c24d1cd305573f88d33e979bc794a75f2f149a5d2918",
+    "sparams-diramp-2-json":
+        "eeb46868df9ee2129c86843e2011aa2b7912df5e62d4db2f646ccf4fcb78815d",
 }
 
 # the tuned configs in WRITER_DIGESTS: bundled config, then the tune options
